@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare fmt fmt-check vet ci serve serve-smoke load-smoke cluster-smoke chaos-smoke trace-smoke fuzz
+.PHONY: all build test race bench bench-test bench-json bench-compare fmt fmt-check vet ci serve serve-smoke load-smoke cluster-smoke chaos-smoke trace-smoke fuzz
 
 all: build test
 
@@ -168,6 +168,12 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
+# The benchmark is a module of its own (benchmark/go.mod), so ./... above
+# neither builds nor tests it; its tests (about 10 s) pin the functions of
+# the program that benchmark/layers.go calls by hand.
+bench-test:
+	$(GO) test -C benchmark ./...
+
 # Machine-readable method comparison for trajectory tracking. The report
 # carries mallocs/alloc_bytes next to the ns timings (cpmbench measures
 # allocation deltas around each method run), so local JSON runs feed the
@@ -198,4 +204,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test race bench
+ci: fmt-check vet build test race bench bench-test

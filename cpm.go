@@ -117,7 +117,8 @@ const (
 )
 
 // ResultDiff describes how one query's result changed: entered, exited and
-// re-ranked neighbors plus the full new result set. See Subscribe.
+// re-ranked neighbors plus the full new result set. Its slices are
+// read-only and share backing arrays with other events (see Subscribe).
 type ResultDiff = model.ResultDiff
 
 // DiffKind classifies a result-diff event.
@@ -554,6 +555,13 @@ func (m *Monitor) ChangedQueries() []QueryID { return m.e.ChangedQueries() }
 // goroutine; the returned subscription's channel may be consumed from any
 // goroutine. Delivery never blocks the processing loop: slow consumers
 // lose events according to their policy instead.
+//
+// Ownership: an event's slices are read-only (events are shared between
+// subscribers) and carved, cap == len, from chunks the events of one Tick
+// and its neighbours share — an append reallocates, it never writes into
+// another event. Events stay valid for as long as they are held, but a
+// held event pins its whole chunk (64 KB): a consumer that keeps results
+// around for long copies what it keeps.
 func (m *Monitor) Subscribe(ids ...QueryID) *Subscription {
 	return m.SubscribeWith(SubscribeOptions{}, ids...)
 }
@@ -616,7 +624,8 @@ func (m *Monitor) KeepDiffs(on bool) {
 }
 
 // TakeDiffs returns the diffs collected since the last TakeDiffs call and
-// clears the buffer. Nil unless KeepDiffs is on.
+// clears the buffer. Nil unless KeepDiffs is on. The caller owns the
+// returned slice; the events in it follow Subscribe's ownership rule.
 func (m *Monitor) TakeDiffs() []ResultDiff {
 	out := m.pending
 	m.pending = nil
@@ -646,7 +655,10 @@ func (m *Monitor) Reset() {
 
 // publish flushes the diffs of the last mutating operation to the
 // subscribers and, with KeepDiffs on, the pull buffer. No-op (and no diff
-// is ever collected) while neither is active.
+// is ever collected) while neither is active. The backend's TakeDiffs
+// lends its buffer only until the next take, so both consumers copy the
+// events out of it before publish returns: the pull buffer by append, the
+// hub into its subscribers' rings.
 func (m *Monitor) publish() {
 	if m.hub == nil && !m.keep {
 		return

@@ -76,7 +76,7 @@ func (s *SEA) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	}
 	for id, p := range objs {
 		if err := s.g.Insert(id, p); err != nil {
-			panic(fmt.Sprintf("baseline: bootstrap insert: %v", err))
+			panic(fmt.Sprintf("baseline: bootstrap insert of object %d: %v", id, err))
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (y *YPK) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	}
 	for id, p := range objs {
 		if err := y.g.Insert(id, p); err != nil {
-			panic(fmt.Sprintf("baseline: bootstrap insert: %v", err))
+			panic(fmt.Sprintf("baseline: bootstrap insert of object %d: %v", id, err))
 		}
 	}
 }

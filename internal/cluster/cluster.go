@@ -55,7 +55,9 @@
 //
 // Restarts are detected, not assumed: every worker connection records the
 // server instance id of its latest handshake, and a synced worker whose
-// instance changed is re-synced even if no request happened to fail.
+// instance changed is re-synced even if no request happened to fail — the
+// id is compared before every operation and again on every answer, so an
+// answer from a server that restarted in between is never merged.
 //
 // All wire traffic to one worker is serialized behind a per-worker mutex:
 // an abandoned (timed-out) request can never land between a later

@@ -97,7 +97,10 @@ type worker struct {
 	healthG    *metrics.Gauge
 }
 
-var errOpTimeout = errors.New("cluster: operation timed out")
+var (
+	errOpTimeout       = errors.New("cluster: operation timed out")
+	errInstanceChanged = errors.New("server instance changed (worker restart)")
+)
 
 // synced returns the workers currently holding exact state.
 func (c *Coordinator) synced() []*worker {
@@ -118,7 +121,7 @@ func (c *Coordinator) synced() []*worker {
 func (c *Coordinator) beginOp() {
 	for _, w := range c.workers {
 		if w.synced && w.seen.Load() != w.instance {
-			c.desync(w, errors.New("server instance changed (worker restart)"))
+			c.desync(w, errInstanceChanged)
 		}
 	}
 drain:
@@ -153,6 +156,11 @@ func (c *Coordinator) chargeDesynced() {
 // server processed the request and rejected it — leaves the worker synced
 // and is returned; with desyncOnAppErr (fleet-wide operations, where a
 // rejection means the worker's state is in question) it desyncs instead.
+//
+// A successful answer counts only if the worker's server instance is still
+// the one its state was built on: a handshake with a new instance always
+// precedes the first request on the new connection, so an unchanged id
+// after the answer proves the answer came from the state the mirror knows.
 //
 // ErrUnsent failures — the request provably never reached the wire, so a
 // repeat cannot double-apply — are retried in place with jittered backoff
@@ -215,6 +223,12 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 				c.met.opRetries.Add(int64(r.retries))
 			}
 			switch {
+			case r.err == nil && r.w.seen.Load() != r.w.instance:
+				// beginOp checked the instance before the send, but the
+				// client may have reconnected to a restarted — empty —
+				// server in between: the answer then describes state the
+				// mirror never had, so it is dropped like a lost one.
+				c.desync(r.w, errInstanceChanged)
 			case r.err == nil:
 				c.noteOutcome(r.w, r.retries)
 				merged = append(merged, r.diffs...)

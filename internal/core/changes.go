@@ -49,7 +49,7 @@ func (e *Engine) noteIfChanged(qu *query) {
 		return
 	}
 	if e.diffsOn {
-		e.noteDiff(qu.id, qu.reported, cur)
+		e.noteDiff(qu.id, &qu.pend, qu.reported, cur)
 	}
 	qu.reported = append(qu.reported[:0], cur...)
 	e.markChanged(qu.id, &qu.changedMark)
@@ -66,18 +66,19 @@ func (e *Engine) noteRangeIfChanged(rq *rangeQuery) {
 		return
 	}
 	if e.diffsOn {
-		e.noteDiff(rq.id, rq.reported, cur)
+		e.noteDiff(rq.id, &rq.pend, rq.reported, cur)
 	}
 	rq.reported = append(rq.reported[:0], cur...)
 	e.markChanged(rq.id, &rq.changedMark)
 }
 
 // noteRemoved reports a query's disappearance as a final change;
-// lastReported is the result as the engine last reported it. A pending
-// diff for the query in the current window is composed away: the remove
-// event lists what the subscriber actually saw (the pending diff's base),
-// and a reinstall of the id later in the window starts a fresh event.
-func (e *Engine) noteRemoved(id model.QueryID, lastReported []model.Neighbor) {
+// lastReported is the result as the engine last reported it and m the
+// query's diff mark. A pending diff for the query in the current window is
+// composed away: the remove event lists what the subscriber actually saw
+// (the pending diff's base), and a reinstall of the id later in the window
+// starts a fresh event.
+func (e *Engine) noteRemoved(id model.QueryID, m *diffMark, lastReported []model.Neighbor) {
 	// The query struct (and its dedupe stamp) is gone, so append
 	// unconditionally; ChangedQueries dedupes on read.
 	e.changedIDs = append(e.changedIDs, id)
@@ -85,20 +86,19 @@ func (e *Engine) noteRemoved(id model.QueryID, lastReported []model.Neighbor) {
 		return
 	}
 	seen := lastReported
-	at := len(e.diffs)
-	if i, ok := e.diffAt[id]; ok {
-		seen = e.diffBase[i]
-		at = i
-		delete(e.diffAt, id)
+	if m.win == e.diffWin {
+		seen = e.diffBase[m.at]
 	}
-	exited := make([]model.ObjectID, len(seen))
+	exited := e.diffEx[:0]
 	for i := range seen {
-		exited[i] = seen[i].ID
+		exited = append(exited, seen[i].ID)
 	}
-	rm := model.ResultDiff{Query: id, Kind: model.DiffRemove, Exited: exited}
-	if at < len(e.diffs) {
-		e.diffs[at] = rm
+	e.diffEx = exited
+	rm := model.ResultDiff{Query: id, Kind: model.DiffRemove, Exited: carve(&e.freeIDs, exited)}
+	if m.win == e.diffWin {
+		e.diffs[m.at] = rm
 	} else {
+		e.diffBase = append(e.diffBase, nil)
 		e.diffs = append(e.diffs, rm)
 	}
 }

@@ -117,17 +117,31 @@ type Engine struct {
 
 	// Result-diff collection (diff.go): with diffsOn the engine derives,
 	// for every changed query, the entered/exited/re-ranked delta against
-	// its reported snapshot and buffers it until TakeDiffs. diffAt maps a
-	// query to its pending diff so repeated changes within one buffer
-	// window compose into a single event (diffBase keeps each pending
-	// diff's pre-change snapshot for that). diffIdx and diffSeen are the
-	// O(k) diff pass's reusable scratch.
-	diffsOn  bool
-	diffs    []model.ResultDiff
-	diffAt   map[model.QueryID]int
-	diffBase [][]model.Neighbor
-	diffIdx  map[model.ObjectID]int
-	diffSeen []bool
+	// its reported snapshot and buffers it in diffs until TakeDiffs, which
+	// moves the window, ordered through the diffOrder keys, into taken (the
+	// buffer it lends out until the next take) and bumps diffWin. A query's
+	// diffMark stamped with the current diffWin points at its pending
+	// event, so repeated changes within one window compose into a single
+	// event; diffBase[i] is diffs[i]'s pre-change snapshot for that, cut
+	// from baseBuf, which each take rewinds. Event slices are carved from
+	// freeNbrs and freeIDs, the unused tails of the arena's current chunks. diffTab (with its generation diffGen),
+	// diffSeen and diffEnt/diffRer/diffEx are the O(k) diff pass's reusable
+	// scratch.
+	diffsOn   bool
+	diffs     []model.ResultDiff
+	taken     []model.ResultDiff
+	diffOrder []int64
+	diffBase  [][]model.Neighbor
+	baseBuf   []model.Neighbor
+	diffWin   int64
+	freeNbrs  []model.Neighbor
+	freeIDs   []model.ObjectID
+	diffTab   []idSlot
+	diffGen   uint64
+	diffSeen  []bool
+	diffEnt   []model.Neighbor
+	diffRer   []model.Neighbor
+	diffEx    []model.ObjectID
 
 	// phases is the wall-clock decomposition of the last ProcessBatch
 	// into the paper's cost-model phases (tracing.go in this package).
@@ -159,8 +173,10 @@ type query struct {
 	// boundary boxes.
 	heap *qheap.Heap
 
-	// reported is the result as last exposed through ChangedQueries.
+	// reported is the result as last exposed through ChangedQueries; pend
+	// locates the query's pending diff event, if any (diff.go).
 	reported []model.Neighbor
+	pend     diffMark
 
 	// changedMark dedupes the query's entry in the engine's changedIDs
 	// list (== changeGen once recorded this notification window);
@@ -224,6 +240,7 @@ func newEngine(g *grid.Grid, ownsGrid bool, opts Options) *Engine {
 		// structs never collide with the current generation.
 		changeGen: 1,
 		batchGen:  1,
+		diffWin:   1,
 	}
 	for w := range e.infls {
 		e.infls[w] = grid.NewInfluence(g.Size() * g.Size())
@@ -305,7 +322,7 @@ func (e *Engine) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	}
 	for id, p := range objs {
 		if err := e.g.Insert(id, p); err != nil {
-			panic(fmt.Sprintf("core: bootstrap insert: %v", err))
+			panic(fmt.Sprintf("core: bootstrap insert of object %d: %v", id, err))
 		}
 	}
 }
@@ -328,6 +345,9 @@ func (e *Engine) Register(id model.QueryID, def Def) error {
 	if _, exists := e.ranges[id]; exists {
 		return fmt.Errorf("core: query %d already installed as a range query", id)
 	}
+	// The engine keeps the definition for the query's lifetime: own it, so
+	// a caller reusing its buffers cannot move the query behind our back.
+	def.Points = slices.Clone(def.Points)
 	qu := &query{
 		id:     id,
 		def:    def,
@@ -340,11 +360,7 @@ func (e *Engine) Register(id model.QueryID, def Def) error {
 	e.compute(qu)
 	qu.reported = qu.best.snapshot()
 	e.markChanged(id, &qu.changedMark)
-	if e.diffsOn {
-		// A second snapshot: qu.reported's backing array is reused in place
-		// by noteIfChanged, so the event must not alias it.
-		e.noteInstalled(id, qu.best.snapshot())
-	}
+	e.noteInstalled(id, &qu.pend, qu.reported)
 	return nil
 }
 
@@ -354,13 +370,13 @@ func (e *Engine) RemoveQuery(id model.QueryID) {
 	if qu, ok := e.queries[id]; ok {
 		e.clearInfluence(qu)
 		delete(e.queries, id)
-		e.noteRemoved(id, qu.reported)
+		e.noteRemoved(id, &qu.pend, qu.reported)
 		return
 	}
 	if rq, ok := e.ranges[id]; ok {
 		e.clearRange(rq)
 		delete(e.ranges, id)
-		e.noteRemoved(id, rq.reported)
+		e.noteRemoved(id, &rq.pend, rq.reported)
 	}
 }
 
@@ -368,25 +384,34 @@ func (e *Engine) RemoveQuery(id model.QueryID) {
 // termination plus a re-installation at the new location(s); the query
 // keeps its id, k, aggregate and constraint.
 func (e *Engine) MoveQuery(id model.QueryID, points []geom.Point) error {
+	qu, err := e.moveQuery(id, points)
+	if err == nil {
+		e.noteIfChanged(qu)
+	}
+	return err
+}
+
+// moveQuery is MoveQuery without the notification step, which
+// ApplyQueryUpdates runs once for all of a batch's moves (noteTouched).
+func (e *Engine) moveQuery(id model.QueryID, points []geom.Point) (*query, error) {
 	qu, ok := e.queries[id]
 	if !ok {
-		return fmt.Errorf("core: move of unknown query %d", id)
+		return nil, fmt.Errorf("core: move of unknown query %d", id)
 	}
 	if len(points) != len(qu.def.Points) {
-		return fmt.Errorf("core: query %d move with %d points, want %d",
+		return nil, fmt.Errorf("core: query %d move with %d points, want %d",
 			id, len(points), len(qu.def.Points))
 	}
 	def := qu.def
 	def.Points = points
 	if err := def.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	e.clearInfluence(qu)
-	qu.def = def
-	qu.group = e.homeGroup(def.Points)
+	copy(qu.def.Points, points) // into the engine's own storage (see Register)
+	qu.group = e.homeGroup(qu.def.Points)
 	e.compute(qu)
-	e.noteIfChanged(qu)
-	return nil
+	return qu, nil
 }
 
 // Result implements model.Monitor.

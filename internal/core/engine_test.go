@@ -146,3 +146,35 @@ func TestResultIsACopy(t *testing.T) {
 		t.Error("Result exposes internal storage")
 	}
 }
+
+// TestEngineOwnsQueryPoints: the engine keeps a query's points for the
+// query's lifetime, so it must copy them — a caller
+// that reuses the buffers it registered or moved a query with (a stream
+// generator recycling its chunks) must not move the query behind the
+// engine's back, which used to leave the visit list keyed to one point and
+// the leftover heap to another, and the same object in a result twice.
+func TestEngineOwnsQueryPoints(t *testing.T) {
+	w := newWorld(5)
+	e := NewUnitEngine(16, Options{})
+	e.Bootstrap(w.populate(300))
+	pts := []geom.Point{{X: 0.3, Y: 0.3}}
+	if err := e.Register(1, Def{Points: pts, K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	want := Def{Points: []geom.Point{pts[0]}, K: 4}
+	pts[0] = geom.Point{X: 0.9, Y: 0.9}
+	for round := 0; round < 20; round++ {
+		if round == 10 {
+			to := []geom.Point{{X: 0.45, Y: 0.35}}
+			b := w.randomBatch(40, false)
+			b.Queries = []model.QueryUpdate{{ID: 1, Kind: model.QueryMove, NewPoints: to}}
+			e.ProcessBatch(b)
+			want.Points[0] = to[0]
+			to[0] = geom.Point{X: 0.05, Y: 0.95}
+		} else {
+			e.ProcessBatch(w.randomBatch(40, false))
+		}
+		checkResult(t, "after the caller reused its buffers", e.Result(1), oracle(e, want))
+		checkInvariants(t, e, 1)
+	}
+}

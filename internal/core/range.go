@@ -39,6 +39,7 @@ type rangeQuery struct {
 	cells   []grid.CellIndex // influence cells (disk cover)
 
 	reported    []model.Neighbor // result as last exposed through ChangedQueries
+	pend        diffMark         // the query's pending diff event, if any
 	cycleMark   int64            // dedupe marker for the per-cycle touch list
 	changedMark int64            // dedupe marker for the notification set
 	ignoreMark  int64            // == Engine.batchGen when updated this batch
@@ -70,11 +71,7 @@ func (e *Engine) RegisterRange(id model.QueryID, center geom.Point, radius float
 	e.evaluateRange(rq)
 	rq.reported = e.RangeResult(id)
 	e.markChanged(id, &rq.changedMark)
-	if e.diffsOn {
-		// A second snapshot: rq.reported's backing array is reused in place
-		// by noteRangeIfChanged, so the install event must not alias it.
-		e.noteInstalled(id, e.RangeResult(id))
-	}
+	e.noteInstalled(id, &rq.pend, rq.reported)
 	return nil
 }
 
@@ -116,6 +113,15 @@ func (e *Engine) MoveRange(id model.QueryID, center geom.Point) error {
 	if !ok {
 		return fmt.Errorf("core: move of unknown range query %d", id)
 	}
+	err := e.moveRange(rq, center)
+	if err == nil {
+		e.noteRangeIfChanged(rq)
+	}
+	return err
+}
+
+// moveRange is MoveRange without the notification step (see moveQuery).
+func (e *Engine) moveRange(rq *rangeQuery, center geom.Point) error {
 	if !finitePoint(center) {
 		return fmt.Errorf("core: non-finite range center %v", center)
 	}
@@ -123,7 +129,6 @@ func (e *Engine) MoveRange(id model.QueryID, center geom.Point) error {
 	rq.center = center
 	rq.group = e.groupOf(e.g.CellOf(center))
 	e.evaluateRange(rq)
-	e.noteRangeIfChanged(rq)
 	return nil
 }
 

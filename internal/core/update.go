@@ -123,16 +123,25 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 				e.invalidQueries++
 				continue
 			}
+			// A move of this query earlier in the batch is noted before
+			// the query goes: the touched lists never hold a removed one.
+			e.noteTouched()
 			e.RemoveQuery(qu.ID)
 		case model.QueryMove:
-			if _, isRange := e.ranges[qu.ID]; isRange {
-				if len(qu.NewPoints) != 1 || e.MoveRange(qu.ID, qu.NewPoints[0]) != nil {
+			// Moved queries go on the touched lists (empty here: every
+			// scan round drains them) and are noted in one pass below.
+			if rq, isRange := e.ranges[qu.ID]; isRange {
+				if len(qu.NewPoints) != 1 || e.moveRange(rq, qu.NewPoints[0]) != nil {
 					e.invalidQueries++
+				} else {
+					e.dirtyRanges[rq.group] = append(e.dirtyRanges[rq.group], rq)
 				}
 				continue
 			}
-			if err := e.MoveQuery(qu.ID, qu.NewPoints); err != nil {
+			if q, err := e.moveQuery(qu.ID, qu.NewPoints); err != nil {
 				e.invalidQueries++
+			} else {
+				e.dirty[q.group] = append(e.dirty[q.group], q)
 			}
 		case model.QueryInstall:
 			// Installations happen through Register, which computes the
@@ -142,6 +151,7 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 			e.invalidQueries++
 		}
 	}
+	e.noteTouched()
 	e.phases.QueryUpd += time.Since(qStart).Nanoseconds()
 }
 
@@ -314,6 +324,24 @@ func (e *Engine) resolveDirty() {
 			}
 			qu.outCount = 0
 			qu.inList.reset()
+		}
+	}
+	e.noteTouched()
+}
+
+// noteTouched is the notification step (Figure 3.9 line 10) for every
+// query on the touched lists: each is compared with its reported result
+// and, if it changed, recorded (with its delta while diffs are on); the
+// lists are drained. It runs as a pass of its own — after every touched
+// query is resolved, or after every query update of a batch is applied —
+// because the notes read only per-query state, so their order is
+// unobservable, and one pass costs one PhaseNanos.Diff bracket instead of
+// two clock reads per diff. A query a batch moves twice is noted once,
+// against the result it had before the batch.
+func (e *Engine) noteTouched() {
+	start := time.Now()
+	for w := range e.dirty {
+		for _, qu := range e.dirty[w] {
 			e.noteIfChanged(qu)
 		}
 		e.dirty[w] = e.dirty[w][:0]
@@ -323,5 +351,8 @@ func (e *Engine) resolveDirty() {
 			e.noteRangeIfChanged(rq)
 		}
 		e.dirtyRanges[w] = e.dirtyRanges[w][:0]
+	}
+	if e.diffsOn {
+		e.phases.Diff += time.Since(start).Nanoseconds()
 	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"testing"
 
 	"cpm/internal/geom"
@@ -109,5 +110,52 @@ func TestApplyBatchReusesLog(t *testing.T) {
 	log, _ := g.ApplyBatch(u, buf)
 	if len(log) != 1 || cap(log) != cap(buf) || &log[:1][0] != &buf[:1][0] {
 		t.Fatalf("ApplyBatch reallocated a sufficient log buffer (len %d cap %d)", len(log), cap(log))
+	}
+}
+
+// TestApplyBatchInvalidUpdatesDoNotAllocate: ApplyBatch only counts the
+// updates it rejects, so rejecting them — sentinel errors, no formatted
+// message — must cost no allocation, whatever a misbehaving client sends.
+func TestApplyBatchInvalidUpdatesDoNotAllocate(t *testing.T) {
+	g := NewUnit(8)
+	g.BeginWrites()
+	if err := g.Insert(1, geom.Point{X: 0.1, Y: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	g.EndWrites()
+	p := geom.Point{X: 0.5, Y: 0.5}
+	bad := []model.Update{
+		model.MoveUpdate(7, p, p),          // unknown id
+		model.MoveUpdate(-3, p, p),         // negative id
+		model.MoveUpdate(100000, p, p),     // beyond the position store
+		model.DeleteUpdate(7, p),           // unknown id
+		model.DeleteUpdate(-3, p),          // negative id
+		model.InsertUpdate(1, p),           // duplicate of a live object
+		model.InsertUpdate(-3, p),          // negative id
+		{ID: 1, Kind: model.UpdateKind(9)}, // unknown kind
+	}
+	g.BeginWrites()
+	_, _, moveErr := g.Move(7, p)
+	for _, c := range []struct{ got, want error }{
+		{g.Insert(1, p), ErrLiveObject},
+		{g.Insert(-3, p), ErrNegativeID},
+		{g.Delete(7), ErrUnknownObject},
+		{moveErr, ErrUnknownObject},
+	} {
+		if !errors.Is(c.got, c.want) {
+			t.Fatalf("got error %v, want the sentinel %v", c.got, c.want)
+		}
+	}
+	g.EndWrites()
+	log := make([]Applied, 0, len(bad))
+	var invalid int64
+	avg := testing.AllocsPerRun(100, func() {
+		log, invalid = g.ApplyBatch(bad, log[:0])
+	})
+	if invalid != int64(len(bad)) || len(log) != 0 {
+		t.Fatalf("ApplyBatch applied %d and rejected %d of %d invalid updates", len(log), invalid, len(bad))
+	}
+	if avg != 0 {
+		t.Fatalf("a batch of invalid updates allocates %.1f/op, want 0", avg)
 	}
 }

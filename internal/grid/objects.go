@@ -1,10 +1,19 @@
 package grid
 
 import (
-	"fmt"
+	"errors"
 
 	"cpm/internal/geom"
 	"cpm/internal/model"
+)
+
+// The errors of the update path are sentinels: ApplyBatch only counts
+// rejected updates, so rejecting one must not allocate a formatted message.
+// A caller that reports one adds the object id itself.
+var (
+	ErrNegativeID    = errors.New("grid: negative object id")
+	ErrLiveObject    = errors.New("grid: insert of live object")
+	ErrUnknownObject = errors.New("grid: update of unknown object")
 )
 
 // ensureID grows the position store to cover id.
@@ -59,11 +68,11 @@ func (g *Grid) removeObject(c CellIndex, id model.ObjectID) {
 func (g *Grid) Insert(id model.ObjectID, p geom.Point) error {
 	g.assertWritable()
 	if id < 0 {
-		return fmt.Errorf("grid: negative object id %d", id)
+		return ErrNegativeID
 	}
 	g.ensureID(id)
 	if g.alive[id] {
-		return fmt.Errorf("grid: insert of live object %d", id)
+		return ErrLiveObject
 	}
 	p = g.Clamp(p)
 	g.alive[id] = true
@@ -78,7 +87,7 @@ func (g *Grid) Insert(id model.ObjectID, p geom.Point) error {
 func (g *Grid) Delete(id model.ObjectID) error {
 	g.assertWritable()
 	if id < 0 || int(id) >= len(g.alive) || !g.alive[id] {
-		return fmt.Errorf("grid: delete of unknown object %d", id)
+		return ErrUnknownObject
 	}
 	g.removeObject(g.CellOf(g.positions[id]), id)
 	g.alive[id] = false
@@ -92,7 +101,7 @@ func (g *Grid) Delete(id model.ObjectID) error {
 func (g *Grid) Move(id model.ObjectID, p geom.Point) (oldCell, newCell CellIndex, err error) {
 	g.assertWritable()
 	if id < 0 || int(id) >= len(g.alive) || !g.alive[id] {
-		return NoCell, NoCell, fmt.Errorf("grid: move of unknown object %d", id)
+		return NoCell, NoCell, ErrUnknownObject
 	}
 	p = g.Clamp(p)
 	oldCell = g.CellOf(g.positions[id])

@@ -47,6 +47,11 @@ func (k DiffKind) String() string {
 // late (or resuming after a dropped event) can re-sync from any single diff.
 //
 // Diffs are shared between subscribers: treat every slice as read-only.
+// The engine carves the slices of the events it emits from shared chunks
+// (each with cap == len, so an append reallocates instead of writing into a
+// neighbouring event): an event stays valid for as long as it is held, but
+// holding one pins its whole chunk, so a consumer that retains results
+// indefinitely copies them.
 type ResultDiff struct {
 	// Query is the query this diff concerns.
 	Query QueryID

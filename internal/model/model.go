@@ -191,13 +191,15 @@ func (s Stats) Sub(other Stats) Stats {
 // influence scan / query re-evaluation (the Figure 3.8 resolution pass,
 // which includes the heap work of re-computation), query-update
 // application, and result-diff derivation. Diff time is accumulated
-// inside the other phases (diffs are derived where results change), so
-// the first three sum to roughly the cycle and Diff overlaps them.
+// inside the other phases — one bracket around each pass that compares the
+// touched queries with their reported results and derives the deltas of
+// those that changed, read only while diffs are collected — so the first
+// three sum to roughly the cycle and Diff overlaps them.
 type PhaseNanos struct {
 	Relocate int64 // object updates applied to the grid + influence scans
 	Reeval   int64 // resolveDirty: short-circuit merges and re-computations
 	QueryUpd int64 // query-stream terminations / moves / installs
-	Diff     int64 // result-diff derivation (overlaps the phases above)
+	Diff     int64 // change detection + result-diff derivation (overlaps the phases above)
 }
 
 // MaxOf folds other into s field-wise by maximum. The sharded monitor

@@ -52,7 +52,8 @@ const (
 // per event accepted for this subscriber, so a gap between consecutively
 // delivered events means events were dropped or coalesced away — for
 // filtered subscriptions just as for full ones. Events are shared between
-// subscribers: treat every slice as read-only.
+// subscribers: treat every slice as read-only (model.ResultDiff has the
+// full ownership rule).
 type Event struct {
 	Seq uint64
 	model.ResultDiff
@@ -61,6 +62,10 @@ type Event struct {
 // DefaultBuffer is the per-subscriber buffer capacity when Options.Buffer
 // is unset.
 const DefaultBuffer = 64
+
+// initialRing is the slot count a subscription's ring starts with; a
+// consumer that keeps up never needs more, whatever its Buffer allows.
+const initialRing = 16
 
 // Options configure a subscription.
 type Options struct {
@@ -87,6 +92,23 @@ func NewHub() *Hub { return &Hub{} }
 // every query) and starts its delivery pump. On a closed hub the returned
 // subscription is already closed.
 func (h *Hub) Subscribe(opts Options, ids ...model.QueryID) *Subscription {
+	s := newSubscription(h, opts, ids)
+	h.mu.Lock()
+	closed := h.closed
+	if !closed {
+		h.subs = append(h.subs, s)
+	}
+	h.mu.Unlock()
+	go s.pump()
+	if closed {
+		s.close()
+	}
+	return s
+}
+
+// newSubscription builds a subscription's buffer and filter; Subscribe
+// attaches it to the hub and starts its pump.
+func newSubscription(h *Hub, opts Options, ids []model.QueryID) *Subscription {
 	if opts.Buffer <= 0 {
 		opts.Buffer = DefaultBuffer
 	}
@@ -94,6 +116,7 @@ func (h *Hub) Subscribe(opts Options, ids ...model.QueryID) *Subscription {
 		hub:    h,
 		policy: opts.Policy,
 		limit:  opts.Buffer,
+		ring:   make([]Event, min(opts.Buffer, initialRing)),
 		kick:   make(chan struct{}, 1),
 		fin:    make(chan struct{}),
 		done:   make(chan struct{}),
@@ -107,16 +130,6 @@ func (h *Hub) Subscribe(opts Options, ids ...model.QueryID) *Subscription {
 	}
 	if s.policy == CoalesceLatest {
 		s.pending = make(map[model.QueryID]uint64, 16)
-	}
-	h.mu.Lock()
-	closed := h.closed
-	if !closed {
-		h.subs = append(h.subs, s)
-	}
-	h.mu.Unlock()
-	go s.pump()
-	if closed {
-		s.close()
 	}
 	return s
 }
@@ -148,22 +161,18 @@ func (h *Hub) SubscriberCount() int {
 
 // Publish offers one batch of diffs to every subscriber. It never blocks
 // on a slow consumer: full buffers are resolved by each subscription's
-// policy.
+// policy. Each subscription takes the whole batch under one lock and one
+// wake-up of its pump; the hub's lock is held throughout, so a concurrent
+// Subscribe or Close waits out the batch (microseconds — nothing in here
+// waits on a consumer).
 func (h *Hub) Publish(diffs []model.ResultDiff) {
 	if len(diffs) == 0 {
 		return
 	}
 	h.mu.Lock()
-	if h.closed || len(h.subs) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	subs := append([]*Subscription(nil), h.subs...)
-	h.mu.Unlock()
-	for i := range diffs {
-		for _, s := range subs {
-			s.offer(diffs[i])
-		}
+	defer h.mu.Unlock()
+	for _, s := range h.subs { // nil once closed
+		s.offer(diffs)
 	}
 }
 
@@ -177,13 +186,8 @@ func (h *Hub) Publish(diffs []model.ResultDiff) {
 // that worker's queries must not silently skip the lost diffs.
 func (h *Hub) Gap(ids ...model.QueryID) {
 	h.mu.Lock()
-	if h.closed || len(h.subs) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	subs := append([]*Subscription(nil), h.subs...)
-	h.mu.Unlock()
-	for _, s := range subs {
+	defer h.mu.Unlock()
+	for _, s := range h.subs {
 		s.skip(ids)
 	}
 }
@@ -246,11 +250,16 @@ type Subscription struct {
 	policy Policy
 	limit  int
 
-	mu        sync.Mutex
-	queue     []Event
-	seq       uint64                   // events ever accepted past the filter
-	popped    uint64                   // events ever removed from the queue front
-	pending   map[model.QueryID]uint64 // CoalesceLatest: absolute queue index per query
+	mu sync.Mutex
+	// ring is the buffer: a circular queue of count events starting at
+	// head, grown by doubling up to limit slots and then fixed.
+	ring        []Event
+	head, count int
+	seq         uint64 // events ever accepted past the filter
+	// pending (CoalesceLatest only) holds the Seq of the one live event per
+	// query; an older event of that query still in the ring is stale — it
+	// is skipped on the way out and squeezed out when the ring fills.
+	pending   map[model.QueryID]uint64
 	dropped   uint64
 	closed    bool
 	finishing bool
@@ -308,55 +317,103 @@ func (s *Subscription) finish() {
 	})
 }
 
-// offer enqueues one diff, applying the filter, assigning this
-// subscription's sequence number and applying the slow-consumer policy.
-// It never blocks: moving events to the channel is the pump's job.
-func (s *Subscription) offer(d model.ResultDiff) {
-	if s.filter != nil {
-		if _, ok := s.filter[d.Query]; !ok {
-			return
-		}
-	}
+// offer enqueues one batch of diffs under one lock, applying the filter,
+// assigning this subscription's sequence numbers and applying the
+// slow-consumer policy, then wakes the pump once. It never blocks: moving
+// events to the channel is the pump's job.
+func (s *Subscription) offer(diffs []model.ResultDiff) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	s.seq++
-	ev := Event{Seq: s.seq, ResultDiff: d}
-	if s.pending != nil {
-		if abs, ok := s.pending[ev.Query]; ok && abs >= s.popped {
-			// Coalesce: retire the stale pending event and enqueue the new
-			// one at the tail, keeping delivery in publish order with
-			// monotonic Seq (an in-place replace would reorder).
-			i := int(abs - s.popped)
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			for q, a := range s.pending {
-				if a > abs {
-					s.pending[q] = a - 1
-				}
+	before := s.seq
+	for i := range diffs {
+		if s.filter != nil {
+			if _, ok := s.filter[diffs[i].Query]; !ok {
+				continue
 			}
-			delete(s.pending, ev.Query)
+		}
+		s.push(diffs[i])
+	}
+	accepted := s.seq != before
+	s.mu.Unlock()
+	if accepted {
+		select {
+		case s.kick <- struct{}{}:
+		default:
 		}
 	}
-	if len(s.queue) >= s.limit {
-		old := s.queue[0]
-		s.queue = s.queue[1:]
-		if s.pending != nil && s.pending[old.Query] == s.popped {
-			delete(s.pending, old.Query)
-		}
-		s.popped++
+}
+
+// push appends one event at the tail (caller holds mu). Under
+// CoalesceLatest a pending event of the same query goes stale, which keeps
+// delivery in publish order with monotonic Seq (an in-place replace would
+// reorder); otherwise a buffer already holding limit live events drops its
+// oldest.
+func (s *Subscription) push(d model.ResultDiff) {
+	s.seq++
+	live := s.count
+	if s.pending != nil {
+		live = len(s.pending)
+	}
+	_, coalesced := s.pending[d.Query]
+	if !coalesced && live >= s.limit {
+		s.pop()
 		s.dropped++
 	}
-	s.queue = append(s.queue, ev)
 	if s.pending != nil {
-		s.pending[ev.Query] = s.popped + uint64(len(s.queue)) - 1
+		s.pending[d.Query] = s.seq
 	}
-	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
+	if s.count == len(s.ring) {
+		s.makeRoom()
 	}
+	s.ring[(s.head+s.count)%len(s.ring)] = Event{Seq: s.seq, ResultDiff: d}
+	s.count++
+}
+
+// pop removes and returns the oldest live event, discarding stale ones on
+// the way (caller holds mu). Vacated slots are zeroed so the ring does not
+// pin delivered results.
+func (s *Subscription) pop() (Event, bool) {
+	for s.count > 0 {
+		ev := s.ring[s.head]
+		s.ring[s.head] = Event{}
+		s.head = (s.head + 1) % len(s.ring)
+		s.count--
+		if s.pending == nil || s.pending[ev.Query] == ev.Seq {
+			delete(s.pending, ev.Query)
+			return ev, true
+		}
+	}
+	return Event{}, false
+}
+
+// makeRoom frees a slot of a full ring (caller holds mu): it squeezes out
+// stale events in place and, when every slot is live, doubles the ring.
+// push keeps the live events under limit, so a ring of limit slots always
+// has a stale event to lose and never grows further.
+func (s *Subscription) makeRoom() {
+	old, size, kept := s.ring, len(s.ring), 0
+	for i := 0; i < s.count; i++ {
+		ev := old[(s.head+i)%size]
+		if s.pending == nil || s.pending[ev.Query] == ev.Seq {
+			old[(s.head+kept)%size] = ev
+			kept++
+		}
+	}
+	if kept < s.count {
+		for i := kept; i < s.count; i++ {
+			old[(s.head+i)%size] = Event{}
+		}
+		s.count = kept
+		return
+	}
+	s.ring = make([]Event, min(2*size, s.limit))
+	for i := 0; i < s.count; i++ {
+		s.ring[i] = old[(s.head+i)%size]
+	}
+	s.head = 0
 }
 
 // pump is the delivery goroutine: it moves events from the buffer to the
@@ -367,7 +424,8 @@ func (s *Subscription) pump() {
 	defer close(s.out)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 {
+		ev, ok := s.pop()
+		for !ok {
 			fin := s.finishing
 			s.mu.Unlock()
 			if fin {
@@ -380,13 +438,8 @@ func (s *Subscription) pump() {
 				return
 			}
 			s.mu.Lock()
+			ev, ok = s.pop()
 		}
-		ev := s.queue[0]
-		s.queue = s.queue[1:]
-		if s.pending != nil && s.pending[ev.Query] == s.popped {
-			delete(s.pending, ev.Query)
-		}
-		s.popped++
 		s.mu.Unlock()
 		select {
 		case s.out <- ev:

@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"cpm/internal/geom"
 	"cpm/internal/metrics"
 	"cpm/internal/model"
+	"cpm/internal/notify"
 	"cpm/internal/shard"
 )
 
@@ -80,5 +83,67 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Errorf("steady workload triggered %d rebalances; widen the test band", got)
 			}
 		})
+	}
+}
+
+// TestSubscribedAllocsDoNotScaleWithDiffs pins the delivery path's
+// allocation cost: with diffs collected, taken and published to a draining
+// subscriber, a tick allocates a small constant — a few arena chunks and
+// nothing per event — whether 64 queries change in it or 512. Before the
+// per-take arena every diff cost about 14 allocations.
+func TestSubscribedAllocsDoNotScaleWithDiffs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	const perTickBudget = 8
+	for _, shards := range []int{1, 8} {
+		for _, queries := range []int{64, 512} {
+			t.Run(fmt.Sprintf("shards=%d/queries=%d", shards, queries), func(t *testing.T) {
+				w := makeTickWorkload(4096, queries, 8, 8, 0.5, 5)
+				m := shard.NewUnit(shards, 64, core.Options{})
+				defer m.Close()
+				m.EnableDiffs(true)
+				w.mount(t, m)
+				hub := notify.NewHub()
+				defer hub.Close()
+				sub := hub.Subscribe(notify.Options{Buffer: 4096})
+				var delivered atomic.Int64
+				go func() {
+					for range sub.Events() {
+						delivered.Add(1)
+					}
+				}()
+				tick := 0
+				var published int64
+				// Closed loop: the next tick starts when the subscriber has
+				// the last one (AllocsPerRun runs on one P, so yield to it).
+				cycle := func() {
+					m.ProcessBatch(w.batches[tick%len(w.batches)])
+					diffs := m.TakeDiffs()
+					published += int64(len(diffs))
+					hub.Publish(diffs)
+					for delivered.Load() < published {
+						runtime.Gosched()
+					}
+					tick++
+				}
+				for c := 0; c < 4*len(w.batches); c++ {
+					cycle()
+				}
+				before := published
+				avg := testing.AllocsPerRun(100, cycle)
+				perTick := float64(published-before) / 101 // AllocsPerRun adds a warm-up run
+				if perTick < float64(queries)/2 {
+					t.Fatalf("only %.0f diffs per tick from %d queries; the scenario is too idle", perTick, queries)
+				}
+				t.Logf("%.1f allocs/op at %.0f diffs per tick", avg, perTick)
+				if avg > perTickBudget {
+					t.Errorf("subscribed tick allocates %.1f/op at %.0f diffs per tick, want at most %d", avg, perTick, perTickBudget)
+				}
+				if sub.Dropped() != 0 {
+					t.Errorf("subscriber dropped %d events; widen its buffer", sub.Dropped())
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -11,58 +12,64 @@ import (
 	"cpm/internal/core"
 	"cpm/internal/geom"
 	"cpm/internal/model"
+	"cpm/internal/notify"
 	"cpm/internal/shard"
 )
 
-// tickWorkload is a replayable monitoring load: a fixed object population
-// and a ring of pre-generated move-only batches (moves of live ids are
-// always valid, so cycling through the ring never desynchronizes a grid).
+// tickWorkload is a monitoring load: a fixed object population and a ring
+// of pre-generated move-only batches (moves of live ids are always valid,
+// so cycling through the ring never desynchronizes a grid). advance
+// continues the stream past the ring for runs that must never replay.
 type tickWorkload struct {
 	objs    map[model.ObjectID]geom.Point
 	queries []geom.Point
 	k       int
 	batches []model.Batch
+
+	rng     *rand.Rand
+	pos     []geom.Point
+	agility float64
 }
 
 func makeTickWorkload(n, numQueries, k, batchCount int, agility float64, seed int64) *tickWorkload {
 	rng := rand.New(rand.NewSource(seed))
 	w := &tickWorkload{
-		objs: make(map[model.ObjectID]geom.Point, n),
-		k:    k,
+		objs:    make(map[model.ObjectID]geom.Point, n),
+		k:       k,
+		rng:     rng,
+		pos:     make([]geom.Point, n),
+		agility: agility,
 	}
-	pos := make([]geom.Point, n)
-	for i := range pos {
-		pos[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		w.objs[model.ObjectID(i)] = pos[i]
+	for i := range w.pos {
+		w.pos[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		w.objs[model.ObjectID(i)] = w.pos[i]
 	}
 	for i := 0; i < numQueries; i++ {
 		w.queries = append(w.queries, geom.Point{X: rng.Float64(), Y: rng.Float64()})
 	}
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
 	for c := 0; c < batchCount; c++ {
-		var b model.Batch
-		for i := range pos {
-			if rng.Float64() >= agility {
-				continue
-			}
-			to := geom.Point{
-				X: clamp(pos[i].X + (rng.Float64()-0.5)*0.05),
-				Y: clamp(pos[i].Y + (rng.Float64()-0.5)*0.05),
-			}
-			b.Objects = append(b.Objects, model.MoveUpdate(model.ObjectID(i), pos[i], to))
-			pos[i] = to
-		}
-		w.batches = append(w.batches, b)
+		w.batches = append(w.batches, w.advance())
 	}
 	return w
+}
+
+// advance generates the stream's next batch: every object moves with
+// probability agility, from where the previous batch left it.
+func (w *tickWorkload) advance() model.Batch {
+	clamp := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
+	var b model.Batch
+	for i, from := range w.pos {
+		if w.rng.Float64() >= w.agility {
+			continue
+		}
+		to := geom.Point{
+			X: clamp(from.X + (w.rng.Float64()-0.5)*0.05),
+			Y: clamp(from.Y + (w.rng.Float64()-0.5)*0.05),
+		}
+		b.Objects = append(b.Objects, model.MoveUpdate(model.ObjectID(i), from, to))
+		w.pos[i] = to
+	}
+	return b
 }
 
 // mount boots a monitor with the workload's population and queries.
@@ -97,6 +104,44 @@ func BenchmarkTick(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			run(b, shard.NewUnit(n, 64, core.Options{}))
+		})
+	}
+}
+
+// BenchmarkTickSubscribed is the delivery path BenchmarkTick leaves out: one
+// cycle at the paper's default shape (N=10 000, 500 k=16 queries, grid
+// 128²) with diffs collected, taken and published to one subscriber that
+// drains as fast as it can. The stream is generated outside the timer and
+// never replayed, so every move carries a true old position.
+func BenchmarkTickSubscribed(b *testing.B) {
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			w := makeTickWorkload(10000, 500, 16, 0, 0.5, 3)
+			m := shard.NewUnit(n, 128, core.Options{})
+			defer m.Close()
+			m.EnableDiffs(true)
+			w.mount(b, m)
+			hub := notify.NewHub()
+			sub := hub.Subscribe(notify.Options{Buffer: 4096})
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for range sub.Events() {
+				}
+			}()
+			hub.Publish(m.TakeDiffs()) // the install events
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch := w.advance()
+				b.StartTimer()
+				m.ProcessBatch(batch)
+				hub.Publish(m.TakeDiffs())
+			}
+			b.StopTimer()
+			hub.Close()
+			<-drained
 		})
 	}
 }

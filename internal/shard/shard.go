@@ -155,7 +155,7 @@ func (m *Monitor) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	defer m.g.EndWrites()
 	for id, p := range objs {
 		if err := m.g.Insert(id, p); err != nil {
-			panic(fmt.Sprintf("shard: bootstrap insert: %v", err))
+			panic(fmt.Sprintf("shard: bootstrap insert of object %d: %v", id, err))
 		}
 	}
 }
