@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-test bench-json bench-compare fmt fmt-check vet ci serve serve-smoke load-smoke cluster-smoke chaos-smoke trace-smoke fuzz
+.PHONY: all build test race assert bench bench-test bench-json bench-compare fmt fmt-check vet ci serve serve-smoke load-smoke cluster-smoke chaos-smoke trace-smoke fuzz
 
 all: build test
 
@@ -25,6 +25,14 @@ test:
 # goroutines, the ring buffer scraped mid-flight).
 race:
 	$(GO) test -race . ./internal/shard/... ./internal/conc/... ./internal/core/... ./internal/grid/... ./internal/notify/... ./internal/wire/... ./internal/server/... ./client/... ./internal/metrics/... ./internal/load/... ./internal/cluster/... ./internal/chaos/... ./internal/tracing/...
+
+# The assertion build without the race detector: the grid's epoch guards
+# and the engine's freed-slot guard (RemoveQuery panics if an influence or
+# touched list still names the slot it parks), with their negative-control
+# tests, over the three packages that can trip them. Seconds, not the race
+# job's minutes, and allocation-count tests still run.
+assert:
+	$(GO) test -tags cpmassert ./internal/core/... ./internal/grid/... ./internal/shard/...
 
 # Host a self-driving CPM monitor on :7845; watch it with
 #   go run ./cmd/cpmsim -connect 127.0.0.1:7845 -follow
@@ -204,4 +212,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test race bench bench-test
+ci: fmt-check vet build test assert race bench bench-test

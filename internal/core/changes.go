@@ -40,11 +40,13 @@ func (e *Engine) markChanged(id model.QueryID, mark *int64) {
 	e.changedIDs = append(e.changedIDs, id)
 }
 
-// noteIfChanged compares a k-NN query's result against its reported
-// snapshot, records a change (and, with diffs enabled, the exact delta)
-// and refreshes the snapshot.
+// noteIfChanged compares a query's result against its reported snapshot,
+// records a change (and, with diffs enabled, the exact delta) and refreshes
+// the snapshot. A range query's sorted result is built into the engine's
+// pooled scratch buffer (current), so the unchanged fast path allocates
+// nothing for either kind once the buffers are warm.
 func (e *Engine) noteIfChanged(qu *query) {
-	cur := qu.best.items
+	cur := e.current(qu)
 	if reportedEqual(qu.reported, cur) {
 		return
 	}
@@ -55,23 +57,6 @@ func (e *Engine) noteIfChanged(qu *query) {
 	e.markChanged(qu.id, &qu.changedMark)
 }
 
-// noteRangeIfChanged does the same for a range query. The current sorted
-// result is built into the engine's pooled scratch buffer, so the
-// unchanged-fast-path comparison (and the snapshot refresh) allocates
-// nothing once the buffers are warm.
-func (e *Engine) noteRangeIfChanged(rq *rangeQuery) {
-	cur := appendRangeResult(e.rangeScratch[:0], rq)
-	e.rangeScratch = cur
-	if reportedEqual(rq.reported, cur) {
-		return
-	}
-	if e.diffsOn {
-		e.noteDiff(rq.id, &rq.pend, rq.reported, cur)
-	}
-	rq.reported = append(rq.reported[:0], cur...)
-	e.markChanged(rq.id, &rq.changedMark)
-}
-
 // noteRemoved reports a query's disappearance as a final change;
 // lastReported is the result as the engine last reported it and m the
 // query's diff mark. A pending diff for the query in the current window is
@@ -79,8 +64,8 @@ func (e *Engine) noteRangeIfChanged(rq *rangeQuery) {
 // (the pending diff's base), and a reinstall of the id later in the window
 // starts a fresh event.
 func (e *Engine) noteRemoved(id model.QueryID, m *diffMark, lastReported []model.Neighbor) {
-	// The query struct (and its dedupe stamp) is gone, so append
-	// unconditionally; ChangedQueries dedupes on read.
+	// The query's slot (and its dedupe stamp) goes to the next registration,
+	// so append unconditionally; ChangedQueries dedupes on read.
 	e.changedIDs = append(e.changedIDs, id)
 	if !e.diffsOn {
 		return

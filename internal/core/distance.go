@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cpm/internal/geom"
 )
@@ -48,7 +47,7 @@ func (d Def) Validate() error {
 		return fmt.Errorf("core: invalid aggregate %d", d.Agg)
 	}
 	for _, p := range d.Points {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		if !finitePoint(p) {
 			return fmt.Errorf("core: non-finite query point %v", p)
 		}
 	}

@@ -8,9 +8,9 @@
 // used by internal/shard) — and owns a query table holding, per query: its
 // definition, the best_NN result list, best_dist, the visit list and the
 // leftover search heap (paper Figure 3.3a), plus the influence-list index
-// for its queries (grid.Influence). Searches traverse the conceptual
-// partitioning of internal/conc. The three paper modules map to three
-// files:
+// for its queries (grid.Influence), whose lists point into the table by
+// slot handle. Searches traverse the conceptual partitioning of
+// internal/conc. The three paper modules map to three files:
 //
 //	search.go     — NN Computation        (Figure 3.4)
 //	recompute.go  — NN Re-Computation     (Figure 3.6)
@@ -64,8 +64,17 @@ type Engine struct {
 	// the resulting log; this engine must never mutate the grid).
 	ownsGrid bool
 	opts     Options
-	queries  map[model.QueryID]*query
-	ranges   map[model.QueryID]*rangeQuery
+
+	// slots is the query table QT (Figure 3.3a) for queries of both kinds:
+	// the influence lists hold handles, and handle h names slots[h>>1]. A
+	// removed query's slot is parked on free with every buffer it grew and
+	// re-armed by the next registration, so a subscription that comes and
+	// goes costs no allocation. ids resolves a query id at the API boundary
+	// (Register, RemoveQuery, MoveQuery, Result, BeginCycle, …) and nowhere
+	// else: no per-update scan hashes an id.
+	slots []*query
+	free  []*query
+	ids   map[model.QueryID]*query
 
 	// infls holds the influence-list index for this engine's queries — one
 	// index per scan group (exactly one unless Options.ScanWorkers splits
@@ -93,10 +102,10 @@ type Engine struct {
 	invalidQueries int64
 	rebalances     int64 // grid resizes performed (Rebalance/Reindex)
 	cycle          int64
-	// Per-group touched sets; group w is only appended to by the worker
-	// scanning infls[w], and all groups are drained serially in order.
-	dirty       [][]*query      // queries touched by the current cycle
-	dirtyRanges [][]*rangeQuery // range queries touched by the current cycle
+	// dirty holds the queries touched by the current cycle, per group;
+	// group w is only appended to by the worker scanning infls[w], and all
+	// groups are drained serially in order.
+	dirty [][]*query
 
 	// changedIDs collects the queries whose results changed since the last
 	// ProcessBatch began — the notification set of Figure 3.9 line 10.
@@ -110,9 +119,8 @@ type Engine struct {
 	// batch — the per-cycle "ignore" set of Figure 3.9 (their results are
 	// rebuilt by the query update anyway), without a per-cycle map.
 	batchGen int64
-	// rangeScratch is the pooled buffer noteRangeIfChanged builds the
-	// current sorted range result into, so per-cycle range-change checks
-	// allocate nothing.
+	// rangeScratch is the pooled buffer current builds a range query's
+	// sorted result into, so per-cycle range-change checks allocate nothing.
 	rangeScratch []model.Neighbor
 
 	// Result-diff collection (diff.go): with diffsOn the engine derives,
@@ -148,10 +156,29 @@ type Engine struct {
 	phases model.PhaseNanos
 }
 
-// query is one entry of the query table QT (Figure 3.3a).
+// rangeBit is the bit of a handle that says its slot holds a continuous
+// range query (range.go) rather than a k-NN query; the bits above it are the
+// slot's index in the query table.
+const rangeBit grid.Handle = 1
+
+// query is one entry of the query table QT (Figure 3.3a): a slot, holding a
+// k-NN query or — handle bit rangeBit — a range query, which uses def.Points
+// (its center), radius, members, and visit as its plain list of influence
+// cells. The slices, the heap and the map are the slot's buffers: they
+// outlive the query (see Engine.arm).
 type query struct {
-	id  model.QueryID
-	def Def
+	id     model.QueryID
+	h      grid.Handle // the handle the influence lists name this slot by
+	def    Def         // Points and Constraint point into the slot
+	region geom.Rect   // *def.Constraint of a constrained query
+
+	// A range query's radius and its result (object -> distance).
+	// Membership needs O(1) keyed update from the scans, and unlike the
+	// grid's cell sets it is only iterated when this query's result actually
+	// changed, so a map stays the right structure here (see README "Design
+	// notes"). Nil until the slot first holds a range query.
+	radius  float64
+	members map[model.ObjectID]float64
 
 	// group is the scan group holding this query's influence entries —
 	// derived from the home cell's position in the cell range (groupOf),
@@ -227,17 +254,15 @@ func newEngine(g *grid.Grid, ownsGrid bool, opts Options) *Engine {
 		groups = 1
 	}
 	e := &Engine{
-		g:           g,
-		ownsGrid:    ownsGrid,
-		opts:        opts,
-		queries:     make(map[model.QueryID]*query),
-		ranges:      make(map[model.QueryID]*rangeQuery),
-		infls:       make([]*grid.Influence, groups),
-		groups:      groups,
-		dirty:       make([][]*query, groups),
-		dirtyRanges: make([][]*rangeQuery, groups),
-		// Generations start at 1 so the zero-valued marks of fresh query
-		// structs never collide with the current generation.
+		g:        g,
+		ownsGrid: ownsGrid,
+		opts:     opts,
+		ids:      make(map[model.QueryID]*query),
+		infls:    make([]*grid.Influence, groups),
+		groups:   groups,
+		dirty:    make([][]*query, groups),
+		// Generations start at 1 so the zero-valued marks of a freshly armed
+		// slot never collide with the current generation.
 		changeGen: 1,
 		batchGen:  1,
 		diffWin:   1,
@@ -339,85 +364,144 @@ func (e *Engine) Register(id model.QueryID, def Def) error {
 	if err := def.Validate(); err != nil {
 		return err
 	}
-	if _, exists := e.queries[id]; exists {
+	if _, exists := e.ids[id]; exists {
 		return fmt.Errorf("core: query %d already installed", id)
 	}
-	if _, exists := e.ranges[id]; exists {
-		return fmt.Errorf("core: query %d already installed as a range query", id)
+	qu := e.arm(id, 0, def)
+	qu.best.arm(def.K)
+	qu.inList.arm(def.K)
+	e.install(qu)
+	return nil
+}
+
+// arm takes a slot for a new query of the given kind (0 or rangeBit): the
+// slot parked last, with the buffers it was parked with, or a fresh one at
+// the end of the table. Everything but the buffers starts from zero. The
+// engine keeps the definition for the query's lifetime, so the points and
+// the constraint region are copied into the slot's own storage: a caller
+// reusing its buffers cannot move the query behind our back, and nothing of
+// def escapes to the heap.
+func (e *Engine) arm(id model.QueryID, kind grid.Handle, def Def) *query {
+	var qu *query
+	if n := len(e.free); n > 0 {
+		qu, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		qu = &query{h: grid.Handle(len(e.slots)) << 1, heap: qheap.New(16)}
+		e.slots = append(e.slots, qu)
 	}
-	// The engine keeps the definition for the query's lifetime: own it, so
-	// a caller reusing its buffers cannot move the query behind our back.
-	def.Points = slices.Clone(def.Points)
-	qu := &query{
-		id:     id,
-		def:    def,
-		group:  e.homeGroup(def.Points),
-		best:   newResultList(def.K),
-		inList: newResultList(def.K),
-		heap:   qheap.New(16),
+	*qu = query{
+		id: id, h: qu.h&^rangeBit | kind,
+		def:  Def{Points: append(qu.def.Points[:0], def.Points...), K: def.K, Agg: def.Agg},
+		best: qu.best, inList: qu.inList, visit: qu.visit[:0], heap: qu.heap,
+		reported: qu.reported[:0], members: qu.members,
 	}
-	e.queries[id] = qu
-	e.compute(qu)
-	qu.reported = qu.best.snapshot()
-	e.markChanged(id, &qu.changedMark)
-	e.noteInstalled(id, &qu.pend, qu.reported)
+	if def.Constraint != nil {
+		qu.region = *def.Constraint
+		qu.def.Constraint = &qu.region
+	}
+	e.ids[id] = qu
+	return qu
+}
+
+// install computes an armed query's initial result and reports it.
+func (e *Engine) install(qu *query) {
+	e.evaluate(qu)
+	qu.reported = append(qu.reported, e.current(qu)...)
+	e.markChanged(qu.id, &qu.changedMark)
+	e.noteInstalled(qu.id, &qu.pend, qu.reported)
+}
+
+// evaluate computes the query's result from scratch at its current
+// definition, in the scan group of its home cell.
+func (e *Engine) evaluate(qu *query) {
+	// While qu.group still names the index that holds the old entries.
+	e.clearInfluence(qu)
+	qu.group = e.homeGroup(qu.def.Points)
+	if qu.h&rangeBit != 0 {
+		e.evaluateRange(qu)
+	} else {
+		e.compute(qu)
+	}
+}
+
+// current returns the query's result as it stands, ordered by (distance,
+// id): best_NN itself for a k-NN query, a range query's members sorted into
+// the engine's scratch buffer. Borrowed until the next call.
+func (e *Engine) current(qu *query) []model.Neighbor {
+	if qu.h&rangeBit == 0 {
+		return qu.best.items
+	}
+	e.rangeScratch = appendRangeResult(e.rangeScratch[:0], qu)
+	return e.rangeScratch
+}
+
+// lookup resolves id at the API boundary to an installed query of the given
+// kind (0 or rangeBit), or nil.
+func (e *Engine) lookup(id model.QueryID, kind grid.Handle) *query {
+	if qu := e.ids[id]; qu != nil && qu.h&rangeBit == kind {
+		return qu
+	}
 	return nil
 }
 
 // RemoveQuery uninstalls a query of either kind (k-NN or range), clearing
-// its influence entries. Unknown IDs are a no-op.
+// its influence entries, and parks its slot — buffers and all — for the next
+// registration. Unknown IDs are a no-op.
 func (e *Engine) RemoveQuery(id model.QueryID) {
-	if qu, ok := e.queries[id]; ok {
-		e.clearInfluence(qu)
-		delete(e.queries, id)
-		e.noteRemoved(id, &qu.pend, qu.reported)
+	qu, ok := e.ids[id]
+	if !ok {
 		return
 	}
-	if rq, ok := e.ranges[id]; ok {
-		e.clearRange(rq)
-		delete(e.ranges, id)
-		e.noteRemoved(id, &rq.pend, rq.reported)
-	}
+	e.clearInfluence(qu)
+	delete(e.ids, id)
+	e.noteRemoved(id, &qu.pend, qu.reported)
+	e.assertUnnamed(qu)
+	e.free = append(e.free, qu)
 }
 
 // MoveQuery relocates an installed query. Per Section 3.3 the move is a
 // termination plus a re-installation at the new location(s); the query
 // keeps its id, k, aggregate and constraint.
 func (e *Engine) MoveQuery(id model.QueryID, points []geom.Point) error {
-	qu, err := e.moveQuery(id, points)
+	return e.moveNoted(id, 0, points)
+}
+
+// moveNoted is the API form of move for a query of the given kind (0 or
+// rangeBit): a move that succeeds is followed by the notification step.
+func (e *Engine) moveNoted(id model.QueryID, kind grid.Handle, points []geom.Point) error {
+	qu := e.lookup(id, kind)
+	if qu == nil {
+		return fmt.Errorf("core: move of unknown query %d", id)
+	}
+	err := e.move(qu, points)
 	if err == nil {
 		e.noteIfChanged(qu)
 	}
 	return err
 }
 
-// moveQuery is MoveQuery without the notification step, which
-// ApplyQueryUpdates runs once for all of a batch's moves (noteTouched).
-func (e *Engine) moveQuery(id model.QueryID, points []geom.Point) (*query, error) {
-	qu, ok := e.queries[id]
-	if !ok {
-		return nil, fmt.Errorf("core: move of unknown query %d", id)
-	}
+// move relocates a query of either kind without the notification step,
+// which ApplyQueryUpdates runs once for all of a batch's moves
+// (noteTouched). Only the points change, so only they are validated.
+func (e *Engine) move(qu *query, points []geom.Point) error {
 	if len(points) != len(qu.def.Points) {
-		return nil, fmt.Errorf("core: query %d move with %d points, want %d",
-			id, len(points), len(qu.def.Points))
+		return fmt.Errorf("core: query %d move with %d points, want %d",
+			qu.id, len(points), len(qu.def.Points))
 	}
-	def := qu.def
-	def.Points = points
-	if err := def.Validate(); err != nil {
-		return nil, err
+	for _, p := range points {
+		if !finitePoint(p) {
+			return fmt.Errorf("core: non-finite query point %v", p)
+		}
 	}
-	e.clearInfluence(qu)
-	copy(qu.def.Points, points) // into the engine's own storage (see Register)
-	qu.group = e.homeGroup(qu.def.Points)
-	e.compute(qu)
-	return qu, nil
+	copy(qu.def.Points, points) // into the slot's own storage (see arm)
+	e.evaluate(qu)
+	return nil
 }
 
 // Result implements model.Monitor.
 func (e *Engine) Result(id model.QueryID) []model.Neighbor {
-	qu, ok := e.queries[id]
-	if !ok {
+	qu := e.lookup(id, 0)
+	if qu == nil {
 		return nil
 	}
 	return qu.best.snapshot()
@@ -426,8 +510,8 @@ func (e *Engine) Result(id model.QueryID) []model.Neighbor {
 // BestDist returns the query's current best_dist (+Inf while the result
 // holds fewer than k objects), for tests and the analysis harness.
 func (e *Engine) BestDist(id model.QueryID) float64 {
-	qu, ok := e.queries[id]
-	if !ok {
+	qu := e.lookup(id, 0)
+	if qu == nil {
 		return 0
 	}
 	return qu.best.kthDist()
@@ -436,11 +520,8 @@ func (e *Engine) BestDist(id model.QueryID) float64 {
 // QueryIDs returns the ids of all installed queries — k-NN (conventional,
 // aggregate, constrained) and range alike — in ascending order.
 func (e *Engine) QueryIDs() []model.QueryID {
-	ids := make([]model.QueryID, 0, len(e.queries)+len(e.ranges))
-	for id := range e.queries {
-		ids = append(ids, id)
-	}
-	for id := range e.ranges {
+	ids := make([]model.QueryID, 0, len(e.ids))
+	for id := range e.ids {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -449,10 +530,7 @@ func (e *Engine) QueryIDs() []model.QueryID {
 
 // HasQuery reports whether id names an installed query of either kind.
 func (e *Engine) HasQuery(id model.QueryID) bool {
-	if _, ok := e.queries[id]; ok {
-		return true
-	}
-	_, ok := e.ranges[id]
+	_, ok := e.ids[id]
 	return ok
 }
 
@@ -491,8 +569,8 @@ func (e *Engine) ObjectCount() int { return e.g.Count() }
 // the analysis validation experiment compares them against the Section 4.1
 // estimates.
 func (e *Engine) Bookkeeping(id model.QueryID) (visit, heap, influence int) {
-	qu, ok := e.queries[id]
-	if !ok {
+	qu := e.lookup(id, 0)
+	if qu == nil {
 		return 0, 0, 0
 	}
 	return len(qu.visit), qu.heap.Len(), qu.influenceEnd
@@ -509,14 +587,19 @@ func (e *Engine) MemoryFootprint() int64 {
 // QueryMemoryUnits returns the engine's own share of the Section 4.1 memory
 // model, excluding the grid term: Σ influence entries plus, per query, 3
 // units for id and coordinates, 2·k for the result and 3 per visit-list or
-// heap entry (+4 boundary boxes live in the heap itself). A sharded monitor
-// sums this over its engines and adds the shared grid term once.
+// heap entry (+4 boundary boxes live in the heap itself); a range query
+// counts for its influence entries alone, a parked slot for nothing. A
+// sharded monitor sums this over its engines and adds the shared grid term
+// once.
 func (e *Engine) QueryMemoryUnits() int64 {
 	var units int64
 	for _, infl := range e.infls {
 		units += infl.Entries()
 	}
-	for _, qu := range e.queries {
+	for _, qu := range e.ids {
+		if qu.h&rangeBit != 0 {
+			continue
+		}
 		units += int64(3*len(qu.def.Points) + 2*qu.def.K)
 		units += int64(3 * (len(qu.visit) + qu.heap.Len()))
 	}
@@ -530,8 +613,12 @@ func (e *Engine) GridEpoch() int64 { return e.g.Epoch() }
 // HasInfluence reports whether query id currently holds an influence entry
 // on cell c, in any scan group (tests and analysis).
 func (e *Engine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
+	qu := e.ids[id]
+	if qu == nil {
+		return false
+	}
 	for _, infl := range e.infls {
-		if infl.Has(c, id) {
+		if infl.Has(c, qu.h) {
 			return true
 		}
 	}
@@ -543,7 +630,7 @@ func (e *Engine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
 func (e *Engine) clearInfluence(qu *query) {
 	infl := e.infls[qu.group]
 	for _, ve := range qu.visit[:qu.influenceEnd] {
-		infl.Remove(ve.cell, qu.id)
+		infl.Remove(ve.cell, qu.h)
 	}
 	qu.visit = qu.visit[:0]
 	qu.influenceEnd = 0

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cpm/internal/conc"
-	"cpm/internal/grid"
-)
+import "cpm/internal/conc"
 
 // Online grid rebalancing — the engine half of resizing δ at runtime.
 //
@@ -62,13 +59,16 @@ func (e *Engine) Reindex() {
 	for _, infl := range e.infls {
 		infl.Reset(cellCount)
 	}
-	for _, qu := range e.queries {
+	for _, qu := range e.ids {
 		qu.group = e.homeGroup(qu.def.Points)
-		e.reindexQuery(qu)
-	}
-	for _, rq := range e.ranges {
-		rq.group = e.groupOf(e.g.CellOf(rq.center))
-		e.reindexRange(rq)
+		qu.visit = qu.visit[:0]
+		if qu.h&rangeBit != 0 {
+			// A range query just re-enumerates its disk cover on the new
+			// grid: membership is δ-independent.
+			e.coverRange(qu)
+		} else {
+			e.reindexQuery(qu)
+		}
 	}
 }
 
@@ -93,9 +93,7 @@ func (e *Engine) GridSize() int { return e.g.Size() }
 // influence routing is filtered by distance again at scan time.
 func (e *Engine) reindexQuery(qu *query) {
 	// The old geometry's influence entries died with the wholesale
-	// Influence.Reset in Reindex; only the per-query state needs resetting.
-	qu.visit = qu.visit[:0]
-	qu.influenceEnd = 0
+	// Influence.Reset in Reindex, which emptied the visit list too.
 	qu.heap.Reset()
 
 	part := e.partitionFor(qu.def)
@@ -111,7 +109,7 @@ func (e *Engine) reindexQuery(qu *query) {
 		e.stats.HeapOps++
 		if !isStrip(top.Payload) {
 			c := payloadCell(top.Payload)
-			infl.AddUnchecked(c, qu.id)
+			infl.AddUnchecked(c, qu.h)
 			qu.visit = append(qu.visit, visitEntry{cell: c, key: top.Key})
 			continue
 		}
@@ -125,15 +123,4 @@ func (e *Engine) reindexQuery(qu *query) {
 		// prefix; match compute's post-search truncation.
 		qu.heap.Reset()
 	}
-}
-
-// reindexRange re-enumerates a range query's disk cover on the new grid.
-// Membership is δ-independent, so the member set is untouched.
-func (e *Engine) reindexRange(rq *rangeQuery) {
-	rq.cells = rq.cells[:0]
-	infl := e.infls[rq.group]
-	e.g.CellsInCircle(rq.center, rq.radius, func(c grid.CellIndex) {
-		infl.AddUnchecked(c, rq.id)
-		rq.cells = append(rq.cells, c)
-	})
 }

@@ -39,7 +39,7 @@ func (e *Engine) recompute(qu *query) {
 		}
 		e.scanCellObjects(qu, ve.cell)
 		if processed >= oldInfluenceEnd {
-			infl.AddUnchecked(ve.cell, qu.id)
+			infl.AddUnchecked(ve.cell, qu.h)
 		}
 		processed++
 	}
@@ -67,7 +67,7 @@ func (e *Engine) shrinkInfluence(qu *query) {
 	}
 	infl := e.infls[qu.group]
 	for i := newEnd; i < qu.influenceEnd; i++ {
-		infl.Remove(qu.visit[i].cell, qu.id)
+		infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"cpm/internal/model"
 )
@@ -22,8 +21,15 @@ type resultList struct {
 	items []model.Neighbor
 }
 
-func newResultList(k int) resultList {
-	return resultList{k: k, items: make([]model.Neighbor, 0, min(k, 64))}
+// arm empties the list for a query of k neighbors. Storage is kept — a
+// recycled query slot brings its lists along — and only made when it would
+// not hold the list's first entries; past that, offer grows it.
+func (r *resultList) arm(k int) {
+	r.k = k
+	if cap(r.items) < min(k, 64) {
+		r.items = make([]model.Neighbor, 0, min(k, 64))
+	}
+	r.items = r.items[:0]
 }
 
 // kthDist returns the paper's best_dist: the distance of the kth neighbor,
@@ -52,11 +58,24 @@ func (r *resultList) offer(id model.ObjectID, dist float64) bool {
 		}
 		r.items = r.items[:len(r.items)-1]
 	}
-	pos := sort.Search(len(r.items), func(i int) bool { return n.Less(r.items[i]) })
-	r.items = append(r.items, model.Neighbor{})
-	copy(r.items[pos+1:], r.items[pos:])
-	r.items[pos] = n
+	r.insert(n)
 	return true
+}
+
+// insert places n at its rank: before the first entry it precedes, found
+// by a binary search without a closure.
+func (r *resultList) insert(n model.Neighbor) {
+	lo, hi := 0, len(r.items)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); n.Less(r.items[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	r.items = append(r.items, model.Neighbor{})
+	copy(r.items[lo+1:], r.items[lo:])
+	r.items[lo] = n
 }
 
 // contains reports whether id is in the list. Linear scan: k is small and
@@ -90,11 +109,7 @@ func (r *resultList) updateDist(id model.ObjectID, dist float64) bool {
 	if !r.remove(id) {
 		return false
 	}
-	n := model.Neighbor{ID: id, Dist: dist}
-	pos := sort.Search(len(r.items), func(i int) bool { return n.Less(r.items[i]) })
-	r.items = append(r.items, model.Neighbor{})
-	copy(r.items[pos+1:], r.items[pos:])
-	r.items[pos] = n
+	r.insert(model.Neighbor{ID: id, Dist: dist})
 	return true
 }
 
@@ -106,11 +121,4 @@ func (r *resultList) snapshot() []model.Neighbor {
 	out := make([]model.Neighbor, len(r.items))
 	copy(out, r.items)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

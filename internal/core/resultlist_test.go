@@ -9,6 +9,13 @@ import (
 	"cpm/internal/model"
 )
 
+// newResultList returns a fresh list armed for k neighbors.
+func newResultList(k int) resultList {
+	var r resultList
+	r.arm(k)
+	return r
+}
+
 func TestResultListBasics(t *testing.T) {
 	r := newResultList(3)
 	if r.full() || r.len() != 0 || !math.IsInf(r.kthDist(), 1) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"cpm/internal/conc"
 	"cpm/internal/geom"
 	"cpm/internal/grid"
@@ -136,7 +134,7 @@ func (e *Engine) runSearch(qu *query, part conc.Partition) {
 // prefix of that list, so the query cannot already be present.
 func (e *Engine) scanCell(qu *query, c grid.CellIndex) {
 	e.scanCellObjects(qu, c)
-	e.infls[qu.group].AddUnchecked(c, qu.id)
+	e.infls[qu.group].AddUnchecked(c, qu.h)
 }
 
 // scanCellObjects is scanCell without the influence bookkeeping, for the
@@ -175,7 +173,7 @@ func (e *Engine) finishSearch(qu *query, processedEnd, curInfluenceEnd int) {
 	}
 	infl := e.infls[qu.group]
 	for i := newEnd; i < cur; i++ {
-		infl.Remove(qu.visit[i].cell, qu.id)
+		infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 }
@@ -183,5 +181,13 @@ func (e *Engine) finishSearch(qu *query, processedEnd, curInfluenceEnd int) {
 // firstGreater returns the index of the first visit entry with key
 // strictly greater than limit (len(visit) when none is).
 func firstGreater(visit []visitEntry, limit float64) int {
-	return sort.Search(len(visit), func(i int) bool { return visit[i].key > limit })
+	lo, hi := 0, len(visit)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); visit[mid].key > limit {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

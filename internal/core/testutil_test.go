@@ -175,8 +175,8 @@ func oracle(e *Engine, def Def) []model.Neighbor {
 //   - every result member's current cell carries the query's influence.
 func checkInvariants(t *testing.T, e *Engine, id model.QueryID) {
 	t.Helper()
-	qu, ok := e.queries[id]
-	if !ok {
+	qu := e.lookup(id, 0)
+	if qu == nil {
 		t.Fatalf("query %d not installed", id)
 	}
 	for i := 1; i < len(qu.visit); i++ {

@@ -72,11 +72,9 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.changeGen++
 	e.changedIDs = e.changedIDs[:0]
 	e.batchGen++
-	for _, qu := range queries {
-		if q, ok := e.queries[qu.ID]; ok {
-			q.ignoreMark = e.batchGen
-		} else if rq, ok := e.ranges[qu.ID]; ok {
-			rq.ignoreMark = e.batchGen
+	for _, u := range queries {
+		if qu, ok := e.ids[u.ID]; ok {
+			qu.ignoreMark = e.batchGen
 		}
 	}
 }
@@ -114,34 +112,24 @@ func (e *Engine) ScanApplied(log []grid.Applied) {
 // BeginCycle.
 func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 	qStart := time.Now()
-	for _, qu := range queries {
-		switch qu.Kind {
+	for _, u := range queries {
+		switch u.Kind {
 		case model.QueryTerminate:
-			_, isNN := e.queries[qu.ID]
-			_, isRange := e.ranges[qu.ID]
-			if !isNN && !isRange {
+			if _, ok := e.ids[u.ID]; !ok {
 				e.invalidQueries++
 				continue
 			}
 			// A move of this query earlier in the batch is noted before
 			// the query goes: the touched lists never hold a removed one.
 			e.noteTouched()
-			e.RemoveQuery(qu.ID)
+			e.RemoveQuery(u.ID)
 		case model.QueryMove:
 			// Moved queries go on the touched lists (empty here: every
 			// scan round drains them) and are noted in one pass below.
-			if rq, isRange := e.ranges[qu.ID]; isRange {
-				if len(qu.NewPoints) != 1 || e.moveRange(rq, qu.NewPoints[0]) != nil {
-					e.invalidQueries++
-				} else {
-					e.dirtyRanges[rq.group] = append(e.dirtyRanges[rq.group], rq)
-				}
-				continue
-			}
-			if q, err := e.moveQuery(qu.ID, qu.NewPoints); err != nil {
+			if qu := e.ids[u.ID]; qu == nil || e.move(qu, u.NewPoints) != nil {
 				e.invalidQueries++
 			} else {
-				e.dirty[q.group] = append(e.dirty[q.group], q)
+				e.dirty[qu.group] = append(e.dirty[qu.group], qu)
 			}
 		case model.QueryInstall:
 			// Installations happen through Register, which computes the
@@ -155,23 +143,26 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 	e.phases.QueryUpd += time.Since(qStart).Nanoseconds()
 }
 
-// touch lazily initializes a query's per-cycle update-handling state
-// (Figure 3.8 lines 1–3) the first time an update concerns it, and records
-// it in its group's dirty set. refDist freezes best_dist at its
-// start-of-cycle value: incomer/outgoer classification must use the
-// influence-region radius, not a value drifting as the result mutates
-// mid-cycle.
+// touch records a query in its group's dirty set the first time one of a
+// cycle's updates concerns it, and lazily initializes a k-NN query's
+// per-cycle update-handling state (Figure 3.8 lines 1–3). refDist freezes
+// best_dist at its start-of-cycle value: incomer/outgoer classification must
+// use the influence-region radius, not a value drifting as the result
+// mutates mid-cycle. A range query keeps no per-cycle state.
 func (e *Engine) touch(qu *query) {
 	if qu.cycleMark == e.cycle {
 		return
 	}
 	qu.cycleMark = e.cycle
+	e.dirty[qu.group] = append(e.dirty[qu.group], qu)
+	if qu.h&rangeBit != 0 {
+		return
+	}
 	qu.refDist = qu.best.kthDist()
 	qu.outCount = 0
 	qu.inList.reset()
 	qu.inDropped = false
 	qu.forceRecompute = false
-	e.dirty[qu.group] = append(e.dirty[qu.group], qu)
 }
 
 // scanGroup performs the influence-list scans of Figure 3.8 (lines 4–16) for
@@ -179,7 +170,10 @@ func (e *Engine) touch(qu *query) {
 // events: a deleted NN is an outgoing NN ("CPM trivially deals with off-line
 // NNs by treating them as outgoing ones", Section 4.2). Group w reads only
 // infls[w] and the per-query state of the queries homed there, so all groups
-// can scan the same log concurrently.
+// can scan the same log concurrently. Each influence list is walked once:
+// the handle says whether the entry is a k-NN query or a range query, which
+// folds the event into its member set (foldRange) — once per event, so the
+// new cell's walk skips the range queries when the object stayed in its cell.
 func (e *Engine) scanGroup(w int, log []grid.Applied) {
 	infl := e.infls[w]
 	for i := range log {
@@ -195,34 +189,26 @@ func (e *Engine) scanGroup(w int, log []grid.Applied) {
 			if infl.Len(a.Old) == 0 && infl.Len(a.New) == 0 {
 				continue
 			}
-			e.scanOldCell(infl, a.ID, a.Pos, a.Old)
-			e.scanNewCell(infl, a.ID, a.Pos, a.New)
-			e.rangeScan(infl, a.Old, a.ID, a.Pos, true)
-			if a.New != a.Old {
-				e.rangeScan(infl, a.New, a.ID, a.Pos, true)
-			}
+			e.scanOldCell(infl.List(a.Old), a.ID, a.Pos)
+			e.scanNewCell(infl.List(a.New), a.ID, a.Pos, a.New != a.Old)
 		case model.Insert:
-			if infl.Len(a.New) == 0 {
-				continue
-			}
-			e.scanNewCell(infl, a.ID, a.Pos, a.New)
-			e.rangeScan(infl, a.New, a.ID, a.Pos, true)
+			e.scanNewCell(infl.List(a.New), a.ID, a.Pos, true)
 		case model.Delete:
-			if infl.Len(a.Old) == 0 {
-				continue
-			}
-			for _, qid := range infl.List(a.Old) {
-				qu := e.lookupActive(qid)
+			for _, h := range infl.List(a.Old) {
+				qu := e.active(h)
 				if qu == nil {
 					continue
 				}
 				e.touch(qu)
+				if h&rangeBit != 0 {
+					delete(qu.members, a.ID)
+					continue
+				}
 				if qu.best.remove(a.ID) {
 					qu.outCount++
 				}
 				qu.dropIncomer(a.ID)
 			}
-			e.rangeScan(infl, a.Old, a.ID, a.Pos, false)
 		}
 	}
 }
@@ -233,13 +219,17 @@ func (e *Engine) scanGroup(w int, log []grid.Applied) {
 // dropped from in_list; scanNewCell re-admits it if it still qualifies.
 // The influence list is iterated as a borrowed slice: the scans only
 // mutate per-query result state, never the influence lists themselves.
-func (e *Engine) scanOldCell(infl *grid.Influence, id model.ObjectID, newPos geom.Point, c grid.CellIndex) {
-	for _, qid := range infl.List(c) {
-		qu := e.lookupActive(qid)
+func (e *Engine) scanOldCell(list []grid.Handle, id model.ObjectID, newPos geom.Point) {
+	for _, h := range list {
+		qu := e.active(h)
 		if qu == nil {
 			continue
 		}
 		e.touch(qu)
+		if h&rangeBit != 0 {
+			qu.foldRange(id, newPos)
+			continue
+		}
 		if !qu.best.contains(id) {
 			qu.dropIncomer(id)
 			continue
@@ -256,11 +246,19 @@ func (e *Engine) scanOldCell(infl *grid.Influence, id model.ObjectID, newPos geo
 
 // scanNewCell handles lines 14–16 of Figure 3.8 for the cell the object
 // entered: an object other than a current NN that lies within refDist (and
-// inside the constraint region, if any) is an incoming object.
-func (e *Engine) scanNewCell(infl *grid.Influence, id model.ObjectID, newPos geom.Point, c grid.CellIndex) {
-	for _, qid := range infl.List(c) {
-		qu := e.lookupActive(qid)
+// inside the constraint region, if any) is an incoming object. ranges is
+// false when scanOldCell walked this very list for the same event.
+func (e *Engine) scanNewCell(list []grid.Handle, id model.ObjectID, newPos geom.Point, ranges bool) {
+	for _, h := range list {
+		qu := e.active(h)
 		if qu == nil {
+			continue
+		}
+		if h&rangeBit != 0 {
+			if ranges {
+				e.touch(qu)
+				qu.foldRange(id, newPos)
+			}
 			continue
 		}
 		e.touch(qu)
@@ -290,11 +288,11 @@ func (qu *query) dropIncomer(id model.ObjectID) {
 	}
 }
 
-// lookupActive resolves a k-NN query id routed through an influence list,
-// skipping queries with their own update in the current batch.
-func (e *Engine) lookupActive(qid model.QueryID) *query {
-	qu := e.queries[qid]
-	if qu == nil || qu.ignoreMark == e.batchGen {
+// active resolves a handle read from an influence list to its slot of the
+// query table, skipping queries with their own update in the current batch.
+func (e *Engine) active(h grid.Handle) *query {
+	qu := e.slots[h>>1]
+	if qu.ignoreMark == e.batchGen {
 		return nil
 	}
 	return qu
@@ -313,6 +311,9 @@ func (e *Engine) lookupActive(qid model.QueryID) *query {
 func (e *Engine) resolveDirty() {
 	for w := range e.dirty {
 		for _, qu := range e.dirty[w] {
+			if qu.h&rangeBit != 0 {
+				continue // membership was settled by the scan itself
+			}
 			if !qu.forceRecompute && qu.inList.len() >= qu.outCount {
 				e.stats.ShortCircuits++
 				for _, n := range qu.inList.items {
@@ -345,12 +346,6 @@ func (e *Engine) noteTouched() {
 			e.noteIfChanged(qu)
 		}
 		e.dirty[w] = e.dirty[w][:0]
-	}
-	for w := range e.dirtyRanges {
-		for _, rq := range e.dirtyRanges[w] {
-			e.noteRangeIfChanged(rq)
-		}
-		e.dirtyRanges[w] = e.dirtyRanges[w][:0]
 	}
 	if e.diffsOn {
 		e.phases.Diff += time.Since(start).Nanoseconds()

@@ -46,7 +46,7 @@ func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int
 				continue
 			}
 			p := g.Clamp(u.New)
-			oldCell, newCell, err := g.Move(u.ID, p)
+			oldCell, newCell, err := g.move(u.ID, p)
 			if err != nil {
 				invalid++
 				continue
@@ -58,21 +58,15 @@ func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int
 				continue
 			}
 			p := g.Clamp(u.New)
-			if err := g.Insert(u.ID, p); err != nil {
+			newCell, err := g.insert(u.ID, p)
+			if err != nil {
 				invalid++
 				continue
 			}
-			log = append(log, Applied{ID: u.ID, Kind: model.Insert, Pos: p, Old: NoCell, New: g.CellOf(p)})
+			log = append(log, Applied{ID: u.ID, Kind: model.Insert, Pos: p, Old: NoCell, New: newCell})
 		case model.Delete:
-			// Direct field reads: the accessor Position asserts a stable
-			// epoch, and we are inside the write window by design.
-			if u.ID < 0 || int(u.ID) >= len(g.alive) || !g.alive[u.ID] {
-				invalid++
-				continue
-			}
-			pos := g.positions[u.ID]
-			oldCell := g.CellOf(pos)
-			if err := g.Delete(u.ID); err != nil {
+			pos, oldCell, err := g.remove(u.ID)
+			if err != nil {
 				invalid++
 				continue
 			}

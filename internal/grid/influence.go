@@ -1,7 +1,5 @@
 package grid
 
-import "cpm/internal/model"
-
 // Influence is a per-engine influence-list index (paper Figure 3.3b): for
 // every cell, the queries whose influence (or answer) region contains it.
 //
@@ -16,15 +14,22 @@ import "cpm/internal/model"
 //
 // The representation matches the in-cell original: short dense swap-delete
 // slices, nil until first use, plus an O(1) running entry count that backs
-// MemoryFootprint without a scan over all cells.
+// MemoryFootprint without a scan over all cells. What a list holds is not a
+// query id but a Handle into the owning engine's query table — the pointer
+// of Figure 3.3b — so a scan reaches the query's state by indexing, not by
+// hashing an id.
 type Influence struct {
-	cells   [][]model.QueryID
+	cells   [][]Handle
 	entries int64
 }
 
+// Handle names one entry of the owning engine's query table. The index is
+// opaque to the grid; the engine alone decides what its bits mean.
+type Handle uint32
+
 // NewInfluence creates an index over cellCount cells.
 func NewInfluence(cellCount int) *Influence {
-	return &Influence{cells: make([][]model.QueryID, cellCount)}
+	return &Influence{cells: make([][]Handle, cellCount)}
 }
 
 // Reset drops every list and re-sizes the index to cellCount cells — the
@@ -38,7 +43,7 @@ func (x *Influence) Reset(cellCount int) {
 			x.cells[i] = nil
 		}
 	} else {
-		x.cells = make([][]model.QueryID, cellCount)
+		x.cells = make([][]Handle, cellCount)
 	}
 	x.entries = 0
 }
@@ -48,14 +53,14 @@ func (x *Influence) Reset(cellCount int) {
 // engine tracks its influence prefix exactly); a duplicate entry would make
 // the scans route the same update to a query twice and leave a stale entry
 // behind after removal.
-func (x *Influence) AddUnchecked(c CellIndex, q model.QueryID) {
+func (x *Influence) AddUnchecked(c CellIndex, q Handle) {
 	x.cells[c] = append(x.cells[c], q)
 	x.entries++
 }
 
 // Remove removes q from the list of cell c by swap-delete. Removing an
 // absent entry is a no-op.
-func (x *Influence) Remove(c CellIndex, q model.QueryID) {
+func (x *Influence) Remove(c CellIndex, q Handle) {
 	list := x.cells[c]
 	for i, have := range list {
 		if have == q {
@@ -69,7 +74,7 @@ func (x *Influence) Remove(c CellIndex, q model.QueryID) {
 }
 
 // Has reports whether q is in the list of cell c.
-func (x *Influence) Has(c CellIndex, q model.QueryID) bool {
+func (x *Influence) Has(c CellIndex, q Handle) bool {
 	for _, have := range x.cells[c] {
 		if have == q {
 			return true
@@ -85,7 +90,7 @@ func (x *Influence) Len(c CellIndex) int { return len(x.cells[c]) }
 // List returns the list of cell c as a borrowed slice. The slice is owned
 // by the index: callers must not mutate or retain it, and adding or
 // removing entries on c invalidates it. Iterating it allocates nothing.
-func (x *Influence) List(c CellIndex) []model.QueryID { return x.cells[c] }
+func (x *Influence) List(c CellIndex) []Handle { return x.cells[c] }
 
 // Entries returns the total number of influence entries across all cells,
 // maintained incrementally — one term of the Section 6.4 memory model.

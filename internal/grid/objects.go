@@ -67,32 +67,16 @@ func (g *Grid) removeObject(c CellIndex, id model.ObjectID) {
 // is reported rather than silently merged.
 func (g *Grid) Insert(id model.ObjectID, p geom.Point) error {
 	g.assertWritable()
-	if id < 0 {
-		return ErrNegativeID
-	}
-	g.ensureID(id)
-	if g.alive[id] {
-		return ErrLiveObject
-	}
-	p = g.Clamp(p)
-	g.alive[id] = true
-	g.positions[id] = p
-	g.addObject(g.CellOf(p), id)
-	g.count++
-	return nil
+	_, err := g.insert(id, g.Clamp(p))
+	return err
 }
 
 // Delete removes a live object. Deleting an unknown or dead object is
 // reported: the monitoring methods rely on the stream being consistent.
 func (g *Grid) Delete(id model.ObjectID) error {
 	g.assertWritable()
-	if id < 0 || int(id) >= len(g.alive) || !g.alive[id] {
-		return ErrUnknownObject
-	}
-	g.removeObject(g.CellOf(g.positions[id]), id)
-	g.alive[id] = false
-	g.count--
-	return nil
+	_, _, err := g.remove(id)
+	return err
 }
 
 // Move relocates a live object to p (clamped onto the workspace, see
@@ -100,10 +84,46 @@ func (g *Grid) Delete(id model.ObjectID) error {
 // only the stored position changes.
 func (g *Grid) Move(id model.ObjectID, p geom.Point) (oldCell, newCell CellIndex, err error) {
 	g.assertWritable()
-	if id < 0 || int(id) >= len(g.alive) || !g.alive[id] {
+	return g.move(id, g.Clamp(p))
+}
+
+// insert, remove and move are the mutators behind Insert, Delete and Move
+// and behind ApplyBatch, which has opened the write window and clamped the
+// point already: p must lie on the workspace. Each locates a cell once and
+// hands it back for the write log.
+
+func (g *Grid) insert(id model.ObjectID, p geom.Point) (CellIndex, error) {
+	if id < 0 {
+		return NoCell, ErrNegativeID
+	}
+	g.ensureID(id)
+	if g.alive[id] {
+		return NoCell, ErrLiveObject
+	}
+	c := g.CellOf(p)
+	g.alive[id] = true
+	g.positions[id] = p
+	g.addObject(c, id)
+	g.count++
+	return c, nil
+}
+
+func (g *Grid) remove(id model.ObjectID) (geom.Point, CellIndex, error) {
+	if !g.Alive(id) {
+		return geom.Point{}, NoCell, ErrUnknownObject
+	}
+	p := g.positions[id]
+	c := g.CellOf(p)
+	g.removeObject(c, id)
+	g.alive[id] = false
+	g.count--
+	return p, c, nil
+}
+
+func (g *Grid) move(id model.ObjectID, p geom.Point) (oldCell, newCell CellIndex, err error) {
+	if !g.Alive(id) {
 		return NoCell, NoCell, ErrUnknownObject
 	}
-	p = g.Clamp(p)
 	oldCell = g.CellOf(g.positions[id])
 	newCell = g.CellOf(p)
 	g.positions[id] = p

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -47,8 +48,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				Band:                 4,
 			})
 			w.mount(t, m)
-			// A few standing range queries exercise rangeScan and
-			// noteRangeIfChanged alongside the k-NN path.
+			// A few standing range queries exercise the range entries of
+			// the influence scans and their change notes alongside the k-NN
+			// path.
 			for i := 0; i < 4; i++ {
 				id := model.QueryID(len(w.queries) + i)
 				center := geom.Point{X: 0.2 + 0.2*float64(i), Y: 0.5}
@@ -142,6 +144,74 @@ func TestSubscribedAllocsDoNotScaleWithDiffs(t *testing.T) {
 				}
 				if sub.Dropped() != 0 {
 					t.Errorf("subscriber dropped %d events; widen its buffer", sub.Dropped())
+				}
+			})
+		}
+	}
+}
+
+// TestReRegisterAllocs pins what subscription churn costs: on a warm
+// monitor, removing a query and registering it again — anywhere, with its
+// diffs collected and taken as a served monitor does — re-arms the slot the
+// removal parked, buffers and all, instead of rebuilding the query's
+// book-keeping. Before the slot table a pair cost about 21 mallocs. What is
+// left is the diff arena's share: a fresh chunk every few dozen events.
+func TestReRegisterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	const perPairBudget = 1
+	region := geom.Rect{Lo: geom.Point{X: 0.2, Y: 0.2}, Hi: geom.Point{X: 0.8, Y: 0.8}}
+	kinds := []struct {
+		name     string
+		register func(m *shard.Monitor, id model.QueryID, at geom.Point) error
+	}{
+		{"point", func(m *shard.Monitor, id model.QueryID, at geom.Point) error {
+			return m.RegisterQuery(id, at, 64)
+		}},
+		{"aggregate", func(m *shard.Monitor, id model.QueryID, at geom.Point) error {
+			pts := [3]geom.Point{at, {X: at.X, Y: at.Y / 2}, {X: at.X / 2, Y: at.Y}}
+			return m.Register(id, core.AggQuery(pts[:], 16, geom.AggSum))
+		}},
+		{"constrained", func(m *shard.Monitor, id model.QueryID, at geom.Point) error {
+			def := core.PointQuery(geom.Point{X: 0.2 + 0.6*at.X, Y: 0.2 + 0.6*at.Y}, 16)
+			def.Constraint = &region
+			return m.Register(id, def)
+		}},
+		{"range", func(m *shard.Monitor, id model.QueryID, at geom.Point) error {
+			return m.RegisterRange(id, at, 0.05)
+		}},
+	}
+	for _, shards := range []int{1, 8} {
+		for _, kind := range kinds {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, kind.name), func(t *testing.T) {
+				w := makeTickWorkload(4096, 64, 8, 4, 0.5, 5)
+				m := shard.NewUnit(shards, 32, core.Options{})
+				defer m.Close()
+				m.EnableDiffs(true)
+				w.mount(t, m)
+				const churned = 16 // ids past the standing queries, spread over the shards
+				rng := rand.New(rand.NewSource(11))
+				next := 0
+				pair := func() {
+					id := model.QueryID(len(w.queries) + next%churned)
+					next++
+					m.RemoveQuery(id)
+					if err := kind.register(m, id, geom.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
+						t.Fatal(err)
+					}
+					m.TakeDiffs()
+				}
+				// Warm: every churned query has been everywhere, so every
+				// cell's influence list (one per cell and shard, made on
+				// first use) has held its longest.
+				for i := 0; i < 512*churned; i++ {
+					pair()
+				}
+				if avg := testing.AllocsPerRun(200, pair); avg > perPairBudget {
+					t.Errorf("remove+register of a %s query allocates %.2f/op, want at most %d", kind.name, avg, perPairBudget)
+				} else {
+					t.Logf("%.2f allocs per remove+register", avg)
 				}
 			})
 		}
