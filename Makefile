@@ -165,10 +165,13 @@ trace-smoke:
 	kill $$co $$w1 $$w2; wait $$co $$w1 $$w2 2>/dev/null || true; \
 	echo "trace-smoke: ok"
 
-# Short fuzz runs over the wire codec (the seed corpus is checked in).
+# Short fuzz runs over the wire codec (the seed corpus is checked in), each
+# target for FUZZTIME; CI runs them with a shorter bound.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=30s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDiffsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 
 # One iteration of every benchmark — keeps benchmark code compiling and
 # running without paying for a full measurement. -benchmem mirrors the CI

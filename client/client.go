@@ -25,10 +25,22 @@
 // # Concurrency
 //
 // All methods are safe for concurrent use. Events are delivered per
-// subscription, in order, over a buffered channel; a consumer that stops
+// subscription, in order, through a buffer of Options.Buffer events (a
+// ring that starts small and doubles on demand); a consumer that stops
 // reading eventually backpressures the socket, at which point the
 // server-side policy (DropOldest or CoalesceLatest) sheds events and the
 // stream carries an explicit gap marker instead.
+//
+// # Ownership of delivered diffs
+//
+// The read loop decodes Event frames, and the sync-diffs answers of the
+// *Diffs methods, into an arena of its own: the slices of a delivered
+// diff — Entered, Exited, Reranked, Result — are carved from chunks
+// shared with the diffs around it, never reused. They are read-only; each
+// has cap == len, so an append reallocates instead of writing into a
+// neighbour; and holding one keeps its whole chunk alive, so a consumer
+// that retains results indefinitely copies what it keeps — the contract
+// of the in-process cpm.ResultEvent.
 package client
 
 import (
@@ -80,7 +92,8 @@ type Options struct {
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// Buffer is the client-side per-subscription delivery buffer in events
-	// (default 256).
+	// (default 256). It is allocated on demand: a consumer that keeps up
+	// never holds more than a few dozen slots.
 	Buffer int
 	// SocketReadBuffer, when positive, sets the connection's kernel
 	// receive-buffer size (SetReadBuffer). Shrinking it makes
@@ -539,8 +552,12 @@ func (c *Client) ack(build func(dst []byte, reqID uint64) []byte) error {
 	return err
 }
 
-// readLoop dispatches inbound frames of one connection until it dies.
+// readLoop dispatches inbound frames of one connection until it dies. The
+// slices of the Event and Diffs frames it decodes are carved from its own
+// arena, a local: after a reconnect the next connection's loop starts a
+// fresh one while this loop may still be inside dispatch.
 func (c *Client) readLoop(nc net.Conn) {
+	var a wire.Arena
 	r := wire.NewReader(nc)
 	if c.opts.Checksum {
 		r.EnableChecksum()
@@ -560,7 +577,7 @@ func (c *Client) readLoop(nc net.Conn) {
 			c.connLost(nc, err)
 			return
 		}
-		if err := c.dispatch(t, payload); err != nil {
+		if err := c.dispatch(&a, t, payload); err != nil {
 			c.connLost(nc, err)
 			return
 		}
@@ -568,8 +585,8 @@ func (c *Client) readLoop(nc net.Conn) {
 }
 
 // dispatch routes one inbound frame: responses to their pending call,
-// stream frames to their subscription.
-func (c *Client) dispatch(t wire.FrameType, payload []byte) error {
+// stream frames to their subscription. Diff slices are carved from a.
+func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error {
 	switch t {
 	case wire.FrameAck:
 		reqID, msg, err := wire.DecodeAck(payload)
@@ -614,7 +631,7 @@ func (c *Client) dispatch(t wire.FrameType, payload []byte) error {
 		close(cl.done)
 
 	case wire.FrameDiffs:
-		reqID, diffs, phases, err := wire.DecodeDiffsPhases(payload)
+		reqID, diffs, phases, err := a.DecodeDiffsPhases(payload)
 		if err != nil {
 			return err
 		}
@@ -639,7 +656,7 @@ func (c *Client) dispatch(t wire.FrameType, payload []byte) error {
 		close(cl.done)
 
 	case wire.FrameEvent:
-		ev, err := wire.DecodeEvent(payload)
+		ev, err := a.DecodeEvent(payload)
 		if err != nil {
 			return err
 		}

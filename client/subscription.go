@@ -83,14 +83,23 @@ type Subscription struct {
 	opts SubscribeOptions
 	ids  []cpm.QueryID
 
-	in   chan Event // readLoop side; never closed
 	out  chan Event // consumer side; closed by the pump on shutdown
 	done chan struct{}
 	once sync.Once
 
-	mu       sync.Mutex
-	lastSeen map[cpm.QueryID]uint64 // per-query last diff seq, for resume
-	gaps     uint64
+	mu sync.Mutex
+	// ring is the client-side delivery buffer between the read loop and
+	// the pump: a circular queue of count events starting at head, grown by
+	// doubling up to limit (Options.Buffer) slots. moved wakes the pump
+	// when it goes non-empty and deliver when it has room again (or the
+	// subscription stops).
+	ring        []Event
+	head, count int
+	limit       int
+	stopped     bool
+	moved       sync.Cond
+	lastSeen    map[cpm.QueryID]uint64 // per-query last diff seq, for resume
+	gaps        uint64
 
 	// established is set (under the client's mu) once the server
 	// acknowledged the initial Subscribe; the reconnect loop resubscribes
@@ -119,16 +128,7 @@ func (c *Client) SubscribeWith(opts SubscribeOptions, ids ...cpm.QueryID) (*Subs
 		return nil, ErrClosed
 	}
 	c.nextSub++
-	s := &Subscription{
-		c:        c,
-		id:       c.nextSub,
-		opts:     opts,
-		ids:      append([]cpm.QueryID(nil), ids...),
-		in:       make(chan Event, c.opts.Buffer),
-		out:      make(chan Event),
-		done:     make(chan struct{}),
-		lastSeen: make(map[cpm.QueryID]uint64),
-	}
+	s := newSubscription(c, c.nextSub, opts, ids)
 	// Register before sending the frame: the server starts streaming the
 	// moment it processes the subscribe, and those first events must find
 	// the subscription in the dispatch table.
@@ -152,6 +152,28 @@ func (c *Client) SubscribeWith(opts SubscribeOptions, ids ...cpm.QueryID) (*Subs
 	c.mu.Unlock()
 	go s.pump()
 	return s, nil
+}
+
+// initialRing is the slot count a subscription's ring starts with; a
+// consumer that keeps up never needs more, whatever Options.Buffer allows.
+const initialRing = 16
+
+// newSubscription builds a subscription of client c; SubscribeWith
+// registers it and starts its pump.
+func newSubscription(c *Client, id uint32, opts SubscribeOptions, ids []cpm.QueryID) *Subscription {
+	s := &Subscription{
+		c:        c,
+		id:       id,
+		opts:     opts,
+		ids:      append([]cpm.QueryID(nil), ids...),
+		out:      make(chan Event),
+		done:     make(chan struct{}),
+		ring:     make([]Event, min(c.opts.Buffer, initialRing)),
+		limit:    c.opts.Buffer,
+		lastSeen: make(map[cpm.QueryID]uint64),
+	}
+	s.moved.L = &s.mu
+	return s
 }
 
 // frame builds the initial Subscribe frame.
@@ -226,51 +248,84 @@ func (s *Subscription) Close() error {
 	return nil
 }
 
-// shutdown stops delivery locally.
+// shutdown stops delivery locally: buffered events are discarded, a
+// blocked deliver returns and the pump closes the Events channel.
 func (s *Subscription) shutdown() {
-	s.once.Do(func() { close(s.done) })
+	s.once.Do(func() {
+		s.mu.Lock()
+		s.stopped = true
+		clear(s.ring)
+		s.count = 0
+		s.mu.Unlock()
+		s.moved.Broadcast()
+		close(s.done)
+	})
 }
 
-// deliver hands one event to the pump. It blocks when the client-side
-// buffer is full — backpressure that eventually stalls the socket and
-// triggers the server-side policy — and records stream position for
-// resume.
+// deliver hands one event to the pump. It blocks while the client-side
+// buffer holds Options.Buffer events — backpressure that eventually stalls
+// the socket and triggers the server-side policy — and records stream
+// position for resume.
 func (s *Subscription) deliver(ev Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch ev.Type {
 	case EventDiff:
-		s.mu.Lock()
 		s.lastSeen[ev.Query] = ev.Seq
-		s.mu.Unlock()
 	case EventGap:
-		s.mu.Lock()
 		s.gaps++
-		s.mu.Unlock()
 	case EventSnapshot:
 		if ev.Kind == cpm.DiffRemove {
-			s.mu.Lock()
 			delete(s.lastSeen, ev.Query)
-			s.mu.Unlock()
 		}
 	}
-	select {
-	case s.in <- ev:
-	case <-s.done:
+	for s.count == s.limit && !s.stopped {
+		s.moved.Wait()
 	}
+	if s.stopped {
+		return
+	}
+	if s.count == len(s.ring) {
+		s.grow()
+	}
+	s.ring[(s.head+s.count)%len(s.ring)] = ev
+	s.count++
+	s.moved.Broadcast()
 }
 
-// pump moves events from the receive buffer to the consumer channel and
+// grow doubles a full ring, up to limit slots (caller holds mu).
+func (s *Subscription) grow() {
+	old := s.ring
+	s.ring = make([]Event, min(2*len(old), s.limit))
+	for i := 0; i < s.count; i++ {
+		s.ring[i] = old[(s.head+i)%len(old)]
+	}
+	s.head = 0
+}
+
+// pump moves events from the ring to the consumer channel, in order, and
 // closes it on shutdown — the only goroutine that sends on out, so the
-// close is race-free.
+// close is race-free. Vacated slots are zeroed so the ring does not pin
+// delivered results.
 func (s *Subscription) pump() {
 	defer close(s.out)
 	for {
+		s.mu.Lock()
+		for s.count == 0 && !s.stopped {
+			s.moved.Wait()
+		}
+		if s.stopped {
+			s.mu.Unlock()
+			return
+		}
+		ev := s.ring[s.head]
+		s.ring[s.head] = Event{}
+		s.head = (s.head + 1) % len(s.ring)
+		s.count--
+		s.mu.Unlock()
+		s.moved.Broadcast()
 		select {
-		case ev := <-s.in:
-			select {
-			case s.out <- ev:
-			case <-s.done:
-				return
-			}
+		case s.out <- ev:
 		case <-s.done:
 			return
 		}

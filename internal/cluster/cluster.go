@@ -207,11 +207,13 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	for i, addr := range opts.Workers {
 		w := &worker{
-			idx:        i,
-			addr:       addr,
-			rtt:        c.met.reg.Histogram(fmt.Sprintf("cpm_coord_worker%d_rtt_ns", i)),
-			reconnects: c.met.reg.Counter(fmt.Sprintf("cpm_coord_worker%d_reconnects_total", i)),
-			healthG:    c.met.reg.Gauge(fmt.Sprintf("cpm_coord_worker%d_health", i)),
+			idx:         i,
+			addr:        addr,
+			span:        fmt.Sprintf("worker%d", i),
+			timeoutSpan: fmt.Sprintf("worker%d/timeout", i),
+			rtt:         c.met.reg.Histogram(fmt.Sprintf("cpm_coord_worker%d_rtt_ns", i)),
+			reconnects:  c.met.reg.Counter(fmt.Sprintf("cpm_coord_worker%d_reconnects_total", i)),
+			healthG:     c.met.reg.Gauge(fmt.Sprintf("cpm_coord_worker%d_health", i)),
 		}
 		copts := opts.Client
 		copts.SyncDiffs = true
@@ -455,8 +457,7 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 		c.markDirty(w)
 		c.gapQueries(id)
 	}
-	def.Points = append([]geom.Point(nil), to...)
-	c.defs[id] = def
+	copy(def.Points, to) // in place: the mirror owns its buffers
 	c.finishDiffs(diffs)
 	return nil
 }
@@ -692,8 +693,7 @@ func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 		switch qu.Kind {
 		case model.QueryMove:
 			if def, ok := c.defs[qu.ID]; ok && len(qu.NewPoints) == len(def.Points) {
-				def.Points = append([]geom.Point(nil), qu.NewPoints...)
-				c.defs[qu.ID] = def
+				copy(def.Points, qu.NewPoints) // the mirror owns its buffers
 			}
 		case model.QueryTerminate:
 			delete(c.defs, qu.ID)
@@ -731,7 +731,7 @@ func (c *Coordinator) finishDiffs(diffs []model.ResultDiff) {
 		if d.Kind == model.DiffRemove {
 			delete(c.results, d.Query)
 		} else {
-			c.results[d.Query] = d.Result
+			c.results[d.Query] = append(c.results[d.Query][:0], d.Result...)
 		}
 	}
 	c.changed = c.changed[:0]

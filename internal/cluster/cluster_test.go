@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -282,4 +283,65 @@ func runEquivalence(t *testing.T, nWorkers int) {
 	delete(oracle.qpts, 3)
 	compareDiffs("remove")
 	checkResults("after remove")
+}
+
+// TestReadsStableAcrossTicks: what a caller gets from the coordinator — a
+// Result, a Snapshot, the diffs of TakeDiffs — is not changed by later
+// ticks, although the mirror rewrites its result buffers in place and the
+// diffs' slices share arena chunks with later frames.
+func TestReadsStableAcrossTicks(t *testing.T) {
+	coord, _ := startCluster(t, 2, 5*time.Second)
+	coord.KeepDiffs(true)
+	w := testWorkload(t)
+	coord.Bootstrap(w.InitialObjects())
+	for i, q := range w.InitialQueries() {
+		if err := coord.RegisterQuery(model.QueryID(i), q, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord.Tick(w.Advance())
+
+	result := coord.Result(0)
+	snaps := coord.Snapshot()
+	taken := coord.TakeDiffs()
+	if len(result) == 0 || len(taken) == 0 {
+		t.Fatal("the scenario has no result or no diffs to hold")
+	}
+	wantResult, wantSnaps, wantTaken := slices.Clone(result), cloneSnaps(snaps), cloneDiffs(taken)
+	changed := false
+	for i := 0; i < 20; i++ {
+		coord.Tick(w.Advance())
+		changed = changed || !reflect.DeepEqual(coord.Result(0), wantResult)
+	}
+	if !changed {
+		t.Fatal("query 0's result never changed; the scenario is too idle")
+	}
+	if !reflect.DeepEqual(result, wantResult) {
+		t.Fatalf("held Result changed: %v, want %v", result, wantResult)
+	}
+	if !reflect.DeepEqual(snaps, wantSnaps) {
+		t.Fatalf("held Snapshot changed:\ngot  %+v\nwant %+v", snaps, wantSnaps)
+	}
+	if !reflect.DeepEqual(taken, wantTaken) {
+		t.Fatalf("held diffs changed:\ngot  %+v\nwant %+v", taken, wantTaken)
+	}
+}
+
+// cloneSnaps and cloneDiffs copy what a caller holds, sharing no memory.
+func cloneSnaps(snaps []cpm.QuerySnapshot) []cpm.QuerySnapshot {
+	out := slices.Clone(snaps)
+	for i := range out {
+		out[i].Result = slices.Clone(out[i].Result)
+	}
+	return out
+}
+
+func cloneDiffs(diffs []model.ResultDiff) []model.ResultDiff {
+	out := slices.Clone(diffs)
+	for i := range out {
+		d := &out[i]
+		d.Entered, d.Exited = slices.Clone(d.Entered), slices.Clone(d.Exited)
+		d.Reranked, d.Result = slices.Clone(d.Reranked), slices.Clone(d.Result)
+	}
+	return out
 }

@@ -53,6 +53,9 @@ type worker struct {
 	idx  int
 	addr string
 	cl   *client.Client
+	// span and timeoutSpan name the fan-out's child spans for this worker,
+	// built once so an untraced operation formats nothing.
+	span, timeoutSpan string
 
 	// mu serializes every wire call to this worker. An operation the
 	// coordinator abandoned at the fan-out deadline may still be in
@@ -218,7 +221,7 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 			// The collector runs on the coordinator loop, so reading
 			// c.opSpan here is race-free; the span covers the whole
 			// round trip (dial/send/wait/decode) behind the worker mutex.
-			c.opSpan.ChildAt(fmt.Sprintf("worker%d", r.w.idx), r.at, r.rtt)
+			c.opSpan.ChildAt(r.w.span, r.at, r.rtt)
 			if r.retries > 0 {
 				c.met.opRetries.Add(int64(r.retries))
 			}
@@ -242,7 +245,7 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 			for _, w := range targets {
 				if !answered[w] {
 					c.desync(w, errOpTimeout)
-					c.opSpan.ChildAt(fmt.Sprintf("worker%d/timeout", w.idx), start, time.Since(start))
+					c.opSpan.ChildAt(w.timeoutSpan, start, time.Since(start))
 				}
 			}
 			c.observeFanout(start, merged)
@@ -403,10 +406,10 @@ type resyncSnap struct {
 	defs []wire.Register // owned queries to (re-)register, ascending id
 
 	// Incremental replay (full == false):
-	expect  uint64      // the instance the worker's retained state lives on
-	delta   model.Batch // delete/insert pairs correcting the dirty objects
-	removed []model.QueryID
-	frozen  map[model.QueryID][]model.Neighbor // mirror results of untouched owned queries
+	expect    uint64      // the instance the worker's retained state lives on
+	delta     model.Batch // delete/insert pairs correcting the dirty objects
+	removed   []model.QueryID
+	untouched []model.QueryID // owned queries the worker keeps installed
 }
 
 // resyncResult reports one finished re-sync back to the coordinator loop.
@@ -481,12 +484,9 @@ func (c *Coordinator) snapshotFor(w *worker) resyncSnap {
 			snap.removed = append(snap.removed, id)
 		}
 	}
-	// Untouched owned queries keep the results they froze at — seed them
-	// so acceptance can tell "unchanged" from "unknown".
-	snap.frozen = make(map[model.QueryID][]model.Neighbor)
 	for _, id := range c.ownedIDs(w.idx) {
 		if !w.dirtyQueries[id] {
-			snap.frozen[id] = c.results[id]
+			snap.untouched = append(snap.untouched, id)
 		}
 	}
 	return snap
@@ -558,26 +558,21 @@ func runResyncFull(w *worker, snap resyncSnap) resyncResult {
 // died while it was away, and remove+re-register of dirty queries. Valid
 // only while the worker's retained state survives — the instance id is
 // checked on both ends, and any restart aborts to the full path.
+//
+// The untouched queries' results are polled afterwards, not derived from
+// the replay's diffs: those are relative to the worker's own last results,
+// which an operation it applied but never answered (its Diffs frame lost
+// or late) has moved past the mirror's — and a delete+insert landing an
+// object where the worker already has it changes nothing it would report.
 func runResyncIncremental(w *worker, snap resyncSnap) resyncResult {
-	res := resyncResult{idx: w.idx, gen: snap.gen, results: make(map[model.QueryID][]model.Neighbor, len(snap.frozen)+len(snap.defs))}
+	res := resyncResult{idx: w.idx, gen: snap.gen, results: make(map[model.QueryID][]model.Neighbor, len(snap.untouched)+len(snap.defs))}
 	res.instance = w.cl.InstanceID()
 	if res.instance != snap.expect {
 		res.err = errors.New("cluster: worker restarted; incremental re-sync impossible")
 		return res
 	}
-	maps.Copy(res.results, snap.frozen)
-	fold := func(diffs []model.ResultDiff) {
-		for _, d := range diffs {
-			if d.Kind == model.DiffRemove {
-				delete(res.results, d.Query)
-			} else {
-				res.results[d.Query] = d.Result
-			}
-		}
-	}
 	if len(snap.delta.Objects) > 0 {
-		diffs, err := w.cl.TickDiffs(snap.delta)
-		if err != nil {
+		if err := w.cl.Tick(snap.delta); err != nil {
 			res.err = err
 			return res
 		}
@@ -586,7 +581,6 @@ func runResyncIncremental(w *worker, snap resyncSnap) resyncResult {
 				res.objsSent++
 			}
 		}
-		fold(diffs)
 	}
 	for _, id := range snap.removed {
 		if _, err := w.cl.RemoveQueryDiffs(id); err != nil {
@@ -611,6 +605,14 @@ func runResyncIncremental(w *worker, snap resyncSnap) resyncResult {
 				res.results[d.Query] = d.Result
 			}
 		}
+	}
+	for _, id := range snap.untouched {
+		r, err := w.cl.Result(id)
+		if err != nil {
+			res.err = err
+			return res
+		}
+		res.results[id] = r
 	}
 	if got := w.cl.InstanceID(); got != res.instance {
 		res.err = errors.New("cluster: worker restarted during re-sync")
@@ -663,7 +665,7 @@ func (c *Coordinator) acceptResync(r resyncResult) {
 		fresh := r.results[id]
 		if !neighborsEqual(c.results[id], fresh) {
 			recon = append(recon, synthDiff(id, c.results[id], fresh))
-			c.results[id] = fresh
+			c.results[id] = append(c.results[id][:0], fresh...)
 		}
 	}
 	c.publish(recon)

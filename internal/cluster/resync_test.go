@@ -175,6 +175,65 @@ func TestIncrementalResync(t *testing.T) {
 	}
 }
 
+// TestIncrementalResyncAfterLostAnswer: a worker that applied a tick whose
+// answer the coordinator gave up on holds results the mirror never saw.
+// The incremental re-sync replays the tick's object as a delete+insert
+// landing where the worker already has it — which changes nothing the
+// worker would report — so it must ask the worker for its untouched
+// queries' results instead of keeping the mirror's.
+func TestIncrementalResyncAfterLostAnswer(t *testing.T) {
+	const q = 0 // owned by worker 0
+	coord, procs := startCluster(t, 2, 300*time.Millisecond)
+	if owner(q, 2) != 0 {
+		t.Fatal("query 0 must live on worker 0")
+	}
+	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
+	defer single.Close()
+	objs, queries := denseScene(120, 8)
+	coord.Bootstrap(objs)
+	single.Bootstrap(objs)
+	for id, p := range queries {
+		if err := coord.RegisterQuery(id, p, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.RegisterQuery(id, p, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Object 60 lands on query 0, so query 0's nearest neighbour changes on
+	// worker 0 — which applies the tick only after the coordinator gave up.
+	release := wedge(procs[0])
+	b := model.Batch{Objects: []model.Update{{ID: 60, Kind: model.Move, New: queries[q]}}}
+	coord.Tick(b)
+	single.Tick(b)
+	if coord.SyncedWorkers() != 1 {
+		t.Fatal("wedged worker still synced")
+	}
+	release()
+
+	// Repair while ticking only far from query 0: no later diff of its own
+	// would paper over a stale mirror.
+	deadline := time.Now().Add(15 * time.Second)
+	for round := 0; coord.SyncedWorkers() < 2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatal("cluster never re-synced")
+		}
+		b := nudge(round, 119)
+		coord.Tick(b)
+		single.Tick(b)
+		time.Sleep(20 * time.Millisecond)
+	}
+	if metric(t, coord, "cpm_coord_resync_incremental_total") == 0 {
+		t.Fatal("the repair was not the incremental re-sync")
+	}
+	for id := range queries {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after re-sync: cluster %v, single %v", id, got, want)
+		}
+	}
+}
+
 // TestFleetStatsFanIn pins the coordinator's read fan-in: GridSize,
 // Rebalances and Stats aggregate the workers' engine counters over the
 // wire Stats frame (sum for work counters, max for grid size) instead of

@@ -79,7 +79,7 @@ func (e *Engine) noteRemoved(id model.QueryID, m *diffMark, lastReported []model
 		exited = append(exited, seen[i].ID)
 	}
 	e.diffEx = exited
-	rm := model.ResultDiff{Query: id, Kind: model.DiffRemove, Exited: carve(&e.freeIDs, exited)}
+	rm := model.ResultDiff{Query: id, Kind: model.DiffRemove, Exited: e.idArena.Copy(exited)}
 	if m.win == e.diffWin {
 		e.diffs[m.at] = rm
 	} else {

@@ -27,35 +27,13 @@ import (
 // change's base, so a take carries at most one live diff per query and
 // its ids match ChangedQueries when taken once per ProcessBatch.
 //
-// Ownership: every slice an event carries is carved (carve) from the
-// engine's arena chunks, so the events of one take (and of its neighbours)
+// Ownership: every slice an event carries is carved from the engine's
+// internal/arena slabs, so the events of one take (and of its neighbours)
 // share backing arrays. The chunks are handed off with the events and never
 // reused, so events stay valid — and read-only — for as long as a consumer
 // holds them; each slice has cap == len, so an append by a consumer
 // reallocates instead of writing into a neighbouring event. An event
 // retained indefinitely pins its whole chunk: long-lived consumers copy.
-
-// arenaChunk is the size of an arena chunk in elements: 64 KB of neighbors,
-// 16 KB of ids. A paper-default tick (500 k=16 diffs) fills about five.
-const arenaChunk = 4096
-
-// carve returns a cap == len copy of src (nil for an empty src) cut from
-// *free, the unused tail of an arena's current chunk. A request that does
-// not fit starts a fresh chunk — an oversized one gets an exact chunk of
-// its own — and the old chunk is left to the events that point into it.
-func carve[T any](free *[]T, src []T) []T {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	if n > len(*free) {
-		*free = make([]T, max(n, arenaChunk))
-	}
-	out := (*free)[:n:n]
-	*free = (*free)[n:]
-	copy(out, src)
-	return out
-}
 
 // diffMark locates a query's pending event in the current take window:
 // diffs[at] is the query's event while win equals the engine's diffWin.
@@ -190,10 +168,10 @@ func (e *Engine) diffResult(id model.QueryID, old, cur []model.Neighbor) model.R
 	return model.ResultDiff{
 		Query:    id,
 		Kind:     model.DiffUpdate,
-		Entered:  carve(&e.freeNbrs, ent),
-		Exited:   carve(&e.freeIDs, ex),
-		Reranked: carve(&e.freeNbrs, rer),
-		Result:   carve(&e.freeNbrs, cur),
+		Entered:  e.nbrArena.Copy(ent),
+		Exited:   e.idArena.Copy(ex),
+		Reranked: e.nbrArena.Copy(rer),
+		Result:   e.nbrArena.Copy(cur),
 	}
 }
 
@@ -205,7 +183,7 @@ func (e *Engine) noteInstalled(id model.QueryID, m *diffMark, res []model.Neighb
 	if !e.diffsOn {
 		return
 	}
-	res = carve(&e.freeNbrs, res)
+	res = e.nbrArena.Copy(res)
 	*m = diffMark{win: e.diffWin, at: len(e.diffs)}
 	e.diffBase = append(e.diffBase, nil)
 	e.diffs = append(e.diffs, model.ResultDiff{

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sync"
 
+	"cpm/internal/arena"
 	"cpm/internal/conc"
 	"cpm/internal/geom"
 	"cpm/internal/grid"
@@ -132,9 +133,8 @@ type Engine struct {
 	// event, so repeated changes within one window compose into a single
 	// event; diffBase[i] is diffs[i]'s pre-change snapshot for that, cut
 	// from baseBuf, which each take rewinds. Event slices are carved from
-	// freeNbrs and freeIDs, the unused tails of the arena's current chunks. diffTab (with its generation diffGen),
-	// diffSeen and diffEnt/diffRer/diffEx are the O(k) diff pass's reusable
-	// scratch.
+	// nbrArena and idArena. diffTab (with its generation diffGen), diffSeen
+	// and diffEnt/diffRer/diffEx are the O(k) diff pass's reusable scratch.
 	diffsOn   bool
 	diffs     []model.ResultDiff
 	taken     []model.ResultDiff
@@ -142,8 +142,8 @@ type Engine struct {
 	diffBase  [][]model.Neighbor
 	baseBuf   []model.Neighbor
 	diffWin   int64
-	freeNbrs  []model.Neighbor
-	freeIDs   []model.ObjectID
+	nbrArena  arena.Slab[model.Neighbor]
+	idArena   arena.Slab[model.ObjectID]
 	diffTab   []idSlot
 	diffGen   uint64
 	diffSeen  []bool

@@ -156,7 +156,9 @@ func (c *conn) serve() {
 }
 
 // readLoop decodes and executes request frames until the connection dies.
+// The slices of the Tick frames it decodes are carved from its own arena.
 func (c *conn) readLoop() error {
+	var a wire.Arena
 	r := wire.NewReader(c.nc)
 
 	// The handshake comes first: exactly one Hello, which must arrive
@@ -225,15 +227,16 @@ func (c *conn) readLoop() error {
 			return err
 		}
 		c.srv.met.framesIn.Inc()
-		if err := c.handle(t, payload); err != nil {
+		if err := c.handle(&a, t, payload); err != nil {
 			return err
 		}
 	}
 }
 
-// handle executes one request frame. Monitor errors become error acks (the
-// stream stays up); protocol errors are returned and kill the connection.
-func (c *conn) handle(t wire.FrameType, payload []byte) error {
+// handle executes one request frame, decoding a Tick's slices into a.
+// Monitor errors become error acks (the stream stays up); protocol errors
+// are returned and kill the connection.
+func (c *conn) handle(a *wire.Arena, t wire.FrameType, payload []byte) error {
 	s := c.srv
 	switch t {
 	case wire.FrameBootstrap:
@@ -267,7 +270,7 @@ func (c *conn) handle(t wire.FrameType, payload []byte) error {
 		c.mutReply(reqID, errMsg, diffs)
 
 	case wire.FrameTick:
-		reqID, b, err := wire.DecodeTick(payload)
+		reqID, b, err := a.DecodeTick(payload)
 		if err != nil {
 			return err
 		}

@@ -70,3 +70,23 @@ func BenchmarkWireEncodeTick(b *testing.B) {
 		buf = AppendTick(buf[:0], uint64(i), batch)
 	}
 }
+
+// BenchmarkWireDecodeArena decodes the same event frame through one arena,
+// as a client read loop does: a fresh chunk every few hundred events
+// instead of a slice per list per event.
+func BenchmarkWireDecodeArena(b *testing.B) {
+	frame := AppendEvent(nil, 1, 42, benchDiff())
+	var a Arena
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, payload, _, err := ParseFrame(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.DecodeEvent(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

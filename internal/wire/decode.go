@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"cpm/internal/arena"
 	"cpm/internal/geom"
 	"cpm/internal/model"
 )
@@ -18,9 +19,43 @@ import (
 // a per-element minimum size before allocation, so a hostile 4-byte count
 // cannot demand gigabytes.
 
-// dec is a bounds-checked cursor over a frame payload.
+// Arena is the decode arena of one read loop: the Arena methods carve every
+// slice of the frames they decode from its internal/arena slabs instead of
+// allocating each one. Slices are cap == len, share chunks with the other
+// frames decoded through the arena, and stay valid for as long as they are
+// held — chunks are handed off with the frames and never reused — so they
+// are read-only to their holder, and a holder that keeps one indefinitely
+// (pinning its chunk) copies it. The zero value is ready; an Arena serves
+// one goroutine. The package-level decoders of the same frames decode
+// through a nil *Arena, which allocates every slice exactly.
+type Arena struct {
+	nbrs  arena.Slab[model.Neighbor]
+	ids   arena.Slab[model.ObjectID]
+	pts   arena.Slab[geom.Point]
+	diffs arena.Slab[model.ResultDiff]
+	objs  arena.Slab[model.Update]
+	qus   arena.Slab[model.QueryUpdate]
+}
+
+// dec returns a decoder over p carving from a, or allocating exactly when a
+// is nil.
+func (a *Arena) dec(p []byte) dec {
+	if a == nil {
+		return dec{b: p}
+	}
+	return dec{b: p, nbrs: &a.nbrs, ids: &a.ids, pts: &a.pts, diffs: &a.diffs, objs: &a.objs, qus: &a.qus}
+}
+
+// dec is a bounds-checked cursor over a frame payload, with the slabs its
+// slices come from (all nil without an arena).
 type dec struct {
-	b []byte
+	b     []byte
+	nbrs  *arena.Slab[model.Neighbor]
+	ids   *arena.Slab[model.ObjectID]
+	pts   *arena.Slab[geom.Point]
+	diffs *arena.Slab[model.ResultDiff]
+	objs  *arena.Slab[model.Update]
+	qus   *arena.Slab[model.QueryUpdate]
 }
 
 func (d *dec) uvarint() (uint64, error) {
@@ -156,10 +191,7 @@ func (d *dec) neighbors() ([]model.Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]model.Neighbor, n)
+	out := d.nbrs.Make(n)
 	for i := range out {
 		id, err := d.objectID()
 		if err != nil {
@@ -179,10 +211,7 @@ func (d *dec) objectIDs() ([]model.ObjectID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]model.ObjectID, n)
+	out := d.ids.Make(n)
 	for i := range out {
 		id, err := d.objectID()
 		if err != nil {
@@ -198,10 +227,7 @@ func (d *dec) points() ([]geom.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]geom.Point, n)
+	out := d.pts.Make(n)
 	for i := range out {
 		p, err := d.point()
 		if err != nil {
@@ -268,7 +294,7 @@ func checkMagic(d *dec) error {
 // flags byte is optional trailing data: frames from peers that predate it
 // decode with flags 0.
 func DecodeHello(p []byte) (flags uint8, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if err = checkMagic(&d); err != nil {
 		return 0, err
 	}
@@ -284,7 +310,7 @@ func DecodeHello(p []byte) (flags uint8, err error) {
 // instance identifier. The field is optional trailing data: frames from
 // servers that predate it decode with instance 0.
 func DecodeWelcome(p []byte) (instance uint64, flags uint8, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if err = checkMagic(&d); err != nil {
 		return 0, 0, err
 	}
@@ -305,7 +331,7 @@ func DecodeWelcome(p []byte) (instance uint64, flags uint8, err error) {
 
 // DecodeBootstrap parses an initial-population frame.
 func DecodeBootstrap(p []byte) (reqID uint64, objs []BootstrapObject, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, nil, err
 	}
@@ -329,7 +355,13 @@ func DecodeBootstrap(p []byte) (reqID uint64, objs []BootstrapObject, err error)
 
 // DecodeTick parses an update-batch frame.
 func DecodeTick(p []byte) (reqID uint64, b model.Batch, err error) {
-	d := dec{p}
+	return (*Arena)(nil).DecodeTick(p)
+}
+
+// DecodeTick is the package-level DecodeTick carving the batch's Objects,
+// Queries and NewPoints from the arena.
+func (a *Arena) DecodeTick(p []byte) (reqID uint64, b model.Batch, err error) {
+	d := a.dec(p)
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, b, err
 	}
@@ -338,7 +370,7 @@ func DecodeTick(p []byte) (reqID uint64, b model.Batch, err error) {
 		return 0, b, err
 	}
 	if n > 0 {
-		b.Objects = make([]model.Update, n)
+		b.Objects = d.objs.Make(n)
 		for i := range b.Objects {
 			u := &b.Objects[i]
 			if u.ID, err = d.objectID(); err != nil {
@@ -376,7 +408,7 @@ func DecodeTick(p []byte) (reqID uint64, b model.Batch, err error) {
 		return 0, b, err
 	}
 	if m > 0 {
-		b.Queries = make([]model.QueryUpdate, m)
+		b.Queries = d.qus.Make(m)
 		for i := range b.Queries {
 			qu := &b.Queries[i]
 			if qu.ID, err = d.queryID(); err != nil {
@@ -400,7 +432,7 @@ func DecodeTick(p []byte) (reqID uint64, b model.Batch, err error) {
 
 // DecodeRegister parses a query-registration frame.
 func DecodeRegister(p []byte) (reqID uint64, r Register, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, r, err
 	}
@@ -452,7 +484,7 @@ func DecodeRegister(p []byte) (reqID uint64, r Register, err error) {
 
 // DecodeMoveQuery parses a query-relocation frame.
 func DecodeMoveQuery(p []byte) (reqID uint64, id model.QueryID, pts []geom.Point, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, 0, nil, err
 	}
@@ -467,7 +499,7 @@ func DecodeMoveQuery(p []byte) (reqID uint64, id model.QueryID, pts []geom.Point
 
 // decodeReqQuery parses the shared (reqID, queryID) payload.
 func decodeReqQuery(p []byte) (reqID uint64, id model.QueryID, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, 0, err
 	}
@@ -489,7 +521,7 @@ func DecodeResultReq(p []byte) (reqID uint64, id model.QueryID, err error) {
 
 // DecodeSubscribe parses a subscription-open frame.
 func DecodeSubscribe(p []byte) (reqID uint64, s Subscribe, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, s, err
 	}
@@ -556,7 +588,7 @@ func DecodeSubscribe(p []byte) (reqID uint64, s Subscribe, err error) {
 
 // DecodeUnsubscribe parses a subscription-close frame.
 func DecodeUnsubscribe(p []byte) (reqID uint64, subID uint32, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, 0, err
 	}
@@ -575,7 +607,7 @@ const maxErrLen = 4096
 
 // DecodeAck parses an acknowledgment; errMsg empty means success.
 func DecodeAck(p []byte) (reqID uint64, errMsg string, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, "", err
 	}
@@ -587,7 +619,7 @@ func DecodeAck(p []byte) (reqID uint64, errMsg string, err error) {
 
 // DecodeResult parses the answer to a ResultReq.
 func DecodeResult(p []byte) (reqID uint64, id model.QueryID, live bool, res []model.Neighbor, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, 0, false, nil, err
 	}
@@ -605,7 +637,13 @@ func DecodeResult(p []byte) (reqID uint64, id model.QueryID, live bool, res []mo
 
 // DecodeEvent parses one pushed diff event.
 func DecodeEvent(p []byte) (ev Event, err error) {
-	d := dec{p}
+	return (*Arena)(nil).DecodeEvent(p)
+}
+
+// DecodeEvent is the package-level DecodeEvent carving the diff's slices
+// from the arena.
+func (a *Arena) DecodeEvent(p []byte) (ev Event, err error) {
+	d := a.dec(p)
 	subID, err := d.uvarint()
 	if err != nil {
 		return ev, err
@@ -625,7 +663,7 @@ func DecodeEvent(p []byte) (ev Event, err error) {
 
 // DecodeSnapshot parses one re-sync snapshot frame.
 func DecodeSnapshot(p []byte) (s Snapshot, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	subID, err := d.uvarint()
 	if err != nil {
 		return s, err
@@ -651,7 +689,7 @@ func DecodeSnapshot(p []byte) (s Snapshot, err error) {
 
 // DecodeGap parses a lost-events marker frame.
 func DecodeGap(p []byte) (g Gap, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	subID, err := d.uvarint()
 	if err != nil {
 		return g, err
@@ -674,7 +712,7 @@ const maxStatName = 256
 
 // DecodeStatsReq parses a metrics-poll request.
 func DecodeStatsReq(p []byte) (reqID uint64, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, err
 	}
@@ -683,7 +721,7 @@ func DecodeStatsReq(p []byte) (reqID uint64, err error) {
 
 // DecodeStats parses the answer to a StatsReq.
 func DecodeStats(p []byte) (reqID uint64, stats []Stat, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, nil, err
 	}
@@ -710,42 +748,28 @@ func DecodeStats(p []byte) (reqID uint64, stats []Stat, err error) {
 // counts.
 const minDiff = 5
 
-// DecodeDiffs parses the sync-diffs answer to a mutating request.
-func DecodeDiffs(p []byte) (reqID uint64, diffs []model.ResultDiff, err error) {
-	d := dec{p}
-	if reqID, err = d.uvarint(); err != nil {
-		return 0, nil, err
-	}
-	n, err := d.count(minDiff)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > 0 {
-		diffs = make([]model.ResultDiff, n)
-		for i := range diffs {
-			if diffs[i], err = d.diff(); err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-	return reqID, diffs, d.done()
-}
-
 // DecodeReset parses a state-wipe request frame.
 func DecodeReset(p []byte) (reqID uint64, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, err
 	}
 	return reqID, d.done()
 }
 
-// DecodeDiffsPhases parses a Diffs frame that may carry the tick-phase
-// trailer of a HelloTrace-negotiated connection: four uvarints after the
-// diff list, detected by the bytes remaining. A plain Diffs frame decodes
-// with zero phases, so one dispatch path handles both forms.
+// DecodeDiffsPhases parses the sync-diffs answer to a mutating request: a
+// Diffs frame that may carry the tick-phase trailer of a
+// HelloTrace-negotiated connection, four uvarints after the diff list,
+// detected by the bytes remaining. A plain Diffs frame decodes with zero
+// phases, so one decoder handles both forms.
 func DecodeDiffsPhases(p []byte) (reqID uint64, diffs []model.ResultDiff, ph model.PhaseNanos, err error) {
-	d := dec{p}
+	return (*Arena)(nil).DecodeDiffsPhases(p)
+}
+
+// DecodeDiffsPhases is the package-level DecodeDiffsPhases carving the diff
+// list and every diff's slices from the arena.
+func (a *Arena) DecodeDiffsPhases(p []byte) (reqID uint64, diffs []model.ResultDiff, ph model.PhaseNanos, err error) {
+	d := a.dec(p)
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, nil, ph, err
 	}
@@ -754,7 +778,7 @@ func DecodeDiffsPhases(p []byte) (reqID uint64, diffs []model.ResultDiff, ph mod
 		return 0, nil, ph, err
 	}
 	if n > 0 {
-		diffs = make([]model.ResultDiff, n)
+		diffs = d.diffs.Make(n)
 		for i := range diffs {
 			if diffs[i], err = d.diff(); err != nil {
 				return 0, nil, ph, err
@@ -778,7 +802,7 @@ func DecodeDiffsPhases(p []byte) (reqID uint64, diffs []model.ResultDiff, ph mod
 
 // DecodeTraceCtx parses a trace-context frame.
 func DecodeTraceCtx(p []byte) (traceID, spanID uint64, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if traceID, err = d.uvarint(); err != nil {
 		return 0, 0, err
 	}
@@ -793,7 +817,7 @@ func DecodeTraceCtx(p []byte) (traceID, spanID uint64, err error) {
 
 // DecodeTracesReq parses a flight-recorder poll (traceID 0 = whole ring).
 func DecodeTracesReq(p []byte) (reqID, traceID uint64, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, 0, err
 	}
@@ -806,7 +830,7 @@ func DecodeTracesReq(p []byte) (reqID, traceID uint64, err error) {
 // DecodeTraces parses the answer to a TracesReq. The returned doc aliases
 // p — callers that outlive the read buffer must copy it.
 func DecodeTraces(p []byte) (reqID uint64, doc []byte, err error) {
-	d := dec{p}
+	d := dec{b: p}
 	if reqID, err = d.uvarint(); err != nil {
 		return 0, nil, err
 	}

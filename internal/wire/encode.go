@@ -350,8 +350,8 @@ func AppendDiffs(dst []byte, reqID uint64, diffs []model.ResultDiff) []byte {
 // AppendDiffsPhases appends a Diffs frame extended with the tick-phase
 // trailer: four uvarints (relocate, re-eval, query-update, diff
 // nanoseconds) after the diff list. Only sent on HelloTrace-negotiated
-// connections; DecodeDiffs detects the trailer by the bytes remaining, so
-// both forms stay decodable by the same reader.
+// connections; DecodeDiffsPhases detects the trailer by the bytes
+// remaining, so both forms stay decodable by the same reader.
 func AppendDiffsPhases(dst []byte, reqID uint64, diffs []model.ResultDiff, ph model.PhaseNanos) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, FrameDiffs)

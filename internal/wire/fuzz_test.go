@@ -159,11 +159,15 @@ func reencode(t FrameType, p []byte) (frame []byte, ok bool) {
 		}
 		frame = AppendStats(nil, req, stats)
 	case FrameDiffs:
-		req, diffs, err := DecodeDiffs(p)
+		req, diffs, ph, err := DecodeDiffsPhases(p)
 		if err != nil {
 			return nil, false
 		}
-		frame = AppendDiffs(nil, req, diffs)
+		if ph != (model.PhaseNanos{}) {
+			frame = AppendDiffsPhases(nil, req, diffs, ph)
+		} else {
+			frame = AppendDiffs(nil, req, diffs)
+		}
 	case FrameReset:
 		req, err := DecodeReset(p)
 		if err != nil {

@@ -67,9 +67,8 @@ func TestWelcomeFlags(t *testing.T) {
 }
 
 // TestDiffsPhaseTrailer checks the tick-phase trailer on Diffs frames:
-// the extended form carries the four phase nanos, and both decoders keep
-// their contracts — DecodeDiffsPhases reads either form, the strict
-// DecodeDiffs still rejects the trailer as trailing bytes.
+// the extended form carries the four phase nanos, DecodeDiffsPhases reads
+// either form, and a trailer cut short is an error.
 func TestDiffsPhaseTrailer(t *testing.T) {
 	diffs := []model.ResultDiff{{Query: 3, Kind: model.DiffUpdate,
 		Entered: []model.Neighbor{{ID: 9, Dist: 0.5}},
@@ -83,9 +82,6 @@ func TestDiffsPhaseTrailer(t *testing.T) {
 	req, got, gotPh, err := DecodeDiffsPhases(p)
 	if err != nil || req != 11 || len(got) != 1 || gotPh != ph {
 		t.Fatalf("diffs+phases = (%d, %v, %+v, %v)", req, got, gotPh, err)
-	}
-	if _, _, err := DecodeDiffs(p); err == nil {
-		t.Fatal("strict DecodeDiffs accepted a phase trailer")
 	}
 
 	// Plain frame through the phase-aware decoder: zero phases.

@@ -24,10 +24,13 @@
 // Encoding is allocation-free by construction: every encoder is an
 // append-style function on a caller-owned buffer, so a steady-state sender
 // reuses one buffer for its whole lifetime (the acceptance bar is 0
-// allocs/op for encoding a result diff). Decoding materializes slices and
-// therefore allocates; decoders validate every length against the bytes
-// actually present, so truncated or malicious frames are rejected with an
-// error before any oversized allocation happens (fuzz-tested).
+// allocs/op for encoding a result diff). Decoding materializes slices: the
+// package-level decoders allocate each one, while a read loop decodes the
+// frames of its hot path — Tick, Event, Diffs — through its own Arena,
+// which carves them from chunks handed off with the frames. Decoders
+// validate every length against the bytes actually present, so truncated
+// or malicious frames are rejected with an error before any oversized
+// allocation happens (fuzz-tested).
 package wire
 
 import (

@@ -355,11 +355,11 @@ func TestRoundTrip(t *testing.T) {
 		{{Query: 2, Kind: model.DiffRemove, Exited: []model.ObjectID{4, 5}}, sampleDiff()},
 	} {
 		check(AppendDiffs(nil, 29, ds), FrameDiffs, func(p []byte) error {
-			req, got, err := DecodeDiffs(p)
+			req, got, ph, err := DecodeDiffsPhases(p)
 			if err != nil {
 				return err
 			}
-			if req != 29 || !reflect.DeepEqual(got, ds) {
+			if req != 29 || !reflect.DeepEqual(got, ds) || ph != (model.PhaseNanos{}) {
 				t.Fatalf("diffs = (%d, %+v), want (29, %+v)", req, got, ds)
 			}
 			return nil
