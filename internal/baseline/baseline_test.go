@@ -355,12 +355,12 @@ func TestSEARegionBookkeeping(t *testing.T) {
 		got := map[grid.CellIndex]bool{}
 		for _, c := range qu.region {
 			got[c] = true
-			if !sea.g.HasInfluence(c, 1) {
+			if !sea.infl.Has(c, 1) {
 				t.Fatalf("cycle %d: region cell %d lacks influence entry", cycle, c)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("cycle %d: region has %d cells, want %d", cycle, len(got), len(want))
+		if len(got) != len(want) || sea.infl.Entries() != int64(len(qu.region)) {
+			t.Fatalf("cycle %d: region has %d cells (%d index entries), want %d", cycle, len(got), sea.infl.Entries(), len(want))
 		}
 		for c := range want {
 			if !got[c] {
@@ -402,8 +402,9 @@ func TestBaselineMemoryFootprint(t *testing.T) {
 	if ypk.MemoryFootprint() != 50*3+3+8 {
 		t.Errorf("YPK footprint = %d", ypk.MemoryFootprint())
 	}
-	// SEA additionally pays for answer-region bookkeeping.
-	if sea.MemoryFootprint() <= 50*3+3+8 {
-		t.Errorf("SEA footprint = %d, expected region overhead", sea.MemoryFootprint())
+	// SEA additionally pays one unit per answer-region cell.
+	region := int64(len(sea.queries[1].region))
+	if region == 0 || sea.infl.Entries() != region || sea.MemoryFootprint() != 50*3+3+8+region {
+		t.Errorf("SEA footprint = %d with %d region cells", sea.MemoryFootprint(), region)
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // SEA implements SEA-CNN (paper Section 2, Figure 2.2). Each query's answer
 // region is the disk of radius best_dist around it; the cells intersecting
-// the region carry book-keeping (the grid's influence lists) so updates can
-// be routed to the queries they may affect. Update handling distinguishes:
+// the region carry book-keeping (influence lists, in the monitor's own
+// grid.Influence index, whose handles are the query ids) so updates can be
+// routed to the queries they may affect. Update handling distinguishes:
 //
 //	(i)   NNs moving within the region, or outer objects entering it:
 //	      search radius r = best_dist;
@@ -25,6 +26,7 @@ import (
 // results and for queries whose NNs disappear.
 type SEA struct {
 	g       *grid.Grid
+	infl    *grid.Influence
 	queries map[model.QueryID]*seaQuery
 	stats   model.Stats
 	invalid int64
@@ -51,16 +53,14 @@ type seaQuery struct {
 func NewSEA(gridSize int, workspace geom.Rect) *SEA {
 	return &SEA{
 		g:       grid.New(gridSize, workspace),
+		infl:    grid.NewInfluence(gridSize * gridSize),
 		queries: make(map[model.QueryID]*seaQuery),
 	}
 }
 
 // NewUnitSEA creates a SEA-CNN monitor over the unit square.
 func NewUnitSEA(gridSize int) *SEA {
-	return &SEA{
-		g:       grid.NewUnit(gridSize),
-		queries: make(map[model.QueryID]*seaQuery),
-	}
+	return NewSEA(gridSize, geom.Rect{Lo: geom.Point{X: 0, Y: 0}, Hi: geom.Point{X: 1, Y: 1}})
 }
 
 // Name implements model.Monitor.
@@ -135,20 +135,20 @@ func (s *SEA) ProcessBatch(b model.Batch) {
 			continue
 		}
 		if oldCell != grid.NoCell {
-			s.g.ForEachInfluence(oldCell, func(qid model.QueryID) {
-				if qu := s.queries[qid]; qu != nil {
+			for _, h := range s.infl.List(oldCell) {
+				if qu := s.queries[model.QueryID(h)]; qu != nil {
 					s.classifyOld(qu, u)
 				}
-			})
+			}
 		}
 		if newCell != grid.NoCell {
 			// Also when newCell == oldCell: an in-cell move can still take
 			// an outer object inside the answer region.
-			s.g.ForEachInfluence(newCell, func(qid model.QueryID) {
-				if qu := s.queries[qid]; qu != nil {
+			for _, h := range s.infl.List(newCell) {
+				if qu := s.queries[model.QueryID(h)]; qu != nil {
 					s.classifyNew(qu, u)
 				}
-			})
+			}
 		}
 	}
 
@@ -280,18 +280,19 @@ func (s *SEA) moveQuery(qu *seaQuery, to geom.Point) {
 }
 
 // rebuildRegion re-derives the cells intersecting the answer region and
-// installs the book-keeping entries.
+// installs the book-keeping entries. The region was just cleared and
+// CellsInCircle names each cell once, so no entry can be a duplicate.
 func (s *SEA) rebuildRegion(qu *seaQuery) {
 	s.clearRegion(qu)
 	s.g.CellsInCircle(qu.point, qu.bestDist, func(c grid.CellIndex) {
-		s.g.AddInfluence(c, qu.id)
+		s.infl.AddUnchecked(c, grid.Handle(uint32(qu.id)))
 		qu.region = append(qu.region, c)
 	})
 }
 
 func (s *SEA) clearRegion(qu *seaQuery) {
 	for _, c := range qu.region {
-		s.g.RemoveInfluence(c, qu.id)
+		s.infl.Remove(c, grid.Handle(uint32(qu.id)))
 	}
 	qu.region = qu.region[:0]
 }
@@ -318,10 +319,10 @@ func (s *SEA) Stats() model.Stats {
 func (s *SEA) InvalidUpdates() int64 { return s.invalid }
 
 // MemoryFootprint returns the monitor's size in the abstract units of
-// Section 4.1: the grid term (3·N plus one unit per answer-region cell
-// entry) plus 3 + 2·k per query.
+// Section 4.1: the grid term (3·N), one unit per answer-region cell entry
+// and 3 + 2·k per query.
 func (s *SEA) MemoryFootprint() int64 {
-	units := s.g.MemoryFootprint()
+	units := s.g.MemoryFootprint() + s.infl.Entries()
 	for _, qu := range s.queries {
 		units += int64(3 + 2*qu.k)
 	}

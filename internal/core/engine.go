@@ -83,9 +83,12 @@ type Engine struct {
 	// live with the engine, not in the (possibly shared) grid cells.
 	infls  []*grid.Influence
 	groups int
+	// watch is the reused union of the groups' occupancy sets (Watched)
+	// when there is more than one group.
+	watch grid.CellSet
 
 	// applied is the reused write log of the classic (private-grid) path:
-	// ProcessBatch applies the object stream via grid.ApplyBatch and then
+	// ProcessBatch applies the object stream via grid.ApplyWatched and then
 	// scans the log, exactly like the sharded monitor does externally.
 	applied []grid.Applied
 
@@ -242,8 +245,9 @@ func NewEngine(gridSize int, workspace geom.Rect, opts Options) *Engine {
 // NewSharedEngine creates a CPM engine over an injected grid owned by the
 // caller (the sharded monitor). The engine keeps only per-query state and
 // its influence indexes; it never mutates the grid. Object updates must be
-// applied to the grid by the owner (grid.ApplyBatch) and fed to the engine
-// as a write log via BeginCycle/ScanApplied/ApplyQueryUpdates.
+// applied to the grid by the owner (grid.ApplyWatched, filtered by Watched,
+// or unfiltered) and fed to the engine as a write log via
+// BeginCycle/ScanApplied/ApplyQueryUpdates.
 func NewSharedEngine(g *grid.Grid, opts Options) *Engine {
 	return newEngine(g, false, opts)
 }
@@ -623,6 +627,24 @@ func (e *Engine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
 		}
 	}
 	return false
+}
+
+// Watched returns the cells on which some influence list of the engine is
+// non-empty: an object update touching none of them concerns none of the
+// engine's queries, so the grid's owner may leave it out of the write log
+// (grid.ApplyWatched). With one scan group this is the index's own
+// occupancy set; otherwise the groups are ORed into a reused buffer. The
+// set is borrowed: it is current until the next influence change, and a
+// later Watched call may overwrite it.
+func (e *Engine) Watched() *grid.CellSet {
+	if e.groups == 1 {
+		return e.infls[0].Occupied()
+	}
+	e.watch.Reset(e.g.Size() * e.g.Size())
+	for _, infl := range e.infls {
+		e.watch.Or(infl.Occupied())
+	}
+	return &e.watch
 }
 
 // clearInfluence removes the query from the influence lists of all cells in

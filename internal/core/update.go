@@ -16,13 +16,16 @@ import (
 // installed query's result current.
 //
 // Only the private-grid engine applies the object stream itself; it does so
-// through grid.ApplyBatch — apply all index mutations, then scan the write
+// through grid.ApplyWatched — apply all index mutations, then scan the write
 // log — which is exactly the cycle shape the sharded monitor drives
 // externally over a shared grid (BeginCycle / ScanApplied /
 // ApplyQueryUpdates). The log-then-scan split is lossless: the influence
 // scans of Figure 3.8 classify objects by their logged position and cell
 // transition and never read the grid's object data, so scanning after all
-// writes observes exactly what interleaved scanning did.
+// writes observes exactly what interleaved scanning did. The log holds only
+// the updates touching a Watched cell: any other one would meet empty
+// influence lists in every group, so it costs its relocation and nothing
+// else (the paper's Time_ind).
 //
 // Inconsistent stream elements (moves or deletes of unknown objects,
 // duplicate inserts, updates for unknown queries) are dropped and counted
@@ -40,17 +43,18 @@ func (e *Engine) ProcessBatch(b model.Batch) {
 		// Ablation X2: Section 3.2 semantics — each update is applied,
 		// classified and resolved on its own, so an outgoing NN triggers
 		// re-computation even when a later update this cycle would have
-		// compensated for it.
+		// compensated for it. Resolution re-shapes influence regions
+		// between updates, so the watched set is re-read for each.
 		for i := range b.Objects {
 			var invalid int64
-			e.applied, invalid = e.g.ApplyBatch(b.Objects[i:i+1], e.applied[:0])
+			e.applied, invalid = e.g.ApplyWatched(b.Objects[i:i+1], e.applied[:0], e.Watched())
 			e.invalidObjects += invalid
 			e.ScanApplied(e.applied)
 		}
 	} else {
 		t0 := time.Now()
 		var invalid int64
-		e.applied, invalid = e.g.ApplyBatch(b.Objects, e.applied[:0])
+		e.applied, invalid = e.g.ApplyWatched(b.Objects, e.applied[:0], e.Watched())
 		e.invalidObjects += invalid
 		// Index maintenance is part of the relocation phase of the Section
 		// 4 cost model; ScanApplied adds the scan share on top.
@@ -176,17 +180,17 @@ func (e *Engine) touch(qu *query) {
 // new cell's walk skips the range queries when the object stayed in its cell.
 func (e *Engine) scanGroup(w int, log []grid.Applied) {
 	infl := e.infls[w]
+	occupied := infl.Occupied()
 	for i := range log {
 		a := &log[i]
 		switch a.Kind {
 		case model.Move:
 			// Affected-cell pre-filter: with both cells outside every
 			// influence region of this group the Figure 3.8 scans would
-			// iterate empty influence lists. Under the sharded monitor each
-			// shard's influence lists cover only its own queries, which
-			// makes this the per-shard (and per-group) update routing
-			// filter.
-			if infl.Len(a.Old) == 0 && infl.Len(a.New) == 0 {
+			// iterate empty influence lists. The log only holds updates
+			// touching some group's (some shard's) region; this is the
+			// per-group routing filter on top.
+			if !occupied.Has(a.Old) && !occupied.Has(a.New) {
 				continue
 			}
 			e.scanOldCell(infl.List(a.Old), a.ID, a.Pos)

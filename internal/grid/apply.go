@@ -13,7 +13,8 @@ import (
 // stream exactly once (coordinator thread) and fans the log out to every
 // shard, whose influence scans need only the logged positions and cells —
 // never the grid's object data — so all shards can replay the same log
-// against a stable epoch.
+// against a stable epoch. An update outside every influence region is
+// applied but need not be logged (ApplyWatched).
 type Applied struct {
 	ID   model.ObjectID
 	Kind model.UpdateKind
@@ -35,6 +36,16 @@ type Applied struct {
 // the epoch advances by one per call and, on a shared grid, the race-build
 // assertions catch any reader overlapping the application.
 func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int64) {
+	return g.ApplyWatched(updates, log, nil)
+}
+
+// ApplyWatched is ApplyBatch with a filtered log: it appends an entry only
+// for an update whose old or new cell is in watch — normally the cells some
+// influence list covers (Influence.Occupied) — and a nil watch logs every
+// update. An update nobody watches costs its relocation alone (the paper's
+// Time_ind); it is validated, applied and counted exactly as ApplyBatch
+// does, so the grid, the invalid count and the epoch come out the same.
+func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSet) ([]Applied, int64) {
 	g.BeginWrites()
 	defer g.EndWrites()
 	var invalid int64
@@ -51,7 +62,9 @@ func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int
 				invalid++
 				continue
 			}
-			log = append(log, Applied{ID: u.ID, Kind: model.Move, Pos: p, Old: oldCell, New: newCell})
+			if watch == nil || watch.Has(oldCell) || watch.Has(newCell) {
+				log = append(log, Applied{ID: u.ID, Kind: model.Move, Pos: p, Old: oldCell, New: newCell})
+			}
 		case model.Insert:
 			if !finite(u.New) {
 				invalid++
@@ -63,14 +76,18 @@ func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int
 				invalid++
 				continue
 			}
-			log = append(log, Applied{ID: u.ID, Kind: model.Insert, Pos: p, Old: NoCell, New: newCell})
+			if watch == nil || watch.Has(newCell) {
+				log = append(log, Applied{ID: u.ID, Kind: model.Insert, Pos: p, Old: NoCell, New: newCell})
+			}
 		case model.Delete:
 			pos, oldCell, err := g.remove(u.ID)
 			if err != nil {
 				invalid++
 				continue
 			}
-			log = append(log, Applied{ID: u.ID, Kind: model.Delete, Pos: pos, Old: oldCell, New: NoCell})
+			if watch == nil || watch.Has(oldCell) {
+				log = append(log, Applied{ID: u.ID, Kind: model.Delete, Pos: pos, Old: oldCell, New: NoCell})
+			}
 		default:
 			invalid++
 		}

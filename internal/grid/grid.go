@@ -5,9 +5,11 @@
 // The workspace is partitioned into Size×Size square cells of side δ =
 // extent/Size. Cell c_{i,j} (column i, row j, counted from the low-left
 // corner) holds the objects with x ∈ [i·δ, (i+1)·δ) and y ∈ [j·δ, (j+1)·δ);
-// conversely an object at (x,y) belongs to c_{⌊x/δ⌋,⌊y/δ⌋}. Each cell keeps
-// (i) the set of objects inside it and (ii) the influence list — the queries
-// whose influence (or answer) region contains the cell.
+// conversely an object at (x,y) belongs to c_{⌊x/δ⌋,⌊y/δ⌋}. A cell keeps
+// only the set of objects inside it. Figure 3.3's other per-cell list, the
+// influence list — the queries whose influence (or answer) region contains
+// the cell — is query book-keeping and lives in a separate Influence index
+// per monitor (influence.go), for CPM and SEA-CNN alike.
 //
 // Invariant: every stored object position lies inside the workspace (and
 // therefore inside its cell's rectangle). Insert and Move clamp incoming
@@ -43,12 +45,11 @@ type CellIndex int32
 // NoCell is the sentinel CellIndex.
 const NoCell CellIndex = -1
 
-// Cell holds the per-cell book-keeping of Figure 3.3: the object list and
-// the influence list. Both are dense swap-delete slices (nil until first
-// use); empty cells of a fine grid cost two nil slice headers each.
+// Cell holds a cell's object list of Figure 3.3, a dense swap-delete slice
+// (nil until first use); an empty cell of a fine grid costs one nil slice
+// header.
 type Cell struct {
-	objects   []model.ObjectID
-	influence []model.QueryID
+	objects []model.ObjectID
 }
 
 // Grid is the object index.
@@ -159,10 +160,10 @@ func (g *Grid) Clamp(p geom.Point) geom.Point {
 // (positions, liveness, slot index) survives; cell object lists are rebuilt
 // in ascending id order, and the intrusive slots are rewritten as they go.
 //
-// Influence lists do NOT survive: they are cell-resolution book-keeping,
-// and the engine(s) owning the queries must reinstall them (together with
-// each query's visit list and heap) right after — see core.Engine.Rebalance
-// and core.Engine.Reindex. The cumulative cell-access counter is preserved:
+// Influence indexes are sized for the old geometry: the engine(s) owning
+// the queries must reset and reinstall them (together with each query's
+// visit list and heap) right after — see core.Engine.Rebalance and
+// core.Engine.Reindex. The cumulative cell-access counter is preserved:
 // a rebuild is index maintenance, not search work.
 //
 // Rebuild opens its own write window, so on a shared grid it is safe to

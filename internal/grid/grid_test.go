@@ -172,44 +172,6 @@ func mustInsert(t *testing.T, g *Grid, id model.ObjectID, p geom.Point) {
 	}
 }
 
-func TestInfluenceLists(t *testing.T) {
-	g := NewUnit(4)
-	c := CellIndex(5)
-	if g.HasInfluence(c, 7) {
-		t.Error("influence on fresh cell")
-	}
-	g.AddInfluence(c, 7)
-	g.AddInfluence(c, 9)
-	g.AddInfluence(c, 7) // idempotent
-	if !g.HasInfluence(c, 7) || !g.HasInfluence(c, 9) {
-		t.Error("influence entries missing")
-	}
-	if g.InfluenceLen(c) != 2 {
-		t.Errorf("InfluenceLen = %d, want 2", g.InfluenceLen(c))
-	}
-	buf := make([]model.QueryID, 0, 4)
-	qs := g.AppendInfluenceQueries(buf[:0], c)
-	if len(qs) != 2 {
-		t.Errorf("AppendInfluenceQueries len = %d, want 2", len(qs))
-	}
-	if got := g.Influence(c); len(got) != 2 {
-		t.Errorf("Influence len = %d, want 2", len(got))
-	}
-	count := 0
-	g.ForEachInfluence(c, func(model.QueryID) { count++ })
-	if count != 2 {
-		t.Errorf("ForEachInfluence visited %d, want 2", count)
-	}
-	g.RemoveInfluence(c, 7)
-	g.RemoveInfluence(c, 123) // absent: no-op
-	if g.HasInfluence(c, 7) || g.InfluenceLen(c) != 1 {
-		t.Error("RemoveInfluence failed")
-	}
-	if qs := g.AppendInfluenceQueries(nil, CellIndex(0)); len(qs) != 0 {
-		t.Error("AppendInfluenceQueries on empty cell should append nothing")
-	}
-}
-
 // TestPopulationInvariant: after a random workload of inserts, moves and
 // deletes, every live object is in exactly the cell its position maps to,
 // and cell populations sum to Count().

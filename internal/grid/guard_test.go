@@ -93,6 +93,32 @@ func TestGuardTripsOnConcurrentEpochRead(t *testing.T) {
 	}
 }
 
+// TestGuardTripsOnDriftedOccupancy is the occupancy guard's negative
+// control: once a cell's bit disagrees with its list, the next add to or
+// removal from that cell must panic.
+func TestGuardTripsOnDriftedOccupancy(t *testing.T) {
+	x := NewInfluence(16)
+	x.AddUnchecked(3, 1)
+	x.occupied.remove(3)
+	mustPanic(t, "AddUnchecked on a cell whose bit was lost", func() { x.AddUnchecked(3, 2) })
+
+	y := NewInfluence(16)
+	y.AddUnchecked(5, 1)
+	y.AddUnchecked(5, 2)
+	y.occupied.remove(5)
+	mustPanic(t, "Remove on a cell whose bit was lost", func() { y.Remove(5, 1) })
+
+	// Positive control: clean adds and removes stay quiet.
+	z := NewInfluence(16)
+	z.AddUnchecked(7, 1)
+	z.AddUnchecked(7, 2)
+	z.Remove(7, 1)
+	z.Remove(7, 2)
+	if z.Occupied().Has(7) {
+		t.Error("bit still set on an emptied list")
+	}
+}
+
 // TestGuardAllowsPrivateGrids checks the guards stay inert on grids never
 // put in shared mode (the classic one-engine-one-grid layout and the
 // YPK/SEA baselines): reads during a write window are legal there.

@@ -207,83 +207,3 @@ func (g *Grid) ForEachObject(fn func(id model.ObjectID, p geom.Point)) {
 
 // CellAccesses returns the cumulative cell-access counter.
 func (g *Grid) CellAccesses() int64 { return g.cellAccesses }
-
-// AddInfluence records query q in the influence list of cell c
-// (paper Figure 3.3b). Adding an existing entry is a no-op, checked by a
-// linear scan; callers that can prove q is absent (the CPM engine tracks
-// its influence prefix exactly) should use AddInfluenceUnchecked instead.
-func (g *Grid) AddInfluence(c CellIndex, q model.QueryID) {
-	cell := &g.cells[c]
-	for _, have := range cell.influence {
-		if have == q {
-			return
-		}
-	}
-	cell.influence = append(cell.influence, q)
-}
-
-// AddInfluenceUnchecked appends q to the influence list of c without the
-// duplicate check — O(1) always, independent of how many queries influence
-// the cell. The caller must guarantee q is not already present: a duplicate
-// entry would make the scans route the same update to a query twice and
-// leave a stale entry behind after removal.
-func (g *Grid) AddInfluenceUnchecked(c CellIndex, q model.QueryID) {
-	cell := &g.cells[c]
-	cell.influence = append(cell.influence, q)
-}
-
-// RemoveInfluence removes query q from the influence list of cell c by
-// swap-delete. Removing an absent entry is a no-op.
-func (g *Grid) RemoveInfluence(c CellIndex, q model.QueryID) {
-	infl := g.cells[c].influence
-	for i, have := range infl {
-		if have == q {
-			last := len(infl) - 1
-			infl[i] = infl[last]
-			g.cells[c].influence = infl[:last]
-			return
-		}
-	}
-}
-
-// HasInfluence reports whether q is in the influence list of c.
-func (g *Grid) HasInfluence(c CellIndex, q model.QueryID) bool {
-	for _, have := range g.cells[c].influence {
-		if have == q {
-			return true
-		}
-	}
-	return false
-}
-
-// InfluenceLen returns the size of the influence list of c.
-func (g *Grid) InfluenceLen(c CellIndex) int {
-	return len(g.cells[c].influence)
-}
-
-// Influence returns the influence list of c as a borrowed slice. The slice
-// is owned by the grid: callers must not mutate or retain it, and adding or
-// removing influence entries on c invalidates it. Iterating it allocates
-// nothing — this is the zero-allocation replacement for the map-backed
-// influence iteration on the update-handling hot path.
-func (g *Grid) Influence(c CellIndex) []model.QueryID {
-	return g.cells[c].influence
-}
-
-// ForEachInfluence invokes fn for every query in the influence list of c.
-// fn must not mutate the influence list of c.
-func (g *Grid) ForEachInfluence(c CellIndex, fn func(q model.QueryID)) {
-	for _, q := range g.cells[c].influence {
-		fn(q)
-	}
-}
-
-// AppendInfluenceQueries appends the influence list of c to buf and returns
-// the extended slice — a stable snapshot for callers that cannot honor the
-// no-mutation contract of the borrowed-slice Influence accessor (the engine
-// itself iterates via Influence; its scans never mutate influence lists).
-// The caller owns buf, so a reused buffer makes the snapshot
-// allocation-free once warm.
-func (g *Grid) AppendInfluenceQueries(buf []model.QueryID, c CellIndex) []model.QueryID {
-	return append(buf, g.cells[c].influence...)
-}

@@ -71,13 +71,6 @@ func (h *Heap) Pop() (Entry, bool) {
 // search heap into the query table and for size accounting.
 func (h *Heap) Items() []Entry { return h.items }
 
-// Clone returns a deep copy of the heap.
-func (h *Heap) Clone() *Heap {
-	c := &Heap{items: make([]Entry, len(h.items))}
-	copy(c.items, h.items)
-	return c
-}
-
 func less(a, b Entry) bool {
 	if a.Key != b.Key {
 		return a.Key < b.Key

@@ -151,21 +151,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	h := New(4)
-	h.Push(2, 2)
-	h.Push(1, 1)
-	c := h.Clone()
-	h.Pop()
-	h.Pop()
-	if c.Len() != 2 {
-		t.Fatalf("clone affected by mutations of original: Len=%d", c.Len())
-	}
-	if e, _ := c.Pop(); e.Payload != 1 {
-		t.Errorf("clone order wrong: %v", e)
-	}
-}
-
 func TestItemsLen(t *testing.T) {
 	h := New(4)
 	for i := 0; i < 5; i++ {

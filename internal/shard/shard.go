@@ -11,12 +11,13 @@
 // (influence lists live in per-engine grid.Influence indexes), so all
 // shards read ONE grid and memory stays O(objects) instead of O(shards ×
 // objects). The coordinator applies each tick's object updates exactly once
-// (grid.ApplyBatch, inside an epoch-guarded write window), then every shard
+// (grid.ApplyWatched, inside an epoch-guarded write window), logging only
+// the updates that touch some shard's influence region, then every shard
 // replays the write log against its own influence lists at a stable epoch —
 // reads only, so the fan-out needs no locks. Each shard's influence lists
 // cover only its own queries, so the engine's affected-cell pre-filter
-// reduces every update that does not intersect one of the shard's influence
-// regions to a couple of slice-length loads. The expensive work — influence
+// reduces every logged update that does not intersect one of the shard's
+// influence regions to two bit tests. The expensive work — influence
 // scans over cell object lists, NN re-computations, heap maintenance —
 // happens only in the shard that owns the affected query.
 //
@@ -57,9 +58,11 @@ type Monitor struct {
 	shards []*core.Engine
 	// perShard reuses the per-cycle query-update routing buffers.
 	perShard [][]model.QueryUpdate
-	// applied is the reused per-tick write log produced by grid.ApplyBatch
-	// and shared read-only by every worker during the fan-out.
+	// applied is the reused per-tick write log produced by grid.ApplyWatched
+	// and shared read-only by every worker during the fan-out; watch is the
+	// reused union of the engines' watched cells that filters it.
 	applied []grid.Applied
+	watch   grid.CellSet
 
 	// invalidObjects counts object updates the coordinator dropped while
 	// applying the stream — exactly once per element, however many shards
@@ -208,11 +211,11 @@ func (m *Monitor) RemoveQuery(id model.QueryID) { m.owner(id).RemoveQuery(id) }
 
 // ProcessBatch runs one processing cycle restructured around the shared
 // grid: apply writes (the coordinator thread applies the object stream to
-// the grid exactly once, logging each accepted update), then parallel
-// monitoring (every shard replays the log against its own influence lists
-// at the now-stable epoch and resolves its queries), then merge (the
-// accessor methods below). Query updates are routed to their owning shards
-// as before.
+// the grid exactly once, logging each accepted update that touches a cell
+// some shard watches), then parallel monitoring (every shard replays the
+// log against its own influence lists at the now-stable epoch and resolves
+// its queries), then merge (the accessor methods below). Query updates are
+// routed to their owning shards as before.
 func (m *Monitor) ProcessBatch(b model.Batch) {
 	for i := range m.perShard {
 		m.perShard[i] = m.perShard[i][:0]
@@ -226,7 +229,7 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 	} else {
 		t0 := time.Now()
 		var invalid int64
-		m.applied, invalid = m.g.ApplyBatch(b.Objects, m.applied[:0])
+		m.applied, invalid = m.g.ApplyWatched(b.Objects, m.applied[:0], m.watched())
 		m.invalidObjects += invalid
 		m.applyNs = time.Since(t0).Nanoseconds()
 		if len(m.shards) == 1 {
@@ -248,11 +251,25 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 	m.maybeRebalance()
 }
 
+// watched returns the union of the engines' watched cells
+// (core.Engine.Watched). The engines are idle — the previous tick's fan-out
+// has joined — so their sets are stable while the coordinator reads them.
+func (m *Monitor) watched() *grid.CellSet {
+	if len(m.shards) == 1 {
+		return m.shards[0].Watched()
+	}
+	m.watch.Reset(m.g.Size() * m.g.Size())
+	for _, e := range m.shards {
+		m.watch.Or(e.Watched())
+	}
+	return &m.watch
+}
+
 // processPerUpdate drives the Section 3.2 ablation over the shared grid:
 // each object update is applied to the grid on its own and immediately
 // classified and resolved by every engine before the next one is applied.
 // The interleaving forces sequential engine rounds — the ablation measures
-// algorithmic cost, not parallel speedup.
+// algorithmic cost, not parallel speedup — and its log stays unfiltered.
 func (m *Monitor) processPerUpdate(b model.Batch) {
 	for i, e := range m.shards {
 		e.BeginCycle(m.perShard[i])
