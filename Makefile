@@ -27,15 +27,18 @@ race:
 	$(GO) test -race . ./internal/shard/... ./internal/conc/... ./internal/core/... ./internal/grid/... ./internal/notify/... ./internal/wire/... ./internal/server/... ./client/... ./internal/metrics/... ./internal/load/... ./internal/cluster/... ./internal/chaos/... ./internal/tracing/...
 
 # The assertion build without the race detector: the grid's epoch guards,
-# the influence index's occupancy guard (every add and remove checks the
+# its index guard (every ApplyWatched and Rebuild checks the cell lists
+# against the id-indexed store, whichever maintenance mode ran), the
+# influence index's occupancy guard (every add and remove checks the
 # cell's bit against its list, since a drifted bit would silently drop
 # updates from the filtered write log) and the engine's freed-slot guard
 # (RemoveQuery panics if an influence or touched list still names the slot
-# it parks), with their negative-control tests, over the three packages
-# that can trip them. Seconds, not the race
-# job's minutes, and allocation-count tests still run.
+# it parks), with their negative-control tests, over the four packages
+# that can trip them — SEA-CNN in internal/baseline keeps its answer
+# regions in an influence index too. Seconds, not the race job's minutes,
+# and allocation-count tests still run.
 assert:
-	$(GO) test -tags cpmassert ./internal/core/... ./internal/grid/... ./internal/shard/...
+	$(GO) test -tags cpmassert ./internal/baseline/... ./internal/core/... ./internal/grid/... ./internal/shard/...
 
 # Host a self-driving CPM monitor on :7845; watch it with
 #   go run ./cmd/cpmsim -connect 127.0.0.1:7845 -follow

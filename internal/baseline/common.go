@@ -109,34 +109,3 @@ func resultIndex(res []model.Neighbor, id model.ObjectID) int {
 	}
 	return -1
 }
-
-// applyToGrid applies one object update to the grid, returning the old and
-// new cells (NoCell when not applicable) and whether the update was
-// consistent with the grid state.
-func applyToGrid(g *grid.Grid, u model.Update) (oldCell, newCell grid.CellIndex, ok bool) {
-	switch u.Kind {
-	case model.Move:
-		oc, nc, err := g.Move(u.ID, u.New)
-		if err != nil {
-			return grid.NoCell, grid.NoCell, false
-		}
-		return oc, nc, true
-	case model.Insert:
-		if err := g.Insert(u.ID, u.New); err != nil {
-			return grid.NoCell, grid.NoCell, false
-		}
-		return grid.NoCell, g.CellOf(u.New), true
-	case model.Delete:
-		pos, alive := g.Position(u.ID)
-		if !alive {
-			return grid.NoCell, grid.NoCell, false
-		}
-		oc := g.CellOf(pos)
-		if err := g.Delete(u.ID); err != nil {
-			return grid.NoCell, grid.NoCell, false
-		}
-		return oc, grid.NoCell, true
-	default:
-		return grid.NoCell, grid.NoCell, false
-	}
-}

@@ -32,6 +32,7 @@ type SEA struct {
 	invalid int64
 	cycle   int64
 	dirty   []*seaQuery
+	log     []grid.Applied // the cycle's write log, reused
 }
 
 type seaQuery struct {
@@ -119,34 +120,31 @@ func (s *SEA) ProcessBatch(b model.Batch) {
 		}
 	}
 
-	// Classification runs for every query — including those with their own
-	// updates this cycle: a moving query needs its NNs' drift (d_max) to
-	// size the case-iii circle correctly when objects move in the same
-	// cycle. Only the resolution step is skipped for them.
-	for _, u := range b.Objects {
-		if u.Kind != model.Delete {
-			// The grid stores positions clamped onto the workspace; classify
-			// against the same point so distances match the stored state.
-			u.New = s.g.Clamp(u.New)
-		}
-		oldCell, newCell, ok := applyToGrid(s.g, u)
-		if !ok {
-			s.invalid++
-			continue
-		}
-		if oldCell != grid.NoCell {
-			for _, h := range s.infl.List(oldCell) {
+	// The object stream is applied first and classified from the write log:
+	// classification reads only the logged update and the query, never the
+	// grid, so this is the same lossless log-then-scan split as CPM's. The
+	// log holds only updates touching a book-kept cell; any other one would
+	// meet empty lists. Classification runs for every query — including
+	// those with their own updates this cycle: a moving query needs its NNs'
+	// drift (d_max) to size the case-iii circle correctly when objects move
+	// in the same cycle. Only the resolution step is skipped for them.
+	var invalid int64
+	s.log, invalid = s.g.ApplyWatched(b.Objects, s.log[:0], s.infl.Occupied())
+	s.invalid += invalid
+	for _, a := range s.log {
+		if a.Old != grid.NoCell {
+			for _, h := range s.infl.List(a.Old) {
 				if qu := s.queries[model.QueryID(h)]; qu != nil {
-					s.classifyOld(qu, u)
+					s.classifyOld(qu, a)
 				}
 			}
 		}
-		if newCell != grid.NoCell {
-			// Also when newCell == oldCell: an in-cell move can still take
-			// an outer object inside the answer region.
-			for _, h := range s.infl.List(newCell) {
+		if a.New != grid.NoCell {
+			// Also when New == Old: an in-cell move can still take an outer
+			// object inside the answer region.
+			for _, h := range s.infl.List(a.New) {
 				if qu := s.queries[model.QueryID(h)]; qu != nil {
-					s.classifyNew(qu, u)
+					s.classifyNew(qu, a)
 				}
 			}
 		}
@@ -196,19 +194,19 @@ func (s *SEA) touch(qu *seaQuery) {
 
 // classifyOld inspects an update leaving (or deleting from) a book-kept
 // cell of qu and accumulates the update-handling case.
-func (s *SEA) classifyOld(qu *seaQuery, u model.Update) {
-	idx := resultIndex(qu.result, u.ID)
+func (s *SEA) classifyOld(qu *seaQuery, a grid.Applied) {
+	idx := resultIndex(qu.result, a.ID)
 	if idx < 0 {
 		// A non-NN moving out of (or dying inside) the answer region
 		// cannot change the k best.
 		return
 	}
 	s.touch(qu)
-	if u.Kind == model.Delete {
+	if a.Kind == model.Delete {
 		qu.nnDeleted = true
 		return
 	}
-	d := geom.Dist(u.New, qu.point)
+	d := geom.Dist(a.Pos, qu.point)
 	if d > qu.bestDist {
 		if d > qu.dmax {
 			qu.dmax = d // case ii: outgoing NN
@@ -219,11 +217,11 @@ func (s *SEA) classifyOld(qu *seaQuery, u model.Update) {
 }
 
 // classifyNew inspects an update entering a book-kept cell of qu.
-func (s *SEA) classifyNew(qu *seaQuery, u model.Update) {
-	if resultIndex(qu.result, u.ID) >= 0 {
+func (s *SEA) classifyNew(qu *seaQuery, a grid.Applied) {
+	if resultIndex(qu.result, a.ID) >= 0 {
 		return // handled by classifyOld
 	}
-	if geom.Dist(u.New, qu.point) <= qu.bestDist {
+	if geom.Dist(a.Pos, qu.point) <= qu.bestDist {
 		s.touch(qu)
 		qu.caseI = true // outer object entered the answer region
 	}

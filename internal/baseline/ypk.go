@@ -24,6 +24,7 @@ type YPK struct {
 	queries map[model.QueryID]*ypkQuery
 	stats   model.Stats
 	invalid int64
+	log     []grid.Applied // ApplyBatch's write log, reused and never read
 }
 
 type ypkQuery struct {
@@ -90,13 +91,11 @@ func (y *YPK) RemoveQuery(id model.QueryID) {
 
 // ProcessBatch implements model.Monitor: apply all updates to the grid,
 // then re-evaluate every query (YPK-CNN has no notion of which queries an
-// update influences).
+// update influences, so it ignores the write log).
 func (y *YPK) ProcessBatch(b model.Batch) {
-	for _, u := range b.Objects {
-		if _, _, ok := applyToGrid(y.g, u); !ok {
-			y.invalid++
-		}
-	}
+	var invalid int64
+	y.log, invalid = y.g.ApplyBatch(b.Objects, y.log[:0])
+	y.invalid += invalid
 
 	moved := map[model.QueryID]bool{}
 	for _, qu := range b.Queries {

@@ -24,8 +24,8 @@ import (
 // transition and never read the grid's object data, so scanning after all
 // writes observes exactly what interleaved scanning did. The log holds only
 // the updates touching a Watched cell: any other one would meet empty
-// influence lists in every group, so it costs its relocation and nothing
-// else (the paper's Time_ind).
+// influence lists in every group, so it costs its index maintenance and
+// nothing else (the paper's Time_ind).
 //
 // Inconsistent stream elements (moves or deletes of unknown objects,
 // duplicate inserts, updates for unknown queries) are dropped and counted

@@ -42,12 +42,39 @@ func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int
 // ApplyWatched is ApplyBatch with a filtered log: it appends an entry only
 // for an update whose old or new cell is in watch — normally the cells some
 // influence list covers (Influence.Occupied) — and a nil watch logs every
-// update. An update nobody watches costs its relocation alone (the paper's
-// Time_ind); it is validated, applied and counted exactly as ApplyBatch
-// does, so the grid, the invalid count and the epoch come out the same.
+// update. An update nobody watches costs its index maintenance alone (the
+// paper's Time_ind); it is validated, applied and counted exactly as
+// ApplyBatch does, so the grid, the invalid count and the epoch come out the
+// same.
+//
+// Index maintenance relocates each update between cell lists, or — when
+// regroupPays says the batch is large enough — applies every update to the
+// id-indexed store and regroups the cell lists once at the end. Both give the
+// same log, counts and cell sets.
 func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSet) ([]Applied, int64) {
+	return g.apply(updates, log, watch, g.regroupPays(len(updates)))
+}
+
+// regroupPays reports whether a batch of n updates is cheaper to apply by
+// one regroup than by relocating each update. BenchmarkApplyBatch on a 128²
+// grid (2-core Xeon, 2.1 GHz) prices a relocation at 25–45 ns per update
+// and a regroup at 15–20 ns per update plus 5–10 ns per live object, about
+// 1 ns per dead id slot of the store and 1.2 ns per cell. With a 20 ns gap
+// per update the break-even rounds to 2·n ≥ live + slots/16 + cells/8. It
+// regroups a batch moving all of 5 000 objects (117 µs against 153 µs
+// relocating) or of 50 000 (1.25 against 1.48 ms), but not one moving half
+// of them (81 against 75 µs, 894 against 759 µs), nor half of 10 000
+// objects whose ids lie 16 apart (603 against 304 µs).
+func (g *Grid) regroupPays(n int) bool {
+	return 2*n >= g.count+len(g.alive)/16+len(g.cells)/8
+}
+
+// apply is ApplyWatched with the maintenance mode fixed by the caller;
+// tests force either mode through it.
+func (g *Grid) apply(updates []model.Update, log []Applied, watch *CellSet, regroup bool) ([]Applied, int64) {
 	g.BeginWrites()
 	defer g.EndWrites()
+	relocate := !regroup
 	var invalid int64
 	for _, u := range updates {
 		switch u.Kind {
@@ -57,7 +84,7 @@ func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSe
 				continue
 			}
 			p := g.Clamp(u.New)
-			oldCell, newCell, err := g.move(u.ID, p)
+			oldCell, newCell, err := g.move(u.ID, p, relocate)
 			if err != nil {
 				invalid++
 				continue
@@ -71,7 +98,7 @@ func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSe
 				continue
 			}
 			p := g.Clamp(u.New)
-			newCell, err := g.insert(u.ID, p)
+			newCell, err := g.insert(u.ID, p, relocate)
 			if err != nil {
 				invalid++
 				continue
@@ -80,7 +107,7 @@ func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSe
 				log = append(log, Applied{ID: u.ID, Kind: model.Insert, Pos: p, Old: NoCell, New: newCell})
 			}
 		case model.Delete:
-			pos, oldCell, err := g.remove(u.ID)
+			pos, oldCell, err := g.remove(u.ID, relocate)
 			if err != nil {
 				invalid++
 				continue
@@ -92,6 +119,10 @@ func (g *Grid) ApplyWatched(updates []model.Update, log []Applied, watch *CellSe
 			invalid++
 		}
 	}
+	if regroup {
+		g.regroup()
+	}
+	g.assertIndex()
 	return log, invalid
 }
 

@@ -26,8 +26,21 @@
 // short dense arrays where a linear swap-delete beats hashing in practice.
 // Both keep the paper's asymptotics while making the three hot loops —
 // relocation, influence scans, cell scans — branch-predictable pointer-free
-// slice walks with zero allocation. The grid also owns the object position
-// store and the cell-access counter that backs Figure 6.3b.
+// slice walks with zero allocation. The grid also owns the id-indexed object
+// store (position, liveness, cell and slot of every id) and the cell-access
+// counter that backs Figure 6.3b.
+//
+// The cell lists are maintained in one of two modes, chosen per batch by
+// cost (apply.go). Single-object calls, small batches and the per-update
+// ablation relocate: a move swap-deletes the id from its old cell's list and
+// appends it to the new one, O(1) but a cache miss into a random cell array
+// per move. A batch that moves a large share of the population — the high
+// speed and agility of Figures 6.4a and 6.5a — regroups instead: every update
+// goes to the id-indexed store only, then one pass over the live ids in
+// ascending order refills every cell list from its reused backing array.
+// Both modes end in the same cell sets; only the order inside a cell
+// differs, and no reader depends on it. Rebuild is a regroup after a change
+// of geometry.
 package grid
 
 import (
@@ -47,7 +60,7 @@ const NoCell CellIndex = -1
 
 // Cell holds a cell's object list of Figure 3.3, a dense swap-delete slice
 // (nil until first use); an empty cell of a fine grid costs one nil slice
-// header.
+// header. A regroup keeps the backing array and refills it.
 type Cell struct {
 	objects []model.ObjectID
 }
@@ -61,7 +74,8 @@ type Grid struct {
 
 	positions []geom.Point // dense object position store, indexed by ObjectID
 	alive     []bool
-	slots     []int32 // intrusive index: object -> slot in its cell's object slice
+	cellOf    []CellIndex // object -> the cell whose list holds it
+	slots     []int32     // intrusive index: object -> slot in its cell's object slice
 
 	count        int   // live objects
 	nonEmpty     int   // cells currently holding at least one object
@@ -157,8 +171,8 @@ func (g *Grid) Clamp(p geom.Point) geom.Point {
 // Rebuild re-partitions the workspace into newSize×newSize cells and
 // migrates every live object into the fresh cell array — the grid half of
 // online rebalancing (δ becomes extent/newSize). The dense object store
-// (positions, liveness, slot index) survives; cell object lists are rebuilt
-// in ascending id order, and the intrusive slots are rewritten as they go.
+// (positions, liveness) survives; every object's cell is recomputed for the
+// new geometry and a regroup rebuilds the cell lists in ascending id order.
 //
 // Influence indexes are sized for the old geometry: the engine(s) owning
 // the queries must reset and reinstall them (together with each query's
@@ -177,12 +191,13 @@ func (g *Grid) Rebuild(newSize int) {
 	g.size = newSize
 	g.delta = g.workspace.Width() / float64(newSize)
 	g.cells = make([]Cell, newSize*newSize)
-	g.nonEmpty = 0
 	for id, ok := range g.alive {
 		if ok {
-			g.addObject(g.CellOf(g.positions[id]), model.ObjectID(id))
+			g.cellOf[id] = g.CellOf(g.positions[id])
 		}
 	}
+	g.regroup()
+	g.assertIndex()
 }
 
 // ColRow returns the column and row of the cell covering p. Points on or

@@ -2,11 +2,15 @@
 
 package grid
 
-import "fmt"
+import (
+	"fmt"
 
-// Epoch-guard and occupancy assertions, compiled in under -race (and the
-// cpmassert tag for assert-only builds). The release build pays nothing —
-// see guard_off.go. The epoch assertions read only the shared flag
+	"cpm/internal/model"
+)
+
+// Epoch-guard, index and occupancy assertions, compiled in under -race (and
+// the cpmassert tag for assert-only builds). The release build pays nothing
+// — see guard_off.go. The epoch assertions read only the shared flag
 // (immutable after setup) and the atomic writing flag, so a violation panics
 // deterministically before any racy memory access happens.
 
@@ -27,6 +31,37 @@ func (g *Grid) assertStable() {
 func (g *Grid) assertWritable() {
 	if g.shared && !g.writing.Load() {
 		panic("grid: write to shared grid outside BeginWrites/EndWrites")
+	}
+}
+
+// assertIndex panics unless the cell lists agree with the id-indexed store:
+// every live id sits at cells[cellOf[id]].objects[slots[id]], its cell is
+// the one its position maps to, the list lengths sum to Count and the
+// non-empty counter is exact. With the lengths summing to the live count,
+// no list can hold a dead id or a duplicate. ApplyWatched and Rebuild run it
+// on the way out, whichever maintenance mode they used.
+func (g *Grid) assertIndex() {
+	total, nonEmpty := 0, 0
+	for c := range g.cells {
+		if n := len(g.cells[c].objects); n > 0 {
+			total += n
+			nonEmpty++
+		}
+	}
+	if total != g.count || nonEmpty != g.nonEmpty {
+		panic(fmt.Sprintf("grid: cell lists hold %d objects in %d cells, Count %d, NonEmptyCells %d", total, nonEmpty, g.count, g.nonEmpty))
+	}
+	for id, ok := range g.alive {
+		if !ok {
+			continue
+		}
+		c, s := g.cellOf[id], g.slots[id]
+		if want := g.CellOf(g.positions[id]); c != want {
+			panic(fmt.Sprintf("grid: object %d recorded in cell %d, its position maps to %d", id, c, want))
+		}
+		if objs := g.cells[c].objects; int(s) >= len(objs) || objs[s] != model.ObjectID(id) {
+			panic(fmt.Sprintf("grid: object %d not at slot %d of cell %d", id, s, c))
+		}
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 	"cpm/internal/model"
 )
 
-// This file holds the negative controls of the epoch guard: tests proving
-// the assertions actually fire when the phase-based sharing contract is
-// violated. They compile only where the guards do (race or cpmassert
-// builds) — CI's race job runs them.
+// This file holds the negative controls of the epoch, index and occupancy
+// guards: tests proving the assertions actually fire when the phase-based
+// sharing contract or an index invariant is violated. They compile only
+// where the guards do (race or cpmassert builds) — CI's race and assert
+// jobs run them.
 
 // mustPanic runs f and fails the test unless it panics.
 func mustPanic(t *testing.T, what string, f func()) {
@@ -117,6 +118,41 @@ func TestGuardTripsOnDriftedOccupancy(t *testing.T) {
 	if z.Occupied().Has(7) {
 		t.Error("bit still set on an emptied list")
 	}
+}
+
+// TestGuardTripsOnDriftedIndex is the index guard's negative control: once
+// the cell lists disagree with the id-indexed store — an object recorded in
+// the wrong cell, a wrong slot, a wrong non-empty or live count — the next
+// ApplyBatch or Rebuild must panic. Clean applies in both maintenance modes
+// stay quiet.
+func TestGuardTripsOnDriftedIndex(t *testing.T) {
+	populated := func() *Grid {
+		g := NewUnit(8)
+		for id := range model.ObjectID(20) {
+			mustInsert(t, g, id, geom.Point{X: float64(id%5) / 5, Y: float64(id%3) / 3})
+		}
+		return g
+	}
+	g := populated()
+	g.apply([]model.Update{model.MoveUpdate(1, geom.Point{}, geom.Point{X: 0.9, Y: 0.9})}, nil, nil, false)
+	g.apply([]model.Update{model.MoveUpdate(1, geom.Point{}, geom.Point{X: 0.1, Y: 0.9})}, nil, nil, true)
+	g.Rebuild(5)
+
+	g = populated()
+	g.cellOf[3] = (g.cellOf[3] + 1) % 64
+	mustPanic(t, "ApplyBatch over an object recorded in the wrong cell", func() { g.ApplyBatch(nil, nil) })
+
+	g = populated()
+	g.slots[0], g.slots[15] = g.slots[15], g.slots[0] // same cell, swapped slots
+	mustPanic(t, "ApplyBatch over swapped slots", func() { g.ApplyBatch(nil, nil) })
+
+	g = populated()
+	g.nonEmpty++
+	mustPanic(t, "ApplyBatch over a drifted non-empty count", func() { g.ApplyBatch(nil, nil) })
+
+	g = populated()
+	g.count++
+	mustPanic(t, "Rebuild over a drifted live count", func() { g.Rebuild(4) })
 }
 
 // TestGuardAllowsPrivateGrids checks the guards stay inert on grids never

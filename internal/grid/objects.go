@@ -16,7 +16,7 @@ var (
 	ErrUnknownObject = errors.New("grid: update of unknown object")
 )
 
-// ensureID grows the position store to cover id.
+// ensureID grows the id-indexed store to cover id.
 func (g *Grid) ensureID(id model.ObjectID) {
 	if int(id) < len(g.positions) {
 		return
@@ -31,6 +31,9 @@ func (g *Grid) ensureID(id model.ObjectID) {
 	alive := make([]bool, n)
 	copy(alive, g.alive)
 	g.alive = alive
+	cellOf := make([]CellIndex, n)
+	copy(cellOf, g.cellOf)
+	g.cellOf = cellOf
 	slots := make([]int32, n)
 	copy(slots, g.slots)
 	g.slots = slots
@@ -62,12 +65,29 @@ func (g *Grid) removeObject(c CellIndex, id model.ObjectID) {
 	}
 }
 
+// regroup rebuilds every cell list from the id-indexed store: each list
+// keeps its backing array and is refilled with its live ids in ascending
+// order, which rewrites their slots and the non-empty count. It walks the
+// store and the cell directory sequentially, and a warm regroup allocates
+// nothing.
+func (g *Grid) regroup() {
+	for c := range g.cells {
+		g.cells[c].objects = g.cells[c].objects[:0]
+	}
+	g.nonEmpty = 0
+	for id, ok := range g.alive {
+		if ok {
+			g.addObject(g.cellOf[id], model.ObjectID(id))
+		}
+	}
+}
+
 // Insert adds a new object at p, clamped onto the workspace (see Clamp).
 // Inserting an id that is already live is an error in the update stream and
 // is reported rather than silently merged.
 func (g *Grid) Insert(id model.ObjectID, p geom.Point) error {
 	g.assertWritable()
-	_, err := g.insert(id, g.Clamp(p))
+	_, err := g.insert(id, g.Clamp(p), true)
 	return err
 }
 
@@ -75,7 +95,7 @@ func (g *Grid) Insert(id model.ObjectID, p geom.Point) error {
 // reported: the monitoring methods rely on the stream being consistent.
 func (g *Grid) Delete(id model.ObjectID) error {
 	g.assertWritable()
-	_, _, err := g.remove(id)
+	_, _, err := g.remove(id, true)
 	return err
 }
 
@@ -84,15 +104,17 @@ func (g *Grid) Delete(id model.ObjectID) error {
 // only the stored position changes.
 func (g *Grid) Move(id model.ObjectID, p geom.Point) (oldCell, newCell CellIndex, err error) {
 	g.assertWritable()
-	return g.move(id, g.Clamp(p))
+	return g.move(id, g.Clamp(p), true)
 }
 
 // insert, remove and move are the mutators behind Insert, Delete and Move
-// and behind ApplyBatch, which has opened the write window and clamped the
-// point already: p must lie on the workspace. Each locates a cell once and
-// hands it back for the write log.
+// and behind ApplyWatched, which has opened the write window and clamped the
+// point already: p must lie on the workspace. Each updates the id-indexed
+// store, locates a cell once and hands it back for the write log. With
+// relocate set it also relocates the id between cell lists; without, the
+// lists go stale until the caller regroups.
 
-func (g *Grid) insert(id model.ObjectID, p geom.Point) (CellIndex, error) {
+func (g *Grid) insert(id model.ObjectID, p geom.Point, relocate bool) (CellIndex, error) {
 	if id < 0 {
 		return NoCell, ErrNegativeID
 	}
@@ -103,33 +125,40 @@ func (g *Grid) insert(id model.ObjectID, p geom.Point) (CellIndex, error) {
 	c := g.CellOf(p)
 	g.alive[id] = true
 	g.positions[id] = p
-	g.addObject(c, id)
+	g.cellOf[id] = c
+	if relocate {
+		g.addObject(c, id)
+	}
 	g.count++
 	return c, nil
 }
 
-func (g *Grid) remove(id model.ObjectID) (geom.Point, CellIndex, error) {
+func (g *Grid) remove(id model.ObjectID, relocate bool) (geom.Point, CellIndex, error) {
 	if !g.Alive(id) {
 		return geom.Point{}, NoCell, ErrUnknownObject
 	}
-	p := g.positions[id]
-	c := g.CellOf(p)
-	g.removeObject(c, id)
+	c := g.cellOf[id]
+	if relocate {
+		g.removeObject(c, id)
+	}
 	g.alive[id] = false
 	g.count--
-	return p, c, nil
+	return g.positions[id], c, nil
 }
 
-func (g *Grid) move(id model.ObjectID, p geom.Point) (oldCell, newCell CellIndex, err error) {
+func (g *Grid) move(id model.ObjectID, p geom.Point, relocate bool) (oldCell, newCell CellIndex, err error) {
 	if !g.Alive(id) {
 		return NoCell, NoCell, ErrUnknownObject
 	}
-	oldCell = g.CellOf(g.positions[id])
+	oldCell = g.cellOf[id]
 	newCell = g.CellOf(p)
 	g.positions[id] = p
 	if oldCell != newCell {
-		g.removeObject(oldCell, id)
-		g.addObject(newCell, id)
+		g.cellOf[id] = newCell
+		if relocate {
+			g.removeObject(oldCell, id)
+			g.addObject(newCell, id)
+		}
 	}
 	return oldCell, newCell, nil
 }

@@ -9,6 +9,7 @@ package integration
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cpm/internal/baseline"
@@ -173,6 +174,54 @@ func TestAllMethodsAgreeLargeK(t *testing.T) {
 	for ts := 0; ts < 15; ts++ {
 		tb.step(t)
 		tb.verify(t, ts)
+	}
+}
+
+// TestAllMethodsRejectNonFiniteUpdates feeds moves and inserts with NaN and
+// ±Inf coordinates to all three methods: each must count them invalid and
+// leave its objects where they were, so every result stays the oracle's —
+// no object at distance NaN.
+func TestAllMethodsRejectNonFiniteUpdates(t *testing.T) {
+	objs := map[model.ObjectID]geom.Point{
+		1: {X: 0.5, Y: 0.5}, 2: {X: 0.55, Y: 0.5}, 3: {X: 0.2, Y: 0.8}, 4: {X: 0.9, Y: 0.1},
+	}
+	oracle := grid.NewUnit(8)
+	for id, p := range objs {
+		if err := oracle.Insert(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []model.Update{
+		model.MoveUpdate(1, objs[1], geom.Point{X: nan, Y: 0.1}),
+		model.MoveUpdate(2, objs[2], geom.Point{X: 0.5, Y: inf}),
+		model.MoveUpdate(3, objs[3], geom.Point{X: -inf, Y: nan}),
+		model.InsertUpdate(9, geom.Point{X: inf, Y: 0.5}),
+		model.InsertUpdate(10, geom.Point{X: 0.5, Y: nan}),
+	}
+	good := model.MoveUpdate(4, objs[4], geom.Point{X: 0.45, Y: 0.5})
+	if _, _, err := oracle.Move(good.ID, good.New); err != nil {
+		t.Fatal(err)
+	}
+	engine := core.NewUnitEngine(8, core.Options{})
+	ypk, sea := baseline.NewUnitYPK(8), baseline.NewUnitSEA(8)
+	q := geom.Point{X: 0.5, Y: 0.5}
+	for _, m := range []model.Monitor{engine, ypk, sea} {
+		m.Bootstrap(objs)
+		if err := m.RegisterQuery(1, q, 2); err != nil {
+			t.Fatal(err)
+		}
+		m.ProcessBatch(model.Batch{Objects: append(slices.Clone(bad), good)})
+		if got, want := m.Result(1), bruteforce.TopK(oracle, q, 2); !slices.Equal(got, want) {
+			t.Errorf("%s: result %v, oracle %v", m.Name(), got, want)
+		}
+	}
+	for name, invalid := range map[string]int64{
+		"CPM": engine.InvalidUpdates(), "YPK-CNN": ypk.InvalidUpdates(), "SEA-CNN": sea.InvalidUpdates(),
+	} {
+		if invalid != int64(len(bad)) {
+			t.Errorf("%s: %d invalid updates, want %d", name, invalid, len(bad))
+		}
 	}
 }
 

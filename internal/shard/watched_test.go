@@ -25,9 +25,11 @@ type resizable interface {
 // updates the filtered write log drops), stay put in their cell, or cross
 // into an influence region; objects inside one move within it or back out;
 // inserts and deletes land mostly on unwatched cells. Every object gets at
-// most one update. It returns the batch and how many of its updates touch
-// no watched cell.
-func (w *world) watchedStream(ref *core.Engine) (model.Batch, int) {
+// most one update: on a quiet tick about a third of them do, few enough for
+// the grid to relocate each update, and on a busy tick every one does,
+// which sends the batch to a regroup of the cell lists. It returns the
+// batch and how many of its updates touch no watched cell.
+func (w *world) watchedStream(ref *core.Engine, busy bool) (model.Batch, int) {
 	size := ref.GridSize()
 	watched := ref.Watched()
 	var in, out []grid.CellIndex
@@ -60,6 +62,9 @@ func (w *world) watchedStream(ref *core.Engine) (model.Batch, int) {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 	for _, id := range live {
+		if !busy && w.rng.Float64() < 0.4 {
+			continue
+		}
 		from := w.pos[id]
 		was := cellOf(from)
 		var to geom.Point
@@ -82,8 +87,13 @@ func (w *world) watchedStream(ref *core.Engine) (model.Batch, int) {
 			to = pointIn(pick(in)) // within the watched cells
 		case watched.Has(was) && r < 0.5:
 			to = pointIn(pick(out)) // back out
-		default:
+		case !busy:
 			continue
+		default:
+			to = pointIn(was) // stays in its cell
+			if !watched.Has(was) {
+				dropped++
+			}
 		}
 		b.Objects = append(b.Objects, model.MoveUpdate(id, from, to))
 		w.pos[id] = to
@@ -109,8 +119,10 @@ func (w *world) watchedStream(ref *core.Engine) (model.Batch, int) {
 // region, others cross into one, move within it and leave it again — and
 // checks every configuration against the brute-force oracle every tick:
 // results, ChangedQueries, and a diff stream that is the reference engine's
-// byte for byte and replays to the oracle's results. Halfway through, every
-// monitor is rebalanced to a grid whose cell count is not a multiple of 64.
+// byte for byte and replays to the oracle's results. Every third tick is
+// busy, so the grid both relocates and regroups, before and after every
+// monitor is rebalanced halfway through to a grid whose cell count is not a
+// multiple of 64.
 func TestWatchedLogMatchesOracle(t *testing.T) {
 	const (
 		gridSize = 16
@@ -126,7 +138,7 @@ func TestWatchedLogMatchesOracle(t *testing.T) {
 		names = append(names, name)
 	}
 	add("engine/PerUpdate", core.NewUnitEngine(gridSize, core.Options{PerUpdate: true}))
-	for workers := 2; workers <= 4; workers++ {
+	for workers := 1; workers <= 4; workers++ {
 		e := core.NewUnitEngine(gridSize, core.Options{ScanWorkers: workers})
 		defer e.Close()
 		add(fmt.Sprintf("engine/ScanWorkers=%d", workers), e)
@@ -168,7 +180,7 @@ func TestWatchedLogMatchesOracle(t *testing.T) {
 				m.Rebalance(11)
 			}
 		}
-		b, dropped := w.watchedStream(ref)
+		b, dropped := w.watchedStream(ref, tick%3 == 1)
 		totalDropped += dropped
 		total += len(b.Objects)
 		w.applyToOracle(b)
