@@ -33,12 +33,13 @@ race:
 # cell's bit against its list, since a drifted bit would silently drop
 # updates from the filtered write log) and the engine's freed-slot guard
 # (RemoveQuery panics if an influence or touched list still names the slot
-# it parks), with their negative-control tests, over the four packages
-# that can trip them — SEA-CNN in internal/baseline keeps its answer
-# regions in an influence index too. Seconds, not the race job's minutes,
-# and allocation-count tests still run.
+# it parks), with their negative-control tests, over the packages that can
+# trip them — SEA-CNN in internal/baseline keeps its answer regions in an
+# influence index too, and every public Monitor (the root package, its
+# fuzz seeds included) runs over a shared grid. Seconds, not the race
+# job's minutes, and allocation-count tests still run.
 assert:
-	$(GO) test -tags cpmassert ./internal/baseline/... ./internal/core/... ./internal/grid/... ./internal/shard/...
+	$(GO) test -tags cpmassert . ./internal/baseline/... ./internal/core/... ./internal/grid/... ./internal/shard/...
 
 # Host a self-driving CPM monitor on :7845; watch it with
 #   go run ./cmd/cpmsim -connect 127.0.0.1:7845 -follow
@@ -171,10 +172,13 @@ trace-smoke:
 	kill $$co $$w1 $$w2; wait $$co $$w1 $$w2 2>/dev/null || true; \
 	echo "trace-smoke: ok"
 
-# Short fuzz runs over the wire codec (the seed corpus is checked in), each
-# target for FUZZTIME; CI runs them with a shorter bound.
+# Short fuzz runs, each target for FUZZTIME (the seed corpora are checked
+# in); CI runs them with a shorter bound. FuzzMonitorOps drives the public
+# Monitor API at one and three shards against each other and the
+# brute-force oracle; the others fuzz the wire codec.
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzMonitorOps$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDiffsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/

@@ -181,14 +181,15 @@ type Options struct {
 	// search, and affected queries recompute from scratch (the paper's
 	// memory-pressure fallback).
 	DropBookkeeping bool
-	// Shards runs the monitor as N hash-partitioned worker shards: every
-	// Tick applies the object stream once to one shared epoch-guarded
-	// grid, fans the resulting write log out to one goroutine per shard
-	// and merges the results, parallelizing the per-query monitoring work
-	// across cores. Results, change notifications and work counters are
-	// exactly those of the single-engine monitor, and memory stays
-	// O(objects) — the grid is shared, not replicated. 0 or 1 keeps the
-	// single-engine path. Useful from a few hundred queries up on a
+	// Shards partitions the queries into N hash-partitioned worker
+	// shards. Every Tick applies the object stream once to one shared
+	// epoch-guarded grid and then runs each shard's monitoring over the
+	// resulting write log; with N > 1 the shards run on one goroutine each
+	// and their results are merged, parallelizing the per-query work across
+	// cores. Results, change notifications and work counters are exactly
+	// those of one shard, and memory stays O(objects) — the grid is shared,
+	// not replicated. 0 and 1 both mean one shard, which runs on the calling
+	// goroutine. More shards pay from a few hundred queries up on a
 	// multi-core machine; see internal/shard's BenchmarkTick.
 	Shards int
 	// ScanWorkers additionally parallelizes each shard's influence-scan
@@ -196,7 +197,7 @@ type Options struct {
 	// groups by home cell and the write log is scanned by a small
 	// persistent worker pool, one goroutine per group. Useful for
 	// update-heavy workloads whose scan phase dominates even after
-	// sharding (or with Shards <= 1 on a multi-core machine). Values < 2
+	// sharding (or with one shard on a multi-core machine). Values < 2
 	// keep the serial scan. Results are unaffected.
 	ScanWorkers int
 
@@ -206,10 +207,10 @@ type Options struct {
 	// non-empty cells and, when it has drifted past a hysteresis band
 	// around TargetObjectsPerCell, rebuilds the grid at the size that
 	// restores the target — reinstalling all query book-keeping without
-	// recomputing a single result (results are δ-independent). With
-	// Shards > 1 the shared grid is rebuilt once between ticks and every
-	// shard reindexes in parallel, so the merged streams stay exact. See
-	// the README's "Online grid rebalancing" design note.
+	// recomputing a single result (results are δ-independent). The shared
+	// grid is rebuilt once between ticks and every shard reindexes its own
+	// queries (in parallel with Shards > 1), so the merged streams stay
+	// exact. See the README's "Online grid rebalancing" design note.
 	AutoRebalance bool
 	// TargetObjectsPerCell is the occupancy the rebalancing policy steers
 	// toward. Default 8.
@@ -227,39 +228,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// backend is the method set shared by the single engine and the sharded
-// monitor; Monitor delegates to whichever Options selected. It embeds the
-// cross-method model.Monitor contract and adds the CPM-only surface.
-type backend interface {
-	model.Monitor
-	Register(id QueryID, def core.Def) error
-	RegisterRange(id QueryID, center Point, radius float64) error
-	IsRange(id QueryID) bool
-	MoveQuery(id QueryID, points []Point) error
-	MoveRange(id QueryID, center Point) error
-	RangeResult(id QueryID) []Neighbor
-	BestDist(id QueryID) float64
-	ObjectPosition(id ObjectID) (Point, bool)
-	ObjectCount() int
-	ChangedQueries() []QueryID
-	QueryIDs() []QueryID
-	HasQuery(id QueryID) bool
-	InvalidUpdates() int64
-	MemoryFootprint() int64
-	GridEpoch() int64
-	LastPhases() model.PhaseNanos
-	EnableDiffs(on bool)
-	TakeDiffs() []model.ResultDiff
-	Rebalance(newSize int)
-	GridSize() int
-	Rebalances() int64
-}
-
-var (
-	_ backend = (*core.Engine)(nil)
-	_ backend = (*shard.Monitor)(nil)
-)
-
 // Monitor continuously maintains the results of registered queries over a
 // stream of object location updates, using the CPM algorithm.
 //
@@ -271,9 +239,9 @@ var (
 // the event streams returned by Subscribe: their channels may be consumed
 // from any number of goroutines while the processing loop runs.
 type Monitor struct {
-	e backend
+	e *shard.Monitor
 	// opts are the construction options, kept so Reset can rebuild the
-	// backend from scratch.
+	// shard monitor from scratch.
 	opts Options
 	// hub delivers result diffs to subscribers; nil until the first
 	// Subscribe call, so unsubscribed monitors pay nothing for streaming.
@@ -294,42 +262,29 @@ type Monitor struct {
 	lastCycleNs int64
 }
 
-// newBackend builds the engine Options select: a single engine, or — with
-// Shards > 1 or AutoRebalance — the sharded monitor. opts must already
-// have defaults applied.
-func newBackend(opts Options) backend {
-	copts := core.Options{
+// newShards builds the shard monitor Options describe: max(1, Shards)
+// shards over one shared grid and its auto-rebalancing policy. opts must
+// already have defaults applied.
+func newShards(opts Options) *shard.Monitor {
+	s := shard.New(opts.Shards, opts.GridSize, opts.Workspace, core.Options{
 		PerUpdate:       opts.PerUpdate,
 		DropBookkeeping: opts.DropBookkeeping,
 		ScanWorkers:     opts.ScanWorkers,
-	}
-	if opts.Shards > 1 || opts.AutoRebalance {
-		// The auto-rebalancing policy lives in the sharded monitor (it is
-		// the layer that coordinates the resize across replicas); with one
-		// shard it is a thin pass-through around a single engine.
-		n := opts.Shards
-		if n < 1 {
-			n = 1
-		}
-		s := shard.New(n, opts.GridSize, opts.Workspace, copts)
-		if opts.AutoRebalance {
-			s.SetAutoRebalance(shard.AutoRebalance{
-				Enabled:              true,
-				TargetObjectsPerCell: opts.TargetObjectsPerCell,
-				CheckEvery:           opts.RebalanceCheckEvery,
-			})
-		}
-		return s
-	}
-	return core.NewEngine(opts.GridSize, opts.Workspace, copts)
+	})
+	s.SetAutoRebalance(shard.AutoRebalance{
+		Enabled:              opts.AutoRebalance,
+		TargetObjectsPerCell: opts.TargetObjectsPerCell,
+		CheckEvery:           opts.RebalanceCheckEvery,
+	})
+	return s
 }
 
-// NewMonitor creates a CPM monitor: a single engine, or — with
-// Options.Shards > 1 — a sharded monitor that partitions the queries
-// across parallel worker shards with identical results.
+// NewMonitor creates a CPM monitor: max(1, Options.Shards) worker shards
+// that partition the queries over one shared grid, with results identical
+// at every shard count.
 func NewMonitor(opts Options) *Monitor {
 	opts.defaults()
-	return &Monitor{e: newBackend(opts), opts: opts}
+	return &Monitor{e: newShards(opts), opts: opts}
 }
 
 // Bootstrap loads the initial object population. Call once, before
@@ -505,8 +460,8 @@ func (m *Monitor) Snapshot(ids ...QueryID) []QuerySnapshot {
 // migrating the object store and reinstalling every installed query's
 // index book-keeping without recomputing any result: answers are
 // δ-independent, only the index is not, so results, reported snapshots and
-// the diff stream are untouched. With Shards > 1 the shared grid is
-// rebuilt once and every shard reindexes its own queries in parallel.
+// the diff stream are untouched. The shared grid is rebuilt once and every
+// shard reindexes its own queries (in parallel with Shards > 1).
 // Like every other method it must be called from the processing
 // loop, between Ticks. Most callers want Options.AutoRebalance instead.
 func (m *Monitor) Rebalance(gridSize int) error {
@@ -536,9 +491,8 @@ func (m *Monitor) ObjectCount() int { return m.e.ObjectCount() }
 // ChangedQueries returns the ids of queries whose results changed since
 // the last Tick began — the per-cycle client notification set of the
 // paper's monitoring loop (Figure 3.9). Installations, moves and
-// terminations count as changes. The ids are in ascending order on both
-// the single-engine and the sharded path, so downstream consumers never
-// depend on shard interleaving.
+// terminations count as changes. The ids are in ascending order at every
+// shard count, so downstream consumers never depend on shard interleaving.
 func (m *Monitor) ChangedQueries() []QueryID { return m.e.ChangedQueries() }
 
 // Subscribe returns a push-based stream of result-diff events for the
@@ -586,17 +540,15 @@ func (m *Monitor) SubscribeWith(opts SubscribeOptions, ids ...QueryID) *Subscrip
 
 // Close releases the monitor's background resources: streaming delivery
 // shuts down (every subscription's buffered events drain and its Events
-// channel closes, and diff collection stops), and a sharded monitor's
-// persistent worker goroutines stop. The monitor itself stays usable for
+// channel closes, and diff collection stops), and the persistent shard and
+// scan worker goroutines stop. The monitor itself stays usable for
 // polling — Result and ChangedQueries continue to work, and a later Tick
 // restarts the shard workers — but streaming is over for good: a Subscribe
 // after Close returns an already-closed subscription (its Events channel
 // is closed) rather than racing the draining hub.
 func (m *Monitor) Close() {
 	m.closed = true
-	if c, ok := m.e.(interface{ Close() }); ok {
-		c.Close()
-	}
+	m.e.Close()
 	if m.hub == nil {
 		return
 	}
@@ -644,10 +596,8 @@ func (m *Monitor) Reset() {
 		m.e.RemoveQuery(id)
 	}
 	m.publish()
-	if c, ok := m.e.(interface{ Close() }); ok {
-		c.Close() // stop a sharded backend's worker goroutines
-	}
-	m.e = newBackend(m.opts)
+	m.e.Close() // stop the worker goroutines
+	m.e = newShards(m.opts)
 	if m.hub != nil || m.keep {
 		m.e.EnableDiffs(true)
 	}
@@ -655,7 +605,7 @@ func (m *Monitor) Reset() {
 
 // publish flushes the diffs of the last mutating operation to the
 // subscribers and, with KeepDiffs on, the pull buffer. No-op (and no diff
-// is ever collected) while neither is active. The backend's TakeDiffs
+// is ever collected) while neither is active. The shard monitor's TakeDiffs
 // lends its buffer only until the next take, so both consumers copy the
 // events out of it before publish returns: the pull buffer by append, the
 // hub into its subscribers' rings.
@@ -680,9 +630,9 @@ func (m *Monitor) Stats() Stats { return m.e.Stats() }
 func (m *Monitor) InvalidUpdates() int64 { return m.e.InvalidUpdates() }
 
 // MemoryFootprint estimates the monitor's size in the abstract memory
-// units of the paper's Section 4.1 (one unit per stored number). With
-// Shards > 1 the grid term is counted once — the grid is shared — so the
-// footprint matches the single-engine monitor's for the same workload.
+// units of the paper's Section 4.1 (one unit per stored number). The grid
+// term is counted once — the grid is shared — so the footprint is the same
+// at every shard count for the same workload.
 func (m *Monitor) MemoryFootprint() int64 { return m.e.MemoryFootprint() }
 
 // GridEpoch returns the grid's write epoch: the number of write batches

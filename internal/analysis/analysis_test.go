@@ -8,6 +8,7 @@ import (
 	"cpm/internal/core"
 	"cpm/internal/geom"
 	"cpm/internal/model"
+	"cpm/internal/shard"
 )
 
 func defaultModel() Model {
@@ -45,7 +46,7 @@ func TestBestDistFormula(t *testing.T) {
 func TestBestDistMatchesUniformData(t *testing.T) {
 	const n, k = 20_000, 16
 	rng := rand.New(rand.NewSource(1))
-	e := core.NewUnitEngine(64, core.Options{})
+	e := shard.NewUnit(1, 64, core.Options{})
 	objs := make(map[model.ObjectID]geom.Point, n)
 	for i := 0; i < n; i++ {
 		objs[model.ObjectID(i)] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
@@ -76,7 +77,7 @@ func TestCInfCSHMatchMeasurement(t *testing.T) {
 	const n, k = 20_000, 16
 	for _, gridSize := range []int{32, 64, 128} {
 		rng := rand.New(rand.NewSource(7))
-		e := core.NewUnitEngine(gridSize, core.Options{})
+		e := shard.NewUnit(1, gridSize, core.Options{})
 		objs := make(map[model.ObjectID]geom.Point, n)
 		for i := 0; i < n; i++ {
 			objs[model.ObjectID(i)] = geom.Point{X: rng.Float64(), Y: rng.Float64()}

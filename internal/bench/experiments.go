@@ -10,6 +10,7 @@ import (
 	"cpm/internal/geom"
 	"cpm/internal/model"
 	"cpm/internal/network"
+	"cpm/internal/shard"
 )
 
 // Options scope an experiment run. Scale multiplies the paper's population
@@ -326,7 +327,7 @@ func runModel(o Options) (Table, error) {
 		objs[model.ObjectID(i)] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
 	}
 	for _, gridSize := range []int{32, 64, 128, 256} {
-		e := core.NewUnitEngine(gridSize, core.Options{})
+		e := shard.NewUnit(1, gridSize, core.Options{})
 		e.Bootstrap(objs)
 		mdl := analysis.Model{N: n, NumQ: 1, K: k, Delta: 1.0 / float64(gridSize)}
 		var cells, objects, csh float64
@@ -395,7 +396,7 @@ func RunANN(cfg Config, numQueries, m int, agg geom.Agg, seed int64) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	e := core.NewUnitEngine(cfg.GridSize, core.Options{})
+	e := shard.NewUnit(1, cfg.GridSize, core.Options{})
 	e.Bootstrap(w.InitialObjects())
 	rng := rand.New(rand.NewSource(seed + int64(m)*7 + int64(agg)))
 	for i := 0; i < numQueries; i++ {

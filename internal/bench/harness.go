@@ -72,15 +72,15 @@ func (m Method) New(gridSize int) model.Monitor { return m.NewMonitor(gridSize, 
 func (m Method) NewMonitor(gridSize, shards int) model.Monitor {
 	switch m {
 	case CPM:
-		return core.NewUnitEngine(gridSize, core.Options{})
+		return shard.NewUnit(1, gridSize, core.Options{})
 	case YPK:
 		return baseline.NewUnitYPK(gridSize)
 	case SEA:
 		return baseline.NewUnitSEA(gridSize)
 	case CPMPerUpdate:
-		return core.NewUnitEngine(gridSize, core.Options{PerUpdate: true})
+		return shard.NewUnit(1, gridSize, core.Options{PerUpdate: true})
 	case CPMDropBookkeeping:
-		return core.NewUnitEngine(gridSize, core.Options{DropBookkeeping: true})
+		return shard.NewUnit(1, gridSize, core.Options{DropBookkeeping: true})
 	case CPMSharded:
 		return shard.NewUnit(ResolveShards(shards), gridSize, core.Options{})
 	default:
@@ -95,7 +95,7 @@ func newMonitorFor(method Method, cfg Config) model.Monitor {
 	if cfg.ScanWorkers > 1 {
 		switch method {
 		case CPM:
-			return core.NewUnitEngine(cfg.GridSize, core.Options{ScanWorkers: cfg.ScanWorkers})
+			return shard.NewUnit(1, cfg.GridSize, core.Options{ScanWorkers: cfg.ScanWorkers})
 		case CPMSharded:
 			return shard.NewUnit(ResolveShards(cfg.Shards), cfg.GridSize,
 				core.Options{ScanWorkers: cfg.ScanWorkers})
@@ -200,9 +200,9 @@ func RunMethod(method Method, cfg Config) (Measurement, error) {
 		return Measurement{}, err
 	}
 	mon := newMonitorFor(method, cfg)
-	// A sharded monitor owns persistent worker goroutines; release them
-	// when the measurement is done so table sweeps don't accumulate idle
-	// workers across dozens of discarded monitors.
+	// A CPM monitor owns persistent worker goroutines; release them when
+	// the measurement is done so table sweeps don't accumulate idle workers
+	// across dozens of discarded monitors.
 	if c, ok := mon.(interface{ Close() }); ok {
 		defer c.Close()
 	}
@@ -270,11 +270,11 @@ func RunMethod(method Method, cfg Config) (Measurement, error) {
 	return meas, nil
 }
 
-// timeCycles drives a core engine through the workload's remaining
+// timeCycles drives a CPM monitor through the workload's remaining
 // timestamps, returning the summed ProcessBatch time in milliseconds. Used
 // by experiments that install queries the model.Monitor interface cannot
 // express (aggregate queries).
-func timeCycles(e *core.Engine, w *generator.Workload, timestamps int) float64 {
+func timeCycles(e *shard.Monitor, w *generator.Workload, timestamps int) float64 {
 	var elapsed time.Duration
 	for ts := 0; ts < timestamps; ts++ {
 		b := w.Advance()

@@ -8,6 +8,7 @@ import (
 	"cpm/internal/generator"
 	"cpm/internal/model"
 	"cpm/internal/network"
+	"cpm/internal/shard"
 	"cpm/internal/wire"
 )
 
@@ -48,7 +49,7 @@ func wireEncodeResult(cfg Config) (MethodResult, error) {
 	if err != nil {
 		return MethodResult{}, err
 	}
-	e := core.NewUnitEngine(cfg.GridSize, core.Options{})
+	e := shard.NewUnit(1, cfg.GridSize, core.Options{})
 	e.Bootstrap(w.InitialObjects())
 	e.EnableDiffs(true)
 	queries := w.InitialQueries()

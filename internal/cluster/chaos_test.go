@@ -129,7 +129,7 @@ func (cc *chaosCluster) tick(b model.Batch) {
 // the harness detects a seeded bug.
 func (cc *chaosCluster) verify(stage string) error {
 	for id := range cc.queries {
-		if !cc.coord.WorkerSynced(owner(id, cc.n)) {
+		if !cc.coord.WorkerSynced(model.Owner(id, cc.n)) {
 			continue // gap-bracketed: staleness is flagged, not silent
 		}
 		got, want := cc.coord.Result(id), cc.single.Result(id)
@@ -312,7 +312,7 @@ func TestChaosNegativeControl(t *testing.T) {
 		t.Fatalf("healthy baseline diverged: %v", err)
 	}
 
-	victim := owner(0, cc.n)
+	victim := model.Owner(0, cc.n)
 	// Desync the victim with a partition outlasting the op deadline...
 	cc.links[victim].Set(chaos.Fault{Class: chaos.Partition})
 	cc.tick(rotBatch(1, nObjs, 10))

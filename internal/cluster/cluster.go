@@ -9,8 +9,8 @@
 // The coordinator speaks internal/wire on both sides. Downstream it holds
 // one sync-diffs client connection (wire.HelloSyncDiffs) per worker — an
 // ordinary cpmserver process — and partitions the continuous queries
-// across them by the same multiplicative hash internal/shard uses for its
-// in-process shards: owner(q) = (uint32(q) · 0x9E3779B1) mod N. Every
+// across them by the hash internal/shard uses for its in-process shards,
+// model.Owner: owner(q) = (uint32(q) · 0x9E3779B1) mod N. Every
 // query lives on exactly one worker; every worker holds a full replica of
 // the object population (object positions must be exact everywhere —
 // unlike in-process shards, which share one grid, workers are separate
@@ -22,8 +22,8 @@
 // Bootstrap/Reset go everywhere. Because the worker connections run in
 // sync-diffs mode, every successful operation comes back with exactly the
 // result diffs it produced on that worker; the coordinator merges the
-// per-worker answers by ascending query id — the same order the
-// single-engine monitor and internal/shard emit — so the merged stream is
+// per-worker answers by ascending query id (model.SortByQuery, the merge
+// internal/shard runs over its shards) — so the merged stream is
 // byte-for-byte the stream one big monitor would have produced.
 //
 // # State mirror
@@ -73,7 +73,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -259,9 +258,7 @@ func New(opts Options) (*Coordinator, error) {
 // multiplicative hash internal/shard partitions with, so a workload's
 // balance characteristics carry over between in-process shards and
 // cluster workers.
-func (c *Coordinator) owner(id model.QueryID) int {
-	return int((uint32(id) * 0x9E3779B1) % uint32(len(c.workers)))
-}
+func (c *Coordinator) owner(id model.QueryID) int { return model.Owner(id, len(c.workers)) }
 
 // WorkerCount returns the (fixed) number of workers.
 func (c *Coordinator) WorkerCount() int { return len(c.workers) }
@@ -660,7 +657,7 @@ func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 	for _, u := range b.Objects {
 		switch u.Kind {
 		case model.Move:
-			if !finitePoint(u.New) {
+			if !u.New.Finite() {
 				c.invalid++
 				continue
 			}
@@ -670,7 +667,7 @@ func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 			}
 			c.objs[u.ID] = u.New
 		case model.Insert:
-			if !finitePoint(u.New) {
+			if !u.New.Finite() {
 				c.invalid++
 				continue
 			}
@@ -742,10 +739,6 @@ func (c *Coordinator) finishDiffs(diffs []model.ResultDiff) {
 }
 
 // ---- Helpers --------------------------------------------------------------
-
-func finitePoint(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
 
 func cloneDef(def wire.Register) wire.Register {
 	def.Points = append([]geom.Point(nil), def.Points...)

@@ -93,12 +93,6 @@ func testWorkload(t *testing.T) *workload.Workload {
 	return w
 }
 
-// owner mirrors the coordinator's (and internal/shard's) partitioning, so
-// the tests can pick a victim worker that owns known queries.
-func owner(id model.QueryID, n int) int {
-	return int((uint32(id) * 0x9E3779B1) % uint32(n))
-}
-
 // oracle tracks raw positions and query points for brute-force checks.
 type oracle struct {
 	objs map[model.ObjectID]geom.Point
@@ -223,7 +217,7 @@ func runEquivalence(t *testing.T, nWorkers int) {
 	// Phase 2: kill the owner of query 0 and keep ticking. The merged
 	// stream must carry exactly the surviving workers' diffs, and the
 	// victim's queries must gap — visibly — rather than silently stall.
-	victim := owner(0, nWorkers)
+	victim := model.Owner(0, nWorkers)
 	procs[victim].kill()
 	for cycle := 0; cycle < 2; cycle++ {
 		b := w.Advance()
@@ -233,7 +227,7 @@ func runEquivalence(t *testing.T, nWorkers int) {
 		want, got := single.TakeDiffs(), coord.TakeDiffs()
 		var surviving []model.ResultDiff
 		for _, d := range want {
-			if owner(d.Query, nWorkers) != victim {
+			if model.Owner(d.Query, nWorkers) != victim {
 				surviving = append(surviving, d)
 			}
 		}

@@ -317,7 +317,7 @@ func (c *Coordinator) setHealth(w *worker, h Health) {
 
 func (c *Coordinator) observeFanout(start time.Time, merged []model.ResultDiff) {
 	c.met.fanout.ObserveSince(start)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Query < merged[j].Query })
+	model.SortByQuery(merged)
 }
 
 // isTransportErr separates "the request may not have reached the worker,

@@ -184,7 +184,7 @@ func TestIncrementalResync(t *testing.T) {
 func TestIncrementalResyncAfterLostAnswer(t *testing.T) {
 	const q = 0 // owned by worker 0
 	coord, procs := startCluster(t, 2, 300*time.Millisecond)
-	if owner(q, 2) != 0 {
+	if model.Owner(q, 2) != 0 {
 		t.Fatal("query 0 must live on worker 0")
 	}
 	single := cpm.NewMonitor(cpm.Options{GridSize: 16})

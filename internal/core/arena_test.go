@@ -59,7 +59,7 @@ func randomResult(rng *rand.Rand, k int) []model.Neighbor {
 // past the table's first size, against the map-based reference.
 func TestDiffResultMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	e := NewUnitEngine(4, Options{})
+	e := newTestEngine(4, Options{})
 	for _, k := range []int{1, 16, 64, 256} {
 		for round := 0; round < 300; round++ {
 			old := randomResult(rng, k)
@@ -88,7 +88,7 @@ func TestDiffResultMatchesMapReference(t *testing.T) {
 // carved from the same chunk.
 func TestDiffEventsHeldAcrossTicks(t *testing.T) {
 	w := newWorld(7)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	defer e.Close()
 	e.EnableDiffs(true)
 	e.Bootstrap(w.populate(400))

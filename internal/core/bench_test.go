@@ -24,7 +24,7 @@ func BenchmarkRelocate(b *testing.B) {
 		batchLen = 1024
 	)
 	rng := rand.New(rand.NewSource(17))
-	e := NewUnitEngine(64, Options{})
+	e := newTestEngine(64, Options{})
 	objs := make(map[model.ObjectID]geom.Point, nObjects+nStatic)
 	pos := make([]geom.Point, nObjects)
 	for i := range pos {

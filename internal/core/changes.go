@@ -89,7 +89,7 @@ func (e *Engine) noteRemoved(id model.QueryID, m *diffMark, lastReported []model
 }
 
 // ChangedQueries returns the ids of queries whose results changed during
-// the last ProcessBatch (including queries that moved, were installed or
+// the last cycle (including queries that moved, were installed or
 // were terminated by it), in ascending order. The set resets at the start
 // of every cycle.
 func (e *Engine) ChangedQueries() []model.QueryID {

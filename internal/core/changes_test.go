@@ -9,7 +9,7 @@ import (
 )
 
 func TestChangedQueriesBasics(t *testing.T) {
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.6, Y: 0.6},
@@ -60,7 +60,7 @@ func TestChangedQueriesBasics(t *testing.T) {
 }
 
 func TestChangedQueriesRange(t *testing.T) {
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.9, Y: 0.9},
@@ -89,7 +89,7 @@ func TestChangedQueriesRange(t *testing.T) {
 func TestChangedQueriesMatchesDiff(t *testing.T) {
 	for seed := int64(300); seed < 305; seed++ {
 		w := newWorld(seed)
-		e := NewUnitEngine(12, Options{})
+		e := newTestEngine(12, Options{})
 		e.Bootstrap(w.populate(150))
 		ids := []model.QueryID{}
 		for i := 0; i < 6; i++ {
@@ -126,7 +126,7 @@ func TestChangedQueriesMatchesDiff(t *testing.T) {
 	}
 }
 
-func fingerprint(e *Engine, id model.QueryID) string {
+func fingerprint(e *testEngine, id model.QueryID) string {
 	var res []model.Neighbor
 	if e.IsRange(id) {
 		res = e.RangeResult(id)

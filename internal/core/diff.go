@@ -13,19 +13,19 @@ import (
 // of changes.go: whenever a cycle is found to have changed a query's result
 // (against the per-query reported snapshot that is kept anyway), the exact
 // entered/exited/re-ranked delta is derived in one O(k) pass over the two
-// sorted lists, at the moment of the change, inside ProcessBatch. Unchanged
+// sorted lists, at the moment of the change, inside the cycle. Unchanged
 // queries are never diffed — the existing cheap equality check rejects them
 // first — and nothing ever re-diffs full result sets after the fact.
 //
 // Diffs accumulate until TakeDiffs, which the owning monitor calls once
 // after every mutating operation; the paired ordering contract with the
 // sharded monitor (internal/shard) is that a take is stable-ordered by
-// query id, so single-engine and sharded streams are byte-for-byte equal.
+// query id, so one-shard and sharded streams are byte-for-byte equal.
 // Repeated changes to one query within a single buffer window — PerUpdate
 // resolving the same query several times per batch, or several mutating
 // calls between takes — compose into one event diffed against the first
 // change's base, so a take carries at most one live diff per query and
-// its ids match ChangedQueries when taken once per ProcessBatch.
+// its ids match ChangedQueries when taken once per cycle.
 //
 // Ownership: every slice an event carries is carved from the engine's
 // internal/arena slabs, so the events of one take (and of its neighbours)

@@ -8,9 +8,9 @@ import (
 	"cpm/internal/model"
 )
 
-func diffEngine(t *testing.T) *Engine {
+func diffEngine(t *testing.T) *testEngine {
 	t.Helper()
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.EnableDiffs(true)
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.10, Y: 0.10},
@@ -174,7 +174,7 @@ func TestDiffIdsMatchChangedQueries(t *testing.T) {
 // into a single event (diffed against the start-of-batch state) so that
 // TakeDiffs ids still equal ChangedQueries.
 func TestDiffPerUpdateComposesOneEventPerQuery(t *testing.T) {
-	e := NewUnitEngine(16, Options{PerUpdate: true})
+	e := newTestEngine(16, Options{PerUpdate: true})
 	e.EnableDiffs(true)
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.10, Y: 0.10},
@@ -214,7 +214,7 @@ func TestDiffPerUpdateComposesOneEventPerQuery(t *testing.T) {
 // TestDiffDisabledCollectsNothing checks the default-off contract and that
 // disabling discards pending diffs.
 func TestDiffDisabledCollectsNothing(t *testing.T) {
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 1); err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func (d Def) Validate() error {
 		return fmt.Errorf("core: invalid aggregate %d", d.Agg)
 	}
 	for _, p := range d.Points {
-		if !finitePoint(p) {
+		if !p.Finite() {
 			return fmt.Errorf("core: non-finite query point %v", p)
 		}
 	}

@@ -3,14 +3,17 @@
 // continuous (aggregate, optionally constrained) k nearest neighbor queries
 // over streams of object location updates.
 //
-// The engine reads a grid index (internal/grid) — owned privately
-// (NewEngine) or injected and shared with sibling engines (NewSharedEngine,
-// used by internal/shard) — and owns a query table holding, per query: its
-// definition, the best_NN result list, best_dist, the visit list and the
-// leftover search heap (paper Figure 3.3a), plus the influence-list index
-// for its queries (grid.Influence), whose lists point into the table by
-// slot handle. Searches traverse the conceptual partitioning of
-// internal/conc. The three paper modules map to three files:
+// The engine reads a grid index (internal/grid) that its owner injects
+// (NewSharedEngine) and may share with sibling engines: the owner —
+// internal/shard's monitor, the one driver — applies each tick's object
+// stream to the grid once and feeds every engine the resulting write log
+// through BeginCycle/ScanApplied/ApplyQueryUpdates. The engine owns a query
+// table holding, per query: its definition, the best_NN result list,
+// best_dist, the visit list and the leftover search heap (paper Figure
+// 3.3a), plus the influence-list index for its queries (grid.Influence),
+// whose lists point into the table by slot handle. Searches traverse the
+// conceptual partitioning of internal/conc. The three paper modules map to
+// three files:
 //
 //	search.go     — NN Computation        (Figure 3.4)
 //	recompute.go  — NN Re-Computation     (Figure 3.6)
@@ -56,15 +59,11 @@ type Options struct {
 	ScanWorkers int
 }
 
-// Engine is the CPM monitor.
+// Engine is the CPM monitor of one set of queries over a grid it reads but
+// never mutates.
 type Engine struct {
-	g *grid.Grid
-	// ownsGrid distinguishes a private grid (NewEngine: the engine applies
-	// object updates itself) from an injected shared one (NewSharedEngine:
-	// the owning monitor applies writes once per tick and feeds the engine
-	// the resulting log; this engine must never mutate the grid).
-	ownsGrid bool
-	opts     Options
+	g    *grid.Grid
+	opts Options
 
 	// slots is the query table QT (Figure 3.3a) for queries of both kinds:
 	// the influence lists hold handles, and handle h names slots[h>>1]. A
@@ -87,24 +86,15 @@ type Engine struct {
 	// when there is more than one group.
 	watch grid.CellSet
 
-	// applied is the reused write log of the classic (private-grid) path:
-	// ProcessBatch applies the object stream via grid.ApplyWatched and then
-	// scans the log, exactly like the sharded monitor does externally.
-	applied []grid.Applied
-
 	// Persistent scan workers (ScanWorkers ≥ 2): group w scans the tick's
 	// write log against infls[w]. Started lazily, stopped by Close.
 	scanFeed []chan []grid.Applied
 	scanWG   sync.WaitGroup
 
 	stats model.Stats
-	// Invalid stream elements are counted separately per stream. The
-	// sharded monitor (internal/shard) applies the object stream once at
-	// the coordinator but routes each query update to exactly one shard,
-	// so it needs the two kinds apart to report a non-inflated total.
-	invalidObjects int64
+	// invalidQueries counts the query-stream elements this engine dropped;
+	// the object stream is validated by the grid's owner, once.
 	invalidQueries int64
-	rebalances     int64 // grid resizes performed (Rebalance/Reindex)
 	cycle          int64
 	// dirty holds the queries touched by the current cycle, per group;
 	// group w is only appended to by the worker scanning infls[w], and all
@@ -112,16 +102,17 @@ type Engine struct {
 	dirty [][]*query
 
 	// changedIDs collects the queries whose results changed since the last
-	// ProcessBatch began — the notification set of Figure 3.9 line 10.
+	// BeginCycle — the notification set of Figure 3.9 line 10.
 	// Instead of a per-cycle map, the set is a reused dense slice deduped
 	// by generation stamp: a query appends itself at most once per
 	// changeGen (terminated queries append unconditionally; ChangedQueries
 	// dedupes on read). Steady-state cycles therefore allocate nothing.
 	changedIDs []model.QueryID
-	changeGen  int64 // bumped at the start of every ProcessBatch; starts at 1
-	// batchGen stamps the queries that have their own update in the current
-	// batch — the per-cycle "ignore" set of Figure 3.9 (their results are
-	// rebuilt by the query update anyway), without a per-cycle map.
+	changeGen  int64 // bumped by every BeginCycle; starts at 1
+	// batchGen stamps the queries that a query update of the current batch
+	// rebuilds or removes — the per-cycle "ignore" set of Figure 3.9 (the
+	// object updates cannot change what the query update replaces),
+	// without a per-cycle map.
 	batchGen int64
 	// rangeScratch is the pooled buffer current builds a range query's
 	// sorted result into, so per-cycle range-change checks allocate nothing.
@@ -154,8 +145,8 @@ type Engine struct {
 	diffRer   []model.Neighbor
 	diffEx    []model.ObjectID
 
-	// phases is the wall-clock decomposition of the last ProcessBatch
-	// into the paper's cost-model phases (tracing.go in this package).
+	// phases is the wall-clock decomposition of the last cycle into the
+	// paper's cost-model phases.
 	phases model.PhaseNanos
 }
 
@@ -210,8 +201,9 @@ type query struct {
 
 	// changedMark dedupes the query's entry in the engine's changedIDs
 	// list (== changeGen once recorded this notification window);
-	// ignoreMark == batchGen marks a query with its own update in the
-	// current batch, skipped by the object-update scans.
+	// ignoreMark == batchGen marks a query that a query update of the
+	// current batch rebuilds or removes, skipped by the object-update
+	// scans.
 	changedMark int64
 	ignoreMark  int64
 
@@ -236,12 +228,6 @@ type visitEntry struct {
 	key  float64
 }
 
-// NewEngine creates a CPM engine over a fresh private grid of
-// gridSize×gridSize cells spanning the workspace.
-func NewEngine(gridSize int, workspace geom.Rect, opts Options) *Engine {
-	return newEngine(grid.New(gridSize, workspace), true, opts)
-}
-
 // NewSharedEngine creates a CPM engine over an injected grid owned by the
 // caller (the sharded monitor). The engine keeps only per-query state and
 // its influence indexes; it never mutates the grid. Object updates must be
@@ -249,22 +235,17 @@ func NewEngine(gridSize int, workspace geom.Rect, opts Options) *Engine {
 // or unfiltered) and fed to the engine as a write log via
 // BeginCycle/ScanApplied/ApplyQueryUpdates.
 func NewSharedEngine(g *grid.Grid, opts Options) *Engine {
-	return newEngine(g, false, opts)
-}
-
-func newEngine(g *grid.Grid, ownsGrid bool, opts Options) *Engine {
 	groups := opts.ScanWorkers
 	if groups < 2 {
 		groups = 1
 	}
 	e := &Engine{
-		g:        g,
-		ownsGrid: ownsGrid,
-		opts:     opts,
-		ids:      make(map[model.QueryID]*query),
-		infls:    make([]*grid.Influence, groups),
-		groups:   groups,
-		dirty:    make([][]*query, groups),
+		g:      g,
+		opts:   opts,
+		ids:    make(map[model.QueryID]*query),
+		infls:  make([]*grid.Influence, groups),
+		groups: groups,
+		dirty:  make([][]*query, groups),
 		// Generations start at 1 so the zero-valued marks of a freshly armed
 		// slot never collide with the current generation.
 		changeGen: 1,
@@ -323,36 +304,6 @@ func (e *Engine) ensureScanWorkers() {
 				e.scanWG.Done()
 			}
 		}(w, ch)
-	}
-}
-
-// NewUnitEngine creates an engine over the unit-square workspace.
-func NewUnitEngine(gridSize int, opts Options) *Engine {
-	return NewEngine(gridSize, geom.Rect{Lo: geom.Point{X: 0, Y: 0}, Hi: geom.Point{X: 1, Y: 1}}, opts)
-}
-
-// Name implements model.Monitor.
-func (e *Engine) Name() string { return "CPM" }
-
-// Grid exposes the underlying index (read-mostly: tests, analysis and the
-// harness use it; mutating it behind the engine's back voids the
-// invariants).
-func (e *Engine) Grid() *grid.Grid { return e.g }
-
-// Bootstrap loads the initial object population. It panics if objects are
-// already present: bootstrap happens once, before monitoring starts. On a
-// shared-grid engine the grid's owner bootstraps instead.
-func (e *Engine) Bootstrap(objs map[model.ObjectID]geom.Point) {
-	if !e.ownsGrid {
-		panic("core: Bootstrap on a shared-grid engine (the monitor owns the grid)")
-	}
-	if e.g.Count() > 0 {
-		panic("core: Bootstrap on a non-empty engine")
-	}
-	for id, p := range objs {
-		if err := e.g.Insert(id, p); err != nil {
-			panic(fmt.Sprintf("core: bootstrap insert of object %d: %v", id, err))
-		}
 	}
 }
 
@@ -488,21 +439,34 @@ func (e *Engine) moveNoted(id model.QueryID, kind grid.Handle, points []geom.Poi
 // which ApplyQueryUpdates runs once for all of a batch's moves
 // (noteTouched). Only the points change, so only they are validated.
 func (e *Engine) move(qu *query, points []geom.Point) error {
-	if len(points) != len(qu.def.Points) {
-		return fmt.Errorf("core: query %d move with %d points, want %d",
-			qu.id, len(points), len(qu.def.Points))
-	}
-	for _, p := range points {
-		if !finitePoint(p) {
-			return fmt.Errorf("core: non-finite query point %v", p)
+	if !qu.movable(points) {
+		if len(points) != len(qu.def.Points) {
+			return fmt.Errorf("core: query %d move with %d points, want %d",
+				qu.id, len(points), len(qu.def.Points))
 		}
+		return fmt.Errorf("core: non-finite query point in %v", points)
 	}
 	copy(qu.def.Points, points) // into the slot's own storage (see arm)
 	e.evaluate(qu)
 	return nil
 }
 
-// Result implements model.Monitor.
+// movable reports whether points are a valid new location for the query:
+// one per query point, each finite.
+func (qu *query) movable(points []geom.Point) bool {
+	if len(points) != len(qu.def.Points) {
+		return false
+	}
+	for _, p := range points {
+		if !p.Finite() {
+			return false
+		}
+	}
+	return true
+}
+
+// Result returns the current result of a k-NN query, ordered by (distance,
+// id), or nil for unknown ids. The caller owns the slice.
 func (e *Engine) Result(id model.QueryID) []model.Neighbor {
 	qu := e.lookup(id, 0)
 	if qu == nil {
@@ -538,34 +502,21 @@ func (e *Engine) HasQuery(id model.QueryID) bool {
 	return ok
 }
 
-// Stats implements model.Monitor. All counters — including cell accesses —
-// are engine-local: a shared grid's counter would be written by concurrent
+// Stats returns cumulative work counters. All counters — including cell
+// accesses — are engine-local: a shared grid's counter would be written by concurrent
 // shards, so each engine counts the cell scans it performs itself and the
 // sharded monitor sums them.
 func (e *Engine) Stats() model.Stats { return e.stats }
 
-// InvalidUpdates returns how many stream updates were dropped as
-// inconsistent (unknown ids, duplicate inserts, …).
-func (e *Engine) InvalidUpdates() int64 { return e.invalidObjects + e.invalidQueries }
-
-// InvalidObjectUpdates returns the object-stream share of InvalidUpdates.
-func (e *Engine) InvalidObjectUpdates() int64 { return e.invalidObjects }
-
-// InvalidQueryUpdates returns the query-stream share of InvalidUpdates.
+// InvalidQueryUpdates returns how many query-stream updates the engine
+// dropped as inconsistent (moves or terminations of unknown queries, moves
+// with the wrong number of points or non-finite ones, unknown kinds).
 func (e *Engine) InvalidQueryUpdates() int64 { return e.invalidQueries }
 
-// LastPhases returns the wall-clock decomposition of the most recent
-// ProcessBatch into the paper's cost-model phases. Zero before the first
-// cycle.
+// LastPhases returns the wall-clock decomposition of the most recent cycle
+// into the paper's cost-model phases, excluding the owner's grid
+// application. Zero before the first cycle.
 func (e *Engine) LastPhases() model.PhaseNanos { return e.phases }
-
-// ObjectPosition returns the current position of a live object.
-func (e *Engine) ObjectPosition(id model.ObjectID) (geom.Point, bool) {
-	return e.g.Position(id)
-}
-
-// ObjectCount returns the number of live objects.
-func (e *Engine) ObjectCount() int { return e.g.Count() }
 
 // Bookkeeping returns the sizes of a query's stored search state: the
 // visit-list length, the leftover heap length, and the influence-region
@@ -581,9 +532,9 @@ func (e *Engine) Bookkeeping(id model.QueryID) (visit, heap, influence int) {
 }
 
 // MemoryFootprint returns the engine's size in the abstract memory units of
-// Section 4.1: the grid term (3·N, counted here because this engine owns or
-// co-reads the grid — the sharded monitor counts it ONCE via QueryMemoryUnits
-// instead) plus the per-query terms.
+// Section 4.1: the grid term (3·N, counted here because this engine reads
+// the grid — the sharded monitor counts it ONCE and adds every engine's
+// QueryMemoryUnits instead) plus the per-query terms.
 func (e *Engine) MemoryFootprint() int64 {
 	return e.g.MemoryFootprint() + e.QueryMemoryUnits()
 }
@@ -608,25 +559,6 @@ func (e *Engine) QueryMemoryUnits() int64 {
 		units += int64(3 * (len(qu.visit) + qu.heap.Len()))
 	}
 	return units
-}
-
-// GridEpoch returns the grid's write epoch — the number of completed write
-// batches applied to the index (see grid.Epoch).
-func (e *Engine) GridEpoch() int64 { return e.g.Epoch() }
-
-// HasInfluence reports whether query id currently holds an influence entry
-// on cell c, in any scan group (tests and analysis).
-func (e *Engine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
-	qu := e.ids[id]
-	if qu == nil {
-		return false
-	}
-	for _, infl := range e.infls {
-		if infl.Has(c, qu.h) {
-			return true
-		}
-	}
-	return false
 }
 
 // Watched returns the cells on which some influence list of the engine is

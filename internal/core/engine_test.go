@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegisterValidation(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	cases := map[string]Def{
 		"no points": {K: 3},
 		"zero k":    {Points: []geom.Point{{X: 0.5, Y: 0.5}}, K: 0},
@@ -35,22 +35,8 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestBootstrapPanicsWhenNonEmpty(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
-	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
-	defer func() {
-		if recover() == nil {
-			t.Error("second Bootstrap did not panic")
-		}
-	}()
-	e.Bootstrap(map[model.ObjectID]geom.Point{2: {X: 0.6, Y: 0.6}})
-}
-
-func TestNameAndQueryIDs(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
-	if e.Name() != "CPM" {
-		t.Errorf("Name = %q", e.Name())
-	}
+func TestQueryIDsAndBestDist(t *testing.T) {
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
 	for i := 0; i < 3; i++ {
 		if err := e.RegisterQuery(model.QueryID(i), geom.Point{X: 0.5, Y: 0.5}, 1); err != nil {
@@ -67,7 +53,7 @@ func TestNameAndQueryIDs(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	w := newWorld(50)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(200))
 	if err := e.RegisterQuery(1, w.randPoint(), 8); err != nil {
 		t.Fatal(err)
@@ -94,7 +80,7 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestMemoryFootprintGrows(t *testing.T) {
 	w := newWorld(51)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	base := e.MemoryFootprint()
 	if base != 0 {
 		t.Errorf("empty engine footprint = %d", base)
@@ -115,9 +101,9 @@ func TestMemoryFootprintGrows(t *testing.T) {
 func TestDropBookkeepingShrinksFootprint(t *testing.T) {
 	w := newWorld(52)
 	objs := w.populate(500)
-	full := NewUnitEngine(32, Options{})
+	full := newTestEngine(32, Options{})
 	full.Bootstrap(objs)
-	lean := NewUnitEngine(32, Options{DropBookkeeping: true})
+	lean := newTestEngine(32, Options{DropBookkeeping: true})
 	lean.Bootstrap(objs)
 	for i := 0; i < 20; i++ {
 		q := w.randPoint()
@@ -135,7 +121,7 @@ func TestDropBookkeepingShrinksFootprint(t *testing.T) {
 }
 
 func TestResultIsACopy(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}, 2: {X: 0.6, Y: 0.6}})
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 2); err != nil {
 		t.Fatal(err)
@@ -155,7 +141,7 @@ func TestResultIsACopy(t *testing.T) {
 // the leftover heap to another, and the same object in a result twice.
 func TestEngineOwnsQueryPoints(t *testing.T) {
 	w := newWorld(5)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(300))
 	pts := []geom.Point{{X: 0.3, Y: 0.3}}
 	if err := e.Register(1, Def{Points: pts, K: 4}); err != nil {

@@ -14,10 +14,10 @@ import (
 // guard does (race or cpmassert builds) — `make assert` and CI's assert and
 // race jobs run them.
 
-func guardedEngine(t *testing.T) *Engine {
+func guardedEngine(t *testing.T) *testEngine {
 	t.Helper()
 	w := newWorld(3)
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(w.populate(50))
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 3); err != nil {
 		t.Fatal(err)

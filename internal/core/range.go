@@ -31,7 +31,7 @@ func (e *Engine) RegisterRange(id model.QueryID, center geom.Point, radius float
 	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return fmt.Errorf("core: invalid range radius %v", radius)
 	}
-	if !finitePoint(center) {
+	if !center.Finite() {
 		return fmt.Errorf("core: non-finite range center %v", center)
 	}
 	if _, exists := e.ids[id]; exists {
@@ -126,8 +126,4 @@ func appendRangeResult(buf []model.Neighbor, qu *query) []model.Neighbor {
 		return 0
 	})
 	return buf
-}
-
-func finitePoint(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // rangeOracle computes the ground truth for a range query.
-func rangeOracle(e *Engine, center geom.Point, radius float64) []model.Neighbor {
+func rangeOracle(e *testEngine, center geom.Point, radius float64) []model.Neighbor {
 	var out []model.Neighbor
-	e.Grid().ForEachObject(func(id model.ObjectID, p geom.Point) {
+	e.g.ForEachObject(func(id model.ObjectID, p geom.Point) {
 		if d := geom.Dist(p, center); d <= radius {
 			out = append(out, model.Neighbor{ID: id, Dist: d})
 		}
@@ -31,7 +31,7 @@ func sortNeighbors(ns []model.Neighbor) {
 
 func TestRangeRegisterAndResult(t *testing.T) {
 	w := newWorld(70)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(200))
 	center := geom.Point{X: 0.5, Y: 0.5}
 	const radius = 0.2
@@ -48,7 +48,7 @@ func TestRangeRegisterAndResult(t *testing.T) {
 }
 
 func TestRangeValidation(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	if err := e.RegisterRange(1, geom.Point{X: 0.5, Y: 0.5}, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
@@ -83,7 +83,7 @@ func TestRangeValidation(t *testing.T) {
 func TestRangeMonitoringMatchesOracle(t *testing.T) {
 	for seed := int64(80); seed < 86; seed++ {
 		w := newWorld(seed)
-		e := NewUnitEngine(12, Options{})
+		e := newTestEngine(12, Options{})
 		e.Bootstrap(w.populate(150))
 		type rdef struct {
 			center geom.Point
@@ -118,7 +118,7 @@ func TestRangeMonitoringMatchesOracle(t *testing.T) {
 
 func TestRangeMoveAndTerminateViaBatch(t *testing.T) {
 	w := newWorld(90)
-	e := NewUnitEngine(12, Options{})
+	e := newTestEngine(12, Options{})
 	e.Bootstrap(w.populate(120))
 	if err := e.RegisterRange(1, w.randPoint(), 0.15); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestRangeMoveAndTerminateViaBatch(t *testing.T) {
 }
 
 func TestRangeZeroRadius(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	p := geom.Point{X: 0.31, Y: 0.47}
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: p, 2: {X: 0.5, Y: 0.5}})
 	if err := e.RegisterRange(1, p, 0); err != nil {
@@ -154,7 +154,7 @@ func TestRangeZeroRadius(t *testing.T) {
 }
 
 func TestInvalidCoordinateUpdatesDropped(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 1); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestInvalidCoordinateUpdatesDropped(t *testing.T) {
 		t.Errorf("InvalidUpdates = %d, want 2", e.InvalidUpdates())
 	}
 	// The object stays where it was; results intact.
-	if p, _ := e.Grid().Position(1); p != (geom.Point{X: 0.5, Y: 0.5}) {
+	if p, _ := e.g.Position(1); p != (geom.Point{X: 0.5, Y: 0.5}) {
 		t.Errorf("object moved to invalid position: %v", p)
 	}
 	if got := e.Result(1); len(got) != 1 || got[0].ID != 1 {

@@ -9,8 +9,10 @@ import "cpm/internal/conc"
 // formation, churn) moves the density away from that optimum and the frozen
 // grid degrades toward one of the two bad extremes the model analyzes: cells
 // too coarse (every scan wades through huge object lists) or too fine
-// (searches touch thousands of near-empty cells). Rebalance re-partitions
-// the same workspace into a new cell count while the monitor keeps running.
+// (searches touch thousands of near-empty cells). The sharded monitor's
+// Rebalance re-partitions the same workspace into a new cell count while
+// monitoring keeps running: it rebuilds the shared grid once and calls
+// Reindex on every engine.
 //
 // The key observation making this cheap: query RESULTS are δ-independent —
 // the k nearest neighbors of a point do not care how the space is bucketed —
@@ -27,25 +29,7 @@ import "cpm/internal/conc"
 // counters do not move — no object list is ever scanned — while heap
 // operations count as in any search; both stay exactly partitionable across
 // shards (all reindex work is per-query), so the sharded monitor's summed
-// stats keep matching a single engine's.
-
-// Rebalance re-partitions the grid into newSize×newSize cells and
-// reinstalls every installed query's book-keeping on the new geometry,
-// leaving every result — and therefore the reported snapshots and the diff
-// stream — untouched. A no-op when newSize equals the current size. It must
-// be called between processing cycles (same single-caller contract as
-// ProcessBatch). On a shared grid the monitor owns the resize: it rebuilds
-// the grid once and calls Reindex on every engine.
-func (e *Engine) Rebalance(newSize int) {
-	if newSize == e.g.Size() {
-		return
-	}
-	if !e.ownsGrid {
-		panic("core: Rebalance on a shared-grid engine (the monitor owns the grid)")
-	}
-	e.g.Rebuild(newSize)
-	e.Reindex()
-}
+// stats keep matching one shard's.
 
 // Reindex rebuilds every installed query's book-keeping against the grid's
 // current geometry — the engine half of a resize, runnable in parallel
@@ -54,7 +38,6 @@ func (e *Engine) Rebalance(newSize int) {
 // groups are re-derived because the home-cell → group mapping depends on
 // the cell count.
 func (e *Engine) Reindex() {
-	e.rebalances++
 	cellCount := e.g.Size() * e.g.Size()
 	for _, infl := range e.infls {
 		infl.Reset(cellCount)
@@ -71,13 +54,6 @@ func (e *Engine) Reindex() {
 		}
 	}
 }
-
-// Rebalances returns how many grid resizes this engine has performed.
-func (e *Engine) Rebalances() int64 { return e.rebalances }
-
-// GridSize returns the current number of cells per dimension — a runtime
-// property once rebalancing is on.
-func (e *Engine) GridSize() int { return e.g.Size() }
 
 // reindexQuery rebuilds a k-NN query's search book-keeping (visit list,
 // influence entries, leftover heap) on the freshly rebuilt grid without

@@ -19,7 +19,7 @@ import (
 func TestRebalancePreservesResults(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		w := newWorld(seed)
-		e := NewUnitEngine(16, Options{})
+		e := newTestEngine(16, Options{})
 		e.Bootstrap(w.populate(300))
 
 		defs := map[model.QueryID]Def{}
@@ -96,16 +96,6 @@ func TestRebalancePreservesResults(t *testing.T) {
 	}
 }
 
-// TestRebalanceSameSizeIsNoop pins the fast path.
-func TestRebalanceSameSizeIsNoop(t *testing.T) {
-	e := NewUnitEngine(16, Options{})
-	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
-	e.Rebalance(16)
-	if e.Rebalances() != 0 {
-		t.Fatalf("same-size Rebalance counted: %d", e.Rebalances())
-	}
-}
-
 // TestOutOfWorkspaceObjects is the clamping property test: objects (and
 // query points) beyond the workspace must not break mindist-ordered search
 // pruning. Before stored positions were clamped onto the workspace, an
@@ -119,7 +109,7 @@ func TestOutOfWorkspaceObjects(t *testing.T) {
 	// The deterministic counterexample first: q outside the right border,
 	// the true NN outside too, stored — pre-clamping — in a far cell whose
 	// mindist exceeds another candidate's true distance.
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 2.5, Y: 0.2}, // clamps to (1, 0.2)
 		2: {X: 1.1, Y: 0.5}, // clamps to (1, 0.5)
@@ -136,7 +126,7 @@ func TestOutOfWorkspaceObjects(t *testing.T) {
 			// Mostly outside the unit square, up to 2 workspace-widths out.
 			return geom.Point{X: rng.Float64()*5 - 2, Y: rng.Float64()*5 - 2}
 		}
-		e := NewUnitEngine(8, Options{})
+		e := newTestEngine(8, Options{})
 		objs := make(map[model.ObjectID]geom.Point, 150)
 		for i := 0; i < 150; i++ {
 			objs[model.ObjectID(i)] = farPoint()
@@ -204,9 +194,9 @@ func TestOutOfWorkspaceObjects(t *testing.T) {
 		// The stored-position invariant itself (pinned here per the grid
 		// package doc): everything the index holds lies inside the
 		// workspace, border cells included.
-		ws := e.Grid().Workspace()
+		ws := e.g.Workspace()
 		ids := make([]model.ObjectID, 0, 150)
-		e.Grid().ForEachObject(func(id model.ObjectID, p geom.Point) {
+		e.g.ForEachObject(func(id model.ObjectID, p geom.Point) {
 			if !ws.Contains(p) {
 				t.Fatalf("object %d stored at %v outside workspace", id, p)
 			}

@@ -15,7 +15,7 @@ func TestComputeMatchesOracleRandom(t *testing.T) {
 		n := 1 + w.rng.Intn(300)
 		objs := w.populate(n)
 		gridSize := 1 << (1 + w.rng.Intn(5)) // 2..32
-		e := NewUnitEngine(gridSize, Options{})
+		e := newTestEngine(gridSize, Options{})
 		e.Bootstrap(objs)
 		for trial := 0; trial < 10; trial++ {
 			k := 1 + w.rng.Intn(20)
@@ -32,7 +32,7 @@ func TestComputeMatchesOracleRandom(t *testing.T) {
 
 func TestComputeKLargerThanPopulation(t *testing.T) {
 	w := newWorld(1)
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(w.populate(5))
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 10); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestComputeKLargerThanPopulation(t *testing.T) {
 }
 
 func TestComputeEmptyGrid(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestComputeEmptyGrid(t *testing.T) {
 }
 
 func TestComputeDuplicatePositions(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	p := geom.Point{X: 0.31, Y: 0.47}
 	objs := map[model.ObjectID]geom.Point{}
 	for i := 0; i < 6; i++ {
@@ -84,7 +84,7 @@ func TestComputeDuplicatePositions(t *testing.T) {
 
 func TestComputeQueryAtCorners(t *testing.T) {
 	w := newWorld(3)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(100))
 	corners := []geom.Point{
 		{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 1},
@@ -103,7 +103,7 @@ func TestComputeQueryAtCorners(t *testing.T) {
 
 func TestComputeQueryOutsideWorkspace(t *testing.T) {
 	w := newWorld(4)
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(w.populate(60))
 	// Query points outside the workspace clamp to border cells but
 	// distances stay exact.
@@ -119,7 +119,7 @@ func TestComputeQueryOutsideWorkspace(t *testing.T) {
 
 func TestComputeGrid1x1(t *testing.T) {
 	w := newWorld(5)
-	e := NewUnitEngine(1, Options{})
+	e := newTestEngine(1, Options{})
 	e.Bootstrap(w.populate(50))
 	def := PointQuery(w.randPoint(), 5)
 	if err := e.Register(1, def); err != nil {
@@ -132,7 +132,7 @@ func TestComputeGrid1x1(t *testing.T) {
 func TestANNMatchesOracle(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		w := newWorld(seed)
-		e := NewUnitEngine(16, Options{})
+		e := newTestEngine(16, Options{})
 		e.Bootstrap(w.populate(200))
 		for trial, agg := range []geom.Agg{geom.AggSum, geom.AggMin, geom.AggMax} {
 			m := 2 + w.rng.Intn(4)
@@ -154,7 +154,7 @@ func TestANNMatchesOracle(t *testing.T) {
 func TestConstrainedMatchesOracle(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
 		w := newWorld(seed)
-		e := NewUnitEngine(16, Options{})
+		e := newTestEngine(16, Options{})
 		e.Bootstrap(w.populate(200))
 		for trial := 0; trial < 5; trial++ {
 			lo := w.randPoint()
@@ -170,7 +170,7 @@ func TestConstrainedMatchesOracle(t *testing.T) {
 			}
 			checkResult(t, "constrained", e.Result(id), oracle(e, def))
 			for _, n := range e.Result(id) {
-				p, _ := e.Grid().Position(n.ID)
+				p, _ := e.g.Position(n.ID)
 				if !region.Contains(p) {
 					t.Fatalf("constrained result %d outside region", n.ID)
 				}
@@ -184,7 +184,7 @@ func TestConstrainedMatchesOracle(t *testing.T) {
 // TestConstrainedNortheast reproduces Figure 5.3: monitoring the NN to the
 // northeast of q must skip the unconstrained NN on the other side.
 func TestConstrainedNortheast(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	q := geom.Point{X: 0.5, Y: 0.5}
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.45, Y: 0.5},  // unconstrained NN, to the west
@@ -205,7 +205,7 @@ func TestConstrainedNortheast(t *testing.T) {
 
 func TestConstrainedEmptyRegion(t *testing.T) {
 	w := newWorld(7)
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(w.populate(50))
 	// A region outside the workspace: no admissible objects.
 	region := geom.Rect{Lo: geom.Point{X: 2, Y: 2}, Hi: geom.Point{X: 3, Y: 3}}
@@ -225,7 +225,7 @@ func TestConstrainedEmptyRegion(t *testing.T) {
 func TestSearchMinimality(t *testing.T) {
 	for seed := int64(300); seed < 320; seed++ {
 		w := newWorld(seed)
-		e := NewUnitEngine(16, Options{})
+		e := newTestEngine(16, Options{})
 		e.Bootstrap(w.populate(400))
 		q := w.randPoint()
 		before := e.Stats().CellAccesses
@@ -242,7 +242,7 @@ func TestSearchMinimality(t *testing.T) {
 		atBoundary := int64(0)
 		for row := 0; row < 16; row++ {
 			for col := 0; col < 16; col++ {
-				d := e.Grid().CellRect(col, row).MinDist(q)
+				d := e.g.CellRect(col, row).MinDist(q)
 				switch {
 				case d < bd:
 					minimal++
@@ -263,7 +263,7 @@ func TestSearchMinimality(t *testing.T) {
 // across many random configurations explicitly.
 func TestVisitListAscendingHeavy(t *testing.T) {
 	w := newWorld(31)
-	e := NewUnitEngine(32, Options{})
+	e := newTestEngine(32, Options{})
 	e.Bootstrap(w.populate(500))
 	for i := 0; i < 50; i++ {
 		id := model.QueryID(i)
@@ -276,7 +276,7 @@ func TestVisitListAscendingHeavy(t *testing.T) {
 
 func TestRemoveQueryClearsInfluence(t *testing.T) {
 	w := newWorld(8)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(100))
 	if err := e.RegisterQuery(1, w.randPoint(), 5); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestRemoveQueryClearsInfluence(t *testing.T) {
 
 func TestMoveQueryRecomputes(t *testing.T) {
 	w := newWorld(9)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(300))
 	if err := e.RegisterQuery(1, geom.Point{X: 0.1, Y: 0.1}, 6); err != nil {
 		t.Fatal(err)

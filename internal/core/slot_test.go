@@ -18,14 +18,14 @@ type slotTenant struct {
 	radius float64 // > 0: a range query
 }
 
-func (q slotTenant) register(e *Engine, id model.QueryID) error {
+func (q slotTenant) register(e *testEngine, id model.QueryID) error {
 	if q.radius > 0 {
 		return e.RegisterRange(id, q.def.Points[0], q.radius)
 	}
 	return e.Register(id, q.def)
 }
 
-func (q slotTenant) check(t *testing.T, e *Engine, label string, id model.QueryID) {
+func (q slotTenant) check(t *testing.T, e *testEngine, label string, id model.QueryID) {
 	t.Helper()
 	if q.radius > 0 {
 		checkResult(t, label, e.RangeResult(id), rangeOracle(e, q.def.Points[0], q.radius))
@@ -57,13 +57,13 @@ func TestSlotReuse(t *testing.T) {
 func testSlotReuse(t *testing.T, opts Options) {
 	w := newWorld(23)
 	objs := w.populate(600)
-	e := NewUnitEngine(16, opts)
+	e := newTestEngine(16, opts)
 	defer e.Close()
 	e.EnableDiffs(true)
 	e.Bootstrap(objs)
 	// The reference engine sees the same objects but registers every query
 	// into a slot no one has used.
-	ref := NewUnitEngine(16, opts)
+	ref := newTestEngine(16, opts)
 	defer ref.Close()
 	ref.Bootstrap(objs)
 

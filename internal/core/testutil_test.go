@@ -8,8 +8,92 @@ import (
 
 	"cpm/internal/bruteforce"
 	"cpm/internal/geom"
+	"cpm/internal/grid"
 	"cpm/internal/model"
 )
+
+// testEngine is an engine over a grid of its own, driven through the staged
+// calls internal/shard's monitor makes with one shard: the white-box tests
+// run one engine as a whole monitor with it.
+type testEngine struct {
+	*Engine
+	log        []grid.Applied
+	invalid    int64 // object updates the grid dropped
+	rebalances int64
+}
+
+// newTestEngine builds a shared unit-square grid and an engine over it.
+func newTestEngine(gridSize int, opts Options) *testEngine {
+	g := grid.NewUnit(gridSize)
+	g.SetShared(true)
+	return &testEngine{Engine: NewSharedEngine(g, opts)}
+}
+
+// Bootstrap loads the initial object population in one write window.
+func (e *testEngine) Bootstrap(objs map[model.ObjectID]geom.Point) {
+	e.g.BeginWrites()
+	defer e.g.EndWrites()
+	for id, p := range objs {
+		if err := e.g.Insert(id, p); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// ProcessBatch runs one cycle: the object stream applied to the grid and
+// logged, the log scanned — one update at a time under PerUpdate — and the
+// query stream applied.
+func (e *testEngine) ProcessBatch(b model.Batch) {
+	e.BeginCycle(b.Queries)
+	if e.opts.PerUpdate {
+		for i := range b.Objects {
+			e.apply(b.Objects[i:i+1], nil)
+			e.ScanApplied(e.log)
+		}
+	} else {
+		e.apply(b.Objects, e.Watched())
+		e.ScanApplied(e.log)
+	}
+	e.ApplyQueryUpdates(b.Queries)
+}
+
+func (e *testEngine) apply(updates []model.Update, watch *grid.CellSet) {
+	var invalid int64
+	e.log, invalid = e.g.ApplyWatched(updates, e.log[:0], watch)
+	e.invalid += invalid
+}
+
+// InvalidUpdates counts the dropped elements of both streams.
+func (e *testEngine) InvalidUpdates() int64 { return e.invalid + e.InvalidQueryUpdates() }
+
+// Rebalance resizes the grid and reindexes the engine.
+func (e *testEngine) Rebalance(newSize int) {
+	e.g.Rebuild(newSize)
+	e.Reindex()
+	e.rebalances++
+}
+
+func (e *testEngine) GridSize() int     { return e.g.Size() }
+func (e *testEngine) Rebalances() int64 { return e.rebalances }
+
+func (e *testEngine) ObjectPosition(id model.ObjectID) (geom.Point, bool) {
+	return e.g.Position(id)
+}
+
+// HasInfluence reports whether query id currently holds an influence entry
+// on cell c, in any scan group.
+func (e *testEngine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
+	qu := e.ids[id]
+	if qu == nil {
+		return false
+	}
+	for _, infl := range e.infls {
+		if infl.Has(c, qu.h) {
+			return true
+		}
+	}
+	return false
+}
 
 // world mirrors the engine's object population so tests can generate
 // consistent update streams and run the brute-force oracle independently.
@@ -156,9 +240,9 @@ func checkResult(t *testing.T, label string, got, want []model.Neighbor) {
 
 // oracle computes the ground-truth result for a query definition over the
 // engine's grid.
-func oracle(e *Engine, def Def) []model.Neighbor {
+func oracle(e *testEngine, def Def) []model.Neighbor {
 	sel := bruteforce.NewSelector(def.K)
-	e.Grid().ForEachObject(func(id model.ObjectID, p geom.Point) {
+	e.g.ForEachObject(func(id model.ObjectID, p geom.Point) {
 		if !def.admits(p) {
 			return
 		}
@@ -173,7 +257,7 @@ func oracle(e *Engine, def Def) []model.Neighbor {
 //   - visit keys lower-bound the true mindist of their cells... they equal it;
 //   - influence entries exist exactly for the influence prefix;
 //   - every result member's current cell carries the query's influence.
-func checkInvariants(t *testing.T, e *Engine, id model.QueryID) {
+func checkInvariants(t *testing.T, e *testEngine, id model.QueryID) {
 	t.Helper()
 	qu := e.lookup(id, 0)
 	if qu == nil {
@@ -209,11 +293,11 @@ func checkInvariants(t *testing.T, e *Engine, id model.QueryID) {
 		}
 	}
 	for _, n := range qu.best.snapshot() {
-		p, ok := e.Grid().Position(n.ID)
+		p, ok := e.g.Position(n.ID)
 		if !ok {
 			t.Fatalf("query %d: result contains dead object %d", id, n.ID)
 		}
-		c := e.Grid().CellOf(p)
+		c := e.g.CellOf(p)
 		if !e.HasInfluence(c, id) {
 			t.Fatalf("query %d: result member %d's cell %d lacks influence", id, n.ID, c)
 		}

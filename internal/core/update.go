@@ -8,76 +8,44 @@ import (
 	"cpm/internal/model"
 )
 
-// ProcessBatch runs one processing cycle: the NN Monitoring loop of Figure
-// 3.9. It first handles the object updates U_P (ignoring queries that have
-// their own updates this cycle, whose results are obsolete anyway), then
-// applies the query updates U_q — terminations, moves (a move is a
-// termination plus a fresh installation, Section 3.3) — and leaves every
-// installed query's result current.
+// The NN Monitoring loop of Figure 3.9 runs in three calls, driven by the
+// grid's owner (internal/shard's monitor), which applies the tick's object
+// stream U_P to the grid in between:
 //
-// Only the private-grid engine applies the object stream itself; it does so
-// through grid.ApplyWatched — apply all index mutations, then scan the write
-// log — which is exactly the cycle shape the sharded monitor drives
-// externally over a shared grid (BeginCycle / ScanApplied /
-// ApplyQueryUpdates). The log-then-scan split is lossless: the influence
-// scans of Figure 3.8 classify objects by their logged position and cell
-// transition and never read the grid's object data, so scanning after all
-// writes observes exactly what interleaved scanning did. The log holds only
-// the updates touching a Watched cell: any other one would meet empty
-// influence lists in every group, so it costs its index maintenance and
-// nothing else (the paper's Time_ind).
+//	BeginCycle(U_q)          stamp the queries U_q rebuilds or removes
+//	grid.ApplyWatched(U_P)   the owner's write window, logging what matters
+//	ScanApplied(log)         Figure 3.8: influence scans, then resolution
+//	ApplyQueryUpdates(U_q)   terminations and moves (Section 3.3)
 //
-// Inconsistent stream elements (moves or deletes of unknown objects,
-// duplicate inserts, updates for unknown queries) are dropped and counted
-// in InvalidUpdates; a monitoring server must outlive a misbehaving client.
+// The log-then-scan split is lossless: the influence scans of Figure 3.8
+// classify objects by their logged position and cell transition and never
+// read the grid's object data, so scanning after all writes observes exactly
+// what interleaved scanning did. The log need hold only the updates touching
+// a Watched cell: any other one would meet empty influence lists in every
+// group, so it costs its index maintenance and nothing else (the paper's
+// Time_ind). The Section 3.2 ablation (Options.PerUpdate) is the same calls
+// with a one-update log per ScanApplied.
 //
 // A steady-state cycle (moves only, warmed buffers) performs zero heap
-// allocations: the write log and per-cycle sets are reused slices, and all
-// influence and cell scans iterate borrowed slices.
-func (e *Engine) ProcessBatch(b model.Batch) {
-	if !e.ownsGrid {
-		panic("core: ProcessBatch on a shared-grid engine (the monitor applies updates)")
-	}
-	e.BeginCycle(b.Queries)
-	if e.opts.PerUpdate {
-		// Ablation X2: Section 3.2 semantics — each update is applied,
-		// classified and resolved on its own, so an outgoing NN triggers
-		// re-computation even when a later update this cycle would have
-		// compensated for it. Resolution re-shapes influence regions
-		// between updates, so the watched set is re-read for each.
-		for i := range b.Objects {
-			var invalid int64
-			e.applied, invalid = e.g.ApplyWatched(b.Objects[i:i+1], e.applied[:0], e.Watched())
-			e.invalidObjects += invalid
-			e.ScanApplied(e.applied)
-		}
-	} else {
-		t0 := time.Now()
-		var invalid int64
-		e.applied, invalid = e.g.ApplyWatched(b.Objects, e.applied[:0], e.Watched())
-		e.invalidObjects += invalid
-		// Index maintenance is part of the relocation phase of the Section
-		// 4 cost model; ScanApplied adds the scan share on top.
-		e.phases.Relocate += time.Since(t0).Nanoseconds()
-		e.ScanApplied(e.applied)
-	}
-	e.ApplyQueryUpdates(b.Queries)
-}
+// allocations: the per-cycle sets are reused slices, and all influence and
+// cell scans iterate borrowed slices.
 
 // BeginCycle opens one processing cycle: it resets the phase decomposition
-// and the notification window, and stamps the queries that have their own
-// update in queries so the object-update scans skip them (the per-cycle
-// "ignore" set of Figure 3.9, kept as generation marks instead of a map).
-// The sharded monitor calls this on every engine before applying the
-// tick's writes; ProcessBatch is BeginCycle + apply/ScanApplied +
-// ApplyQueryUpdates.
+// and the notification window, and stamps the queries that the query
+// updates in queries will rebuild or remove so the object-update scans skip
+// them (the per-cycle "ignore" set of Figure 3.9, kept as generation marks
+// instead of a map). A query whose only update rebuilds nothing — an
+// install, an unknown kind, an invalid move — keeps following the object
+// stream. The sharded monitor calls this on every engine before applying
+// the tick's writes.
 func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.phases = model.PhaseNanos{}
 	e.changeGen++
 	e.changedIDs = e.changedIDs[:0]
 	e.batchGen++
 	for _, u := range queries {
-		if qu, ok := e.ids[u.ID]; ok {
+		qu, ok := e.ids[u.ID]
+		if ok && (u.Kind == model.QueryTerminate || u.Kind == model.QueryMove && qu.movable(u.NewPoints)) {
 			qu.ignoreMark = e.batchGen
 		}
 	}
@@ -111,9 +79,10 @@ func (e *Engine) ScanApplied(log []grid.Applied) {
 }
 
 // ApplyQueryUpdates applies the query stream U_q for the cycle opened by
-// BeginCycle. The sharded monitor routes each query update to exactly one
-// engine, so the updates seen here are a subset of the batch passed to
-// BeginCycle.
+// BeginCycle — the updates passed to BeginCycle. Inconsistent elements
+// (updates for unknown queries, bad moves) are dropped and counted in
+// InvalidQueryUpdates; a monitoring server must outlive a misbehaving
+// client.
 func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 	qStart := time.Now()
 	for _, u := range queries {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cpm/internal/geom"
@@ -13,7 +14,7 @@ import (
 func runMonitoring(t *testing.T, seed int64, opts Options, cycles, batchSize int, allowRepeats bool) {
 	t.Helper()
 	w := newWorld(seed)
-	e := NewUnitEngine(8+int(seed%3)*8, opts)
+	e := newTestEngine(8+int(seed%3)*8, opts)
 	e.Bootstrap(w.populate(150))
 
 	defs := map[model.QueryID]Def{}
@@ -82,7 +83,7 @@ func TestMonitoringDropBookkeeping(t *testing.T) {
 // object simply moves closer to the query than best_dist, CPM must update
 // the result without visiting any cell.
 func TestShortCircuitNoGridAccess(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5}, // current NN
 		2: {X: 0.9, Y: 0.9},
@@ -112,7 +113,7 @@ func TestShortCircuitNoGridAccess(t *testing.T) {
 // away, no incomer compensates, so re-computation must run and find the
 // true new NN.
 func TestOutgoingTriggersRecomputation(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.6, Y: 0.6},
@@ -137,7 +138,7 @@ func TestOutgoingTriggersRecomputation(t *testing.T) {
 // another object enters closer — the batched handler must avoid
 // re-computation entirely.
 func TestOutgoingCancelledByIncomer(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5}, // p2 of the figure: the current NN
 		2: {X: 0.9, Y: 0.9},  // p3: will move next to q
@@ -165,7 +166,7 @@ func TestOutgoingCancelledByIncomer(t *testing.T) {
 // under the PerUpdate ablation must trigger a re-computation, demonstrating
 // what batching saves.
 func TestPerUpdateRecomputesWhereBatchWouldNot(t *testing.T) {
-	e := NewUnitEngine(8, Options{PerUpdate: true})
+	e := newTestEngine(8, Options{PerUpdate: true})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.9, Y: 0.9},
@@ -189,7 +190,7 @@ func TestPerUpdateRecomputesWhereBatchWouldNot(t *testing.T) {
 
 // TestDeleteOfNN: off-line NNs are outgoing NNs (Section 4.2).
 func TestDeleteOfNN(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.6, Y: 0.6},
@@ -211,7 +212,7 @@ func TestDeleteOfNN(t *testing.T) {
 // touch any query bookkeeping (the "handling location updates only from
 // objects in the vicinity of some query" claim).
 func TestUpdateFarAwayIgnored(t *testing.T) {
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.51, Y: 0.5},
 		2: {X: 0.52, Y: 0.5},
@@ -241,7 +242,7 @@ func TestUpdateFarAwayIgnored(t *testing.T) {
 
 func TestQueryMoveViaBatch(t *testing.T) {
 	w := newWorld(11)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(200))
 	if err := e.RegisterQuery(1, geom.Point{X: 0.2, Y: 0.2}, 4); err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestQueryMoveViaBatch(t *testing.T) {
 
 func TestQueryTerminateViaBatch(t *testing.T) {
 	w := newWorld(12)
-	e := NewUnitEngine(16, Options{})
+	e := newTestEngine(16, Options{})
 	e.Bootstrap(w.populate(100))
 	if err := e.RegisterQuery(1, w.randPoint(), 4); err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func TestQueryTerminateViaBatch(t *testing.T) {
 }
 
 func TestInvalidObjectUpdates(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
 	if err := e.RegisterQuery(1, geom.Point{X: 0.4, Y: 0.4}, 1); err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestInvalidObjectUpdates(t *testing.T) {
 
 // TestChurnToEmptyAndBack drains the population below k and refills it.
 func TestChurnToEmptyAndBack(t *testing.T) {
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		0: {X: 0.1, Y: 0.1}, 1: {X: 0.2, Y: 0.2}, 2: {X: 0.3, Y: 0.3},
 	})
@@ -335,7 +336,7 @@ func TestChurnToEmptyAndBack(t *testing.T) {
 // must not interfere through the shared influence lists.
 func TestManyQueriesSharedCells(t *testing.T) {
 	w := newWorld(13)
-	e := NewUnitEngine(8, Options{})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(w.populate(60))
 	defs := map[model.QueryID]Def{}
 	for i := 0; i < 10; i++ {
@@ -353,5 +354,34 @@ func TestManyQueriesSharedCells(t *testing.T) {
 			checkResult(t, fmt.Sprintf("overlap c%d q%d", cycle, id), e.Result(id), oracle(e, def))
 			checkInvariants(t, e, id)
 		}
+	}
+}
+
+// TestQueryUpdateThatRebuildsNothing: only a query update that rebuilds or
+// removes its query — a valid move, a termination — exempts the query from
+// the cycle's object updates. One that changes nothing — an install, an
+// unknown kind, a move with the wrong number of points or a non-finite one —
+// must leave it following the object stream, or its result goes stale.
+func TestQueryUpdateThatRebuildsNothing(t *testing.T) {
+	noops := map[string]model.QueryUpdate{
+		"install":      {ID: 1, Kind: model.QueryInstall},
+		"unknown kind": {ID: 1, Kind: model.QueryUpdateKind(7)},
+		"two points":   {ID: 1, Kind: model.QueryMove, NewPoints: []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}}},
+		"NaN point":    {ID: 1, Kind: model.QueryMove, NewPoints: []geom.Point{{X: math.NaN(), Y: 0.5}}},
+	}
+	for name, u := range noops {
+		e := newTestEngine(8, Options{})
+		e.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}, 2: {X: 0.9, Y: 0.9}})
+		if err := e.RegisterQuery(1, geom.Point{X: 0.5, Y: 0.5}, 1); err != nil {
+			t.Fatal(err)
+		}
+		e.ProcessBatch(model.Batch{
+			Objects: []model.Update{model.DeleteUpdate(1, geom.Point{X: 0.5, Y: 0.5})},
+			Queries: []model.QueryUpdate{u},
+		})
+		if got := e.Result(1); len(got) != 1 || got[0].ID != 2 {
+			t.Errorf("%s: result %v after its NN was deleted, want object 2", name, got)
+		}
+		checkInvariants(t, e, 1)
 	}
 }

@@ -17,6 +17,14 @@ type Point struct {
 	X, Y float64
 }
 
+// Finite reports whether both coordinates are finite numbers. It is the one
+// validity rule for points arriving from outside: the grid drops object
+// updates that fail it, the engine and the cluster coordinator refuse query
+// points that fail it.
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
+}
+
 // Dist returns the Euclidean distance between p and q.
 //
 // CPM's level stepping (Lemma 3.1: mindist(DIR_{l+1}) = mindist(DIR_l) + δ)

@@ -109,3 +109,17 @@ func TestMBREmptyPanics(t *testing.T) {
 	}()
 	MBR(nil)
 }
+
+func TestPointFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Point{{X: nan, Y: 0}, {X: 0, Y: nan}, {X: inf, Y: 0}, {X: 0, Y: -inf}} {
+		if p.Finite() {
+			t.Errorf("%v reported finite", p)
+		}
+	}
+	for _, p := range []Point{{}, {X: -3, Y: 1e300}, {X: math.MaxFloat64, Y: -math.SmallestNonzeroFloat64}} {
+		if !p.Finite() {
+			t.Errorf("%v reported not finite", p)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"math"
-
 	"cpm/internal/geom"
 	"cpm/internal/model"
 )
@@ -79,7 +77,7 @@ func (g *Grid) apply(updates []model.Update, log []Applied, watch *CellSet, regr
 	for _, u := range updates {
 		switch u.Kind {
 		case model.Move:
-			if !finite(u.New) {
+			if !u.New.Finite() {
 				invalid++
 				continue
 			}
@@ -93,7 +91,7 @@ func (g *Grid) apply(updates []model.Update, log []Applied, watch *CellSet, regr
 				log = append(log, Applied{ID: u.ID, Kind: model.Move, Pos: p, Old: oldCell, New: newCell})
 			}
 		case model.Insert:
-			if !finite(u.New) {
+			if !u.New.Finite() {
 				invalid++
 				continue
 			}
@@ -124,8 +122,4 @@ func (g *Grid) apply(updates []model.Update, log []Applied, watch *CellSet, regr
 	}
 	g.assertIndex()
 	return log, invalid
-}
-
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }

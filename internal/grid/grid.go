@@ -176,7 +176,7 @@ func (g *Grid) Clamp(p geom.Point) geom.Point {
 //
 // Influence indexes are sized for the old geometry: the engine(s) owning
 // the queries must reset and reinstall them (together with each query's
-// visit list and heap) right after — see core.Engine.Rebalance and
+// visit list and heap) right after — see shard.Monitor.Rebalance and
 // core.Engine.Reindex. The cumulative cell-access counter is preserved:
 // a rebuild is index maintenance, not search work.
 //

@@ -20,6 +20,7 @@ import (
 	"cpm/internal/grid"
 	"cpm/internal/model"
 	"cpm/internal/network"
+	"cpm/internal/shard"
 )
 
 type testbed struct {
@@ -46,7 +47,7 @@ func newTestbed(t *testing.T, seed int64, params generator.Params, gridSize, k i
 	tb := &testbed{
 		workload: w,
 		monitors: []model.Monitor{
-			core.NewUnitEngine(gridSize, core.Options{}),
+			shard.NewUnit(1, gridSize, core.Options{}),
 			baseline.NewUnitYPK(gridSize),
 			baseline.NewUnitSEA(gridSize),
 		},
@@ -203,7 +204,7 @@ func TestAllMethodsRejectNonFiniteUpdates(t *testing.T) {
 	if _, _, err := oracle.Move(good.ID, good.New); err != nil {
 		t.Fatal(err)
 	}
-	engine := core.NewUnitEngine(8, core.Options{})
+	engine := shard.NewUnit(1, 8, core.Options{})
 	ypk, sea := baseline.NewUnitYPK(8), baseline.NewUnitSEA(8)
 	q := geom.Point{X: 0.5, Y: 0.5}
 	for _, m := range []model.Monitor{engine, ypk, sea} {
@@ -241,10 +242,10 @@ func TestCPMVariantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := w.InitialObjects()
-	engines := []*core.Engine{
-		core.NewUnitEngine(16, core.Options{}),
-		core.NewUnitEngine(16, core.Options{PerUpdate: true}),
-		core.NewUnitEngine(16, core.Options{DropBookkeeping: true}),
+	engines := []*shard.Monitor{
+		shard.NewUnit(1, 16, core.Options{}),
+		shard.NewUnit(1, 16, core.Options{PerUpdate: true}),
+		shard.NewUnit(1, 16, core.Options{DropBookkeeping: true}),
 	}
 	for _, e := range engines {
 		e.Bootstrap(objs)

@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Result diffs — the push-based counterpart of the ChangedQueries polling
 // set. Where ChangedQueries tells a client *which* queries changed during a
@@ -69,4 +73,20 @@ type ResultDiff struct {
 	// Result is the full new result, ordered by (Dist, ID); nil for
 	// DiffRemove.
 	Result []Neighbor
+}
+
+// Owner maps a query id to one of n partitions — the shard of a sharded
+// monitor, the worker of a cluster — by Fibonacci hashing, so clustered id
+// ranges still spread evenly. Both layers route with it, so a workload
+// balances the same way in process and across processes.
+func Owner(id QueryID, n int) int {
+	return int((uint32(id) * 0x9E3779B1) % uint32(n))
+}
+
+// SortByQuery merges the diff streams of disjoint partitions, concatenated
+// in diffs, into one stream ordered by query id. The sort is stable, so each
+// query's events keep their order; for partitions that own disjoint query
+// sets the result is the stream one monitor holding every query would emit.
+func SortByQuery(diffs []ResultDiff) {
+	slices.SortStableFunc(diffs, func(a, b ResultDiff) int { return cmp.Compare(a.Query, b.Query) })
 }

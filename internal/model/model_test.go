@@ -114,3 +114,40 @@ func TestStatsAddSub(t *testing.T) {
 		t.Errorf("Sub = %+v, want %+v", d, a)
 	}
 }
+
+func TestOwnerSpreadsClusteredIDs(t *testing.T) {
+	const n = 4
+	var counts [n]int
+	for id := QueryID(0); id < 400; id++ {
+		o := Owner(id, n)
+		if o < 0 || o >= n || Owner(id, n) != o {
+			t.Fatalf("Owner(%d, %d) = %d", id, n, o)
+		}
+		counts[o]++
+	}
+	for o, c := range counts {
+		if c < 80 || c > 120 {
+			t.Errorf("owner %d holds %d of 400 consecutive ids", o, c)
+		}
+	}
+	if Owner(123, 1) != 0 {
+		t.Error("one partition must own everything")
+	}
+}
+
+func TestSortByQueryIsStable(t *testing.T) {
+	diffs := []ResultDiff{
+		{Query: 3, Kind: DiffRemove}, {Query: 1, Kind: DiffUpdate},
+		{Query: 3, Kind: DiffInstall}, {Query: 2}, {Query: 1, Kind: DiffRemove},
+	}
+	SortByQuery(diffs)
+	want := []ResultDiff{
+		{Query: 1, Kind: DiffUpdate}, {Query: 1, Kind: DiffRemove}, {Query: 2},
+		{Query: 3, Kind: DiffRemove}, {Query: 3, Kind: DiffInstall},
+	}
+	for i := range want {
+		if diffs[i].Query != want[i].Query || diffs[i].Kind != want[i].Kind {
+			t.Fatalf("sorted %v, want %v", diffs, want)
+		}
+	}
+}

@@ -83,11 +83,10 @@ func (w *tickWorkload) mount(tb testing.TB, m monitor) {
 	}
 }
 
-// BenchmarkTick compares one monitoring cycle on a single engine against
-// the sharded monitor at increasing shard counts, over an identical
-// multi-query workload. On a multi-core runner the sharded rows should
-// beat the single engine from a few shards on; with GOMAXPROCS=1 they
-// instead expose the fan-out overhead.
+// BenchmarkTick compares one monitoring cycle at increasing shard counts,
+// over an identical multi-query workload. On a multi-core runner the
+// multi-shard rows should beat shards=1 from a few shards on; with
+// GOMAXPROCS=1 they instead expose the fan-out overhead.
 //
 // The monitor is warmed on the workload's ring outside the timer — a cold
 // one spends its first laps growing every query's buffers for the first
@@ -98,9 +97,10 @@ func (w *tickWorkload) mount(tb testing.TB, m monitor) {
 // produced before (14 allocs/op at 200x, 2 at 2000x); a periodic stream
 // stops producing them, which is the case TestSteadyStateAllocs pins at 0.
 func BenchmarkTick(b *testing.B) {
-	run := func(b *testing.B, mk func() monitor) {
+	run := func(b *testing.B, n int) {
 		w := makeTickWorkload(8192, 256, 16, 16, 0.5, 3)
-		m := mk()
+		m := shard.NewUnit(n, 64, core.Options{})
+		defer m.Close()
 		w.mount(b, m)
 		for _, batch := range w.batches {
 			m.ProcessBatch(batch)
@@ -114,13 +114,8 @@ func BenchmarkTick(b *testing.B) {
 			m.ProcessBatch(batch)
 		}
 	}
-	b.Run("single", func(b *testing.B) {
-		run(b, func() monitor { return core.NewUnitEngine(64, core.Options{}) })
-	})
 	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			run(b, func() monitor { return shard.NewUnit(n, 64, core.Options{}) })
-		})
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { run(b, n) })
 	}
 }
 
@@ -163,7 +158,7 @@ func BenchmarkTickSubscribed(b *testing.B) {
 }
 
 // TestShardedSpeedup measures the point of the exercise: on a multi-core
-// machine, ProcessBatch on ≥4 shards is faster than the single engine for
+// machine, ProcessBatch on ≥4 shards is faster than on one shard for
 // a multi-query workload. By default the measurement is logged; set
 // CPM_SPEEDUP_STRICT=1 (a quiet multi-core box, not a shared CI runner
 // with noisy neighbors) to make a missing speedup fail the test.
@@ -197,11 +192,11 @@ func TestShardedSpeedup(t *testing.T) {
 		}
 		return b
 	}
-	single := best(func() time.Duration { return measure(core.NewUnitEngine(64, core.Options{})) })
+	single := best(func() time.Duration { return measure(shard.NewUnit(1, 64, core.Options{})) })
 	parallel := best(func() time.Duration { return measure(shard.NewUnit(shards, 64, core.Options{})) })
 	t.Logf("single %v, %d shards %v (%.2fx)", single, shards, parallel, float64(single)/float64(parallel))
 	if parallel >= single {
-		msg := fmt.Sprintf("sharded ProcessBatch (%d shards) took %v, single engine %v — no speedup", shards, parallel, single)
+		msg := fmt.Sprintf("sharded ProcessBatch (%d shards) took %v, one shard %v — no speedup", shards, parallel, single)
 		if os.Getenv("CPM_SPEEDUP_STRICT") != "" {
 			t.Error(msg)
 		} else {

@@ -1,0 +1,7 @@
+package shard
+
+import "cpm/internal/grid"
+
+// Watched exposes the union of the engines' watched cells to the external
+// tests, which shape update streams around it.
+func (m *Monitor) Watched() *grid.CellSet { return m.watched() }

@@ -175,6 +175,17 @@ func TestRebalanceEquivalence(t *testing.T) {
 	}
 }
 
+// TestRebalanceSameSizeIsNoop pins the fast path: no rebuild, no count.
+func TestRebalanceSameSizeIsNoop(t *testing.T) {
+	m := shard.NewUnit(1, 16, core.Options{})
+	m.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
+	epoch := m.GridEpoch()
+	m.Rebalance(16)
+	if m.Rebalances() != 0 || m.GridEpoch() != epoch {
+		t.Fatalf("same-size Rebalance counted %d resizes, epoch %d → %d", m.Rebalances(), epoch, m.GridEpoch())
+	}
+}
+
 // TestAutoRebalancePolicy checks the density-driven trigger: a population
 // collapsing into a hotspot must grow the grid, a dispersing one must
 // shrink it back, results staying oracle-exact throughout; and occupancy

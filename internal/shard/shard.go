@@ -1,8 +1,11 @@
-// Package shard implements a sharded CPM monitor: continuous queries are
+// Package shard implements the CPM monitor: continuous queries are
 // hash-partitioned across N worker shards, each owning a private
 // core.Engine, and every processing cycle applies the object stream once to
 // one shared grid, fans the resulting write log out to one goroutine per
-// shard and merges the results.
+// shard and merges the results. It is the only code that applies the object
+// stream: every cpm.Monitor runs on it, and the plain single-engine monitor
+// is the one-shard case, which runs the same staged cycle on the calling
+// goroutine.
 //
 // CPM's per-query state — best_NN, visit list, leftover heap (paper
 // Figures 3.3a/3.8/3.9) — is independent across queries, so the per-cycle
@@ -22,13 +25,12 @@
 // happens only in the shard that owns the affected query.
 //
 // The partitioning is exact, not approximate: for identical streams a
-// sharded monitor produces byte-for-byte the results, change
-// notifications and summed work counters of a single engine (asserted by
-// this package's equivalence property test).
+// monitor of any shard count produces byte-for-byte the results, change
+// notifications and summed work counters of the one-shard monitor (asserted
+// by this package's equivalence property test).
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -40,9 +42,9 @@ import (
 	"cpm/internal/model"
 )
 
-// Monitor is a sharded CPM monitor. Like core.Engine it is not safe for
-// concurrent use by multiple callers: the parallelism is internal to
-// ProcessBatch, which owns the worker goroutines.
+// Monitor is a sharded CPM monitor. It is not safe for concurrent use by
+// multiple callers: the parallelism is internal to ProcessBatch, which owns
+// the worker goroutines.
 //
 // The workers are persistent: the first multi-shard ProcessBatch starts one
 // goroutine per shard, and subsequent cycles feed them the tick's write log
@@ -135,14 +137,17 @@ func NewUnit(n, gridSize int, opts core.Options) *Monitor {
 // Shards returns the shard count.
 func (m *Monitor) Shards() int { return len(m.shards) }
 
-// Name implements model.Monitor.
-func (m *Monitor) Name() string { return fmt.Sprintf("CPM-shard%d", len(m.shards)) }
-
-// shardOf maps a query id to its owning shard (Fibonacci hashing, so
-// clustered id ranges still spread evenly).
-func (m *Monitor) shardOf(id model.QueryID) int {
-	return int((uint32(id) * 0x9E3779B1) % uint32(len(m.shards)))
+// Name implements model.Monitor: "CPM" for the one-shard monitor,
+// "CPM-shardN" otherwise.
+func (m *Monitor) Name() string {
+	if len(m.shards) == 1 {
+		return "CPM"
+	}
+	return fmt.Sprintf("CPM-shard%d", len(m.shards))
 }
+
+// shardOf maps a query id to its owning shard.
+func (m *Monitor) shardOf(id model.QueryID) int { return model.Owner(id, len(m.shards)) }
 
 // owner returns the engine owning query id.
 func (m *Monitor) owner(id model.QueryID) *core.Engine { return m.shards[m.shardOf(id)] }
@@ -195,8 +200,7 @@ func (m *Monitor) IsRange(id model.QueryID) bool { return m.owner(id).IsRange(id
 func (m *Monitor) HasQuery(id model.QueryID) bool { return m.owner(id).HasQuery(id) }
 
 // QueryIDs returns the ids of all installed queries across every shard, in
-// ascending order (matching the single engine on identical streams). The
-// caller owns the slice.
+// ascending order. The caller owns the slice.
 func (m *Monitor) QueryIDs() []model.QueryID {
 	var ids []model.QueryID
 	for _, e := range m.shards {
@@ -209,13 +213,19 @@ func (m *Monitor) QueryIDs() []model.QueryID {
 // RemoveQuery uninstalls a query of either kind. Unknown ids are a no-op.
 func (m *Monitor) RemoveQuery(id model.QueryID) { m.owner(id).RemoveQuery(id) }
 
-// ProcessBatch runs one processing cycle restructured around the shared
-// grid: apply writes (the coordinator thread applies the object stream to
-// the grid exactly once, logging each accepted update that touches a cell
-// some shard watches), then parallel monitoring (every shard replays the
-// log against its own influence lists at the now-stable epoch and resolves
-// its queries), then merge (the accessor methods below). Query updates are
-// routed to their owning shards as before.
+// ProcessBatch runs one processing cycle — the NN Monitoring loop of the
+// paper's Figure 3.9 — restructured around the shared grid: apply writes
+// (the coordinator thread applies the object stream to the grid exactly
+// once, logging each accepted update that touches a cell some shard
+// watches), then parallel monitoring (every shard replays the log against
+// its own influence lists at the now-stable epoch and resolves its
+// queries), then merge (the accessor methods below). Query updates are
+// routed to their owning shards.
+//
+// Inconsistent stream elements (moves or deletes of unknown objects,
+// duplicate inserts, non-finite positions, updates for unknown queries)
+// are dropped and counted in InvalidUpdates. The monitor keeps no reference
+// into b once ProcessBatch returns.
 func (m *Monitor) ProcessBatch(b model.Batch) {
 	for i := range m.perShard {
 		m.perShard[i] = m.perShard[i][:0]
@@ -247,6 +257,11 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 			}
 			m.wg.Wait()
 		}
+	}
+	// The routed copies of the query updates hold the caller's NewPoints;
+	// drop them so the batch is collectable while the monitor idles.
+	for i := range m.perShard {
+		clear(m.perShard[i])
 	}
 	m.maybeRebalance()
 }
@@ -340,6 +355,12 @@ func (m *Monitor) RangeResult(id model.QueryID) []model.Neighbor {
 // BestDist returns the query's current best_dist.
 func (m *Monitor) BestDist(id model.QueryID) float64 { return m.owner(id).BestDist(id) }
 
+// Bookkeeping returns the sizes of a k-NN query's stored search state (see
+// core.Engine.Bookkeeping).
+func (m *Monitor) Bookkeeping(id model.QueryID) (visit, heap, influence int) {
+	return m.owner(id).Bookkeeping(id)
+}
+
 // ObjectPosition returns the current position of a live object, read from
 // the shared grid.
 func (m *Monitor) ObjectPosition(id model.ObjectID) (geom.Point, bool) {
@@ -355,9 +376,9 @@ func (m *Monitor) GridEpoch() int64 { return m.g.Epoch() }
 
 // ChangedQueries merges the shards' per-cycle notification sets, in
 // ascending order. Ownership is disjoint, so cross-shard duplicates cannot
-// occur (termination duplicates within one shard are compacted, matching
-// the single engine). The returned slice is a merge buffer reused across
-// ticks: it is borrowed until the next ChangedQueries call.
+// occur, and termination duplicates within one shard are compacted. The
+// returned slice is a merge buffer reused across ticks: it is borrowed
+// until the next ChangedQueries call.
 func (m *Monitor) ChangedQueries() []model.QueryID {
 	if len(m.shards) == 1 {
 		return m.shards[0].ChangedQueries()
@@ -387,7 +408,7 @@ func (m *Monitor) EnableDiffs(on bool) {
 // TakeDiffs fans the shards' per-cycle diff streams into one stream
 // stable-ordered by query id and resets them. Ownership is disjoint, so
 // the merge is duplicate-free, and the ordering contract makes the merged
-// stream byte-for-byte the single-engine stream for identical workloads
+// stream byte-for-byte the one-shard stream for identical workloads
 // (asserted by this package's equivalence property test). The returned
 // slice is a merge buffer reused across ticks — borrowed until the next
 // TakeDiffs call; the diff values themselves (and the result slices they
@@ -404,9 +425,7 @@ func (m *Monitor) TakeDiffs() []model.ResultDiff {
 	if len(out) == 0 {
 		return nil
 	}
-	slices.SortStableFunc(out, func(a, b model.ResultDiff) int {
-		return cmp.Compare(a.Query, b.Query)
-	})
+	model.SortByQuery(out)
 	return out
 }
 
@@ -450,7 +469,7 @@ func (m *Monitor) InvalidUpdates() int64 {
 
 // MemoryFootprint reports the monitor's size in the abstract units of the
 // paper's Section 4.1: the shared grid term counted ONCE plus every shard's
-// partitioned query book-keeping. Equal to a single engine's footprint for
+// partitioned query book-keeping. Equal to one shard's footprint for
 // the same workload — sharding no longer multiplies the grid term.
 func (m *Monitor) MemoryFootprint() int64 {
 	total := m.g.MemoryFootprint()

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"weak"
 
 	"cpm/internal/bruteforce"
 	"cpm/internal/core"
@@ -21,7 +23,7 @@ var shardCounts = []int{1, 2, 4, 8}
 // workersFor adds intra-shard scan parallelism to the sweep: each shard
 // count runs with a different ScanWorkers setting (including the serial
 // default) so the equivalence property also covers the per-shard worker
-// pool. The single-engine reference always stays serial.
+// pool. The one-shard reference always stays serial.
 var workersFor = map[int]int{1: 4, 2: 3, 4: 1, 8: 2}
 
 // qKind enumerates the query shapes the property test mixes.
@@ -237,17 +239,14 @@ func (w *world) batch() model.Batch {
 // applyToOracle mirrors the batch's valid object updates into the
 // ground-truth grid, dropping exactly what the engines drop.
 func (w *world) applyToOracle(b model.Batch) {
-	finite := func(p geom.Point) bool {
-		return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
-	}
 	for _, u := range b.Objects {
 		switch u.Kind {
 		case model.Move:
-			if finite(u.New) {
+			if u.New.Finite() {
 				_, _, _ = w.oracle.Move(u.ID, u.New)
 			}
 		case model.Insert:
-			if finite(u.New) {
+			if u.New.Finite() {
 				_ = w.oracle.Insert(u.ID, u.New)
 			}
 		case model.Delete:
@@ -277,8 +276,7 @@ func (w *world) expect(def *qdef) []model.Neighbor {
 	}
 }
 
-// monitor is the method set the property test drives; both core.Engine and
-// shard.Monitor satisfy it.
+// monitor is the method set the property tests drive.
 type monitor interface {
 	Name() string
 	Bootstrap(map[model.ObjectID]geom.Point)
@@ -306,8 +304,8 @@ func (w *world) result(m monitor, id model.QueryID, def *qdef) []model.Neighbor 
 // for identical random streams — object moves, churn, invalid updates,
 // query moves and terminations — sharded monitors at every shard count
 // return exactly the per-query results, change notifications, result-diff
-// streams, summed work counters and invalid-update counts of a single
-// engine, and match the brute-force oracle, every cycle.
+// streams, summed work counters and invalid-update counts of the plain
+// one-shard monitor, and match the brute-force oracle, every cycle.
 func TestShardEquivalenceRandomWorkload(t *testing.T) {
 	const (
 		gridSize = 16
@@ -318,7 +316,7 @@ func TestShardEquivalenceRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := newWorld(seed, gridSize, objects)
 
-		single := core.NewUnitEngine(gridSize, core.Options{})
+		single := shard.NewUnit(1, gridSize, core.Options{})
 		monitors := []monitor{single}
 		sharded := make([]*shard.Monitor, 0, len(shardCounts))
 		for _, n := range shardCounts {
@@ -466,6 +464,46 @@ func TestShardInvalidUpdateAccounting(t *testing.T) {
 	}
 }
 
+// TestProcessBatchReleasesBatch: once ProcessBatch returns, the monitor
+// holds nothing of the batch, so the caller's buffers — here the points of
+// its query moves — are garbage between ticks, at any shard count.
+func TestProcessBatchReleasesBatch(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		m := shard.NewUnit(n, 8, core.Options{})
+		defer m.Close()
+		m.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.2, Y: 0.2}, 2: {X: 0.7, Y: 0.6}})
+		for q := model.QueryID(0); q < 6; q++ {
+			if err := m.RegisterQuery(q, geom.Point{X: 0.5, Y: 0.5}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		points := moveAll(m, 6)
+		runtime.GC()
+		runtime.GC()
+		for q, p := range points {
+			if p.Value() != nil {
+				t.Fatalf("shards=%d: the points of q%d's move are still reachable after the tick", n, q)
+			}
+		}
+	}
+}
+
+// moveAll moves queries 0..n-1 in one tick, each to a freshly allocated
+// point, and returns weak pointers to those points.
+//
+//go:noinline
+func moveAll(m *shard.Monitor, n int) []weak.Pointer[geom.Point] {
+	var b model.Batch
+	points := make([]weak.Pointer[geom.Point], n)
+	for q := range points {
+		pts := []geom.Point{{X: 0.1 * float64(q), Y: 0.4}}
+		points[q] = weak.Make(&pts[0])
+		b.Queries = append(b.Queries, model.QueryUpdate{ID: model.QueryID(q), Kind: model.QueryMove, NewPoints: pts})
+	}
+	m.ProcessBatch(b)
+	return points
+}
+
 // TestShardChangedQueriesSorted checks the fan-in ordering contract.
 func TestShardChangedQueriesSorted(t *testing.T) {
 	m := shard.NewUnit(4, 8, core.Options{})
@@ -514,9 +552,25 @@ func TestShardSingleShardPassThrough(t *testing.T) {
 	if m.MemoryFootprint() <= 0 {
 		t.Fatal("MemoryFootprint not positive")
 	}
-	if m.Name() != "CPM-shard1" {
+	if m.Name() != "CPM" {
 		t.Fatalf("Name = %q", m.Name())
 	}
+	if got := shard.NewUnit(3, 8, core.Options{}).Name(); got != "CPM-shard3" {
+		t.Fatalf("Name = %q", got)
+	}
+}
+
+// TestBootstrapPanicsWhenNonEmpty: bootstrap happens once, before
+// monitoring starts.
+func TestBootstrapPanicsWhenNonEmpty(t *testing.T) {
+	m := shard.NewUnit(2, 8, core.Options{})
+	m.Bootstrap(map[model.ObjectID]geom.Point{1: {X: 0.5, Y: 0.5}})
+	defer func() {
+		if recover() == nil {
+			t.Error("second Bootstrap did not panic")
+		}
+	}()
+	m.Bootstrap(map[model.ObjectID]geom.Point{2: {X: 0.6, Y: 0.6}})
 }
 
 // TestShardClampsCount checks that non-positive shard counts are clamped.

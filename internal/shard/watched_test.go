@@ -20,7 +20,7 @@ type resizable interface {
 	Rebalance(int)
 }
 
-// watchedStream shapes one tick around the reference engine's watched
+// watchedStream shapes one tick around the reference monitor's watched
 // cells: objects in unwatched cells move to other unwatched cells (the
 // updates the filtered write log drops), stay put in their cell, or cross
 // into an influence region; objects inside one move within it or back out;
@@ -29,7 +29,7 @@ type resizable interface {
 // the grid to relocate each update, and on a busy tick every one does,
 // which sends the batch to a regroup of the cell lists. It returns the
 // batch and how many of its updates touch no watched cell.
-func (w *world) watchedStream(ref *core.Engine, busy bool) (model.Batch, int) {
+func (w *world) watchedStream(ref *shard.Monitor, busy bool) (model.Batch, int) {
 	size := ref.GridSize()
 	watched := ref.Watched()
 	var in, out []grid.CellIndex
@@ -118,7 +118,7 @@ func (w *world) watchedStream(ref *core.Engine, busy bool) (model.Batch, int) {
 // to exercise the filtered write log — most updates touch no influence
 // region, others cross into one, move within it and leave it again — and
 // checks every configuration against the brute-force oracle every tick:
-// results, ChangedQueries, and a diff stream that is the reference engine's
+// results, ChangedQueries, and a diff stream that is the reference monitor's
 // byte for byte and replays to the oracle's results. Every third tick is
 // busy, so the grid both relocates and regroups, before and after every
 // monitor is rebalanced halfway through to a grid whose cell count is not a
@@ -130,20 +130,20 @@ func TestWatchedLogMatchesOracle(t *testing.T) {
 		ticks    = 30
 	)
 	w := newWorld(5, gridSize, objects)
-	ref := core.NewUnitEngine(gridSize, core.Options{})
+	ref := shard.NewUnit(1, gridSize, core.Options{})
 	monitors := []resizable{ref}
-	names := []string{"engine"}
+	names := []string{"shards=1"}
 	add := func(name string, m resizable) {
 		monitors = append(monitors, m)
 		names = append(names, name)
 	}
-	add("engine/PerUpdate", core.NewUnitEngine(gridSize, core.Options{PerUpdate: true}))
-	for workers := 1; workers <= 4; workers++ {
-		e := core.NewUnitEngine(gridSize, core.Options{ScanWorkers: workers})
+	add("shards=1/PerUpdate", shard.NewUnit(1, gridSize, core.Options{PerUpdate: true}))
+	for workers := 2; workers <= 4; workers++ {
+		e := shard.NewUnit(1, gridSize, core.Options{ScanWorkers: workers})
 		defer e.Close()
-		add(fmt.Sprintf("engine/ScanWorkers=%d", workers), e)
+		add(fmt.Sprintf("shards=1/ScanWorkers=%d", workers), e)
 	}
-	for n := 1; n <= 8; n++ {
+	for n := 2; n <= 8; n++ {
 		s := shard.NewUnit(n, gridSize, core.Options{ScanWorkers: 1 + n%4})
 		defer s.Close()
 		add(fmt.Sprintf("shards=%d/ScanWorkers=%d", n, 1+n%4), s)

@@ -10,6 +10,7 @@ import (
 	"cpm/internal/geom"
 	"cpm/internal/model"
 	"cpm/internal/network"
+	"cpm/internal/shard"
 )
 
 func buildWorkload(t *testing.T, ts int) (Header, *generator.Workload) {
@@ -86,7 +87,7 @@ func TestReplayEquivalence(t *testing.T) {
 	var buf bytes.Buffer
 
 	// Live run, recording as we go.
-	live := core.NewUnitEngine(16, core.Options{})
+	live := shard.NewUnit(1, 16, core.Options{})
 	live.Bootstrap(cloneObjects(hdr.Objects))
 	for i, q := range hdr.Queries {
 		if err := live.RegisterQuery(model.QueryID(i), q, 4); err != nil {
@@ -113,7 +114,7 @@ func TestReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := core.NewUnitEngine(16, core.Options{})
+	replayed := shard.NewUnit(1, 16, core.Options{})
 	replayed.Bootstrap(cloneObjects(r.Header().Objects))
 	for i, q := range r.Header().Queries {
 		if err := replayed.RegisterQuery(model.QueryID(i), q, 4); err != nil {
