@@ -79,6 +79,7 @@ import (
 
 	"cpm"
 	"cpm/client"
+	"cpm/internal/core"
 	"cpm/internal/geom"
 	"cpm/internal/metrics"
 	"cpm/internal/model"
@@ -434,8 +435,8 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 	if !ok {
 		return fmt.Errorf("cluster: move of unknown query %d", id)
 	}
-	if len(to) != len(def.Points) {
-		return fmt.Errorf("cluster: query %d moves with %d points, got %d", id, len(def.Points), len(to))
+	if !core.ValidMove(def.Points, to) {
+		return fmt.Errorf("cluster: invalid move of query %d (%d points) to %v", id, len(def.Points), to)
 	}
 	c.opQueryIDs = []model.QueryID{id}
 	w := c.workers[c.owner(id)]
@@ -586,8 +587,11 @@ func (c *Coordinator) WorkerHealth(i int) Health { return c.workers[i].health }
 func (c *Coordinator) WorkerSynced(i int) bool { return c.workers[i].synced }
 
 // InvalidUpdates counts stream elements the mirror rejected under the
-// engine's own rules (unknown ids, duplicate inserts, non-finite
-// positions) — each worker additionally counts its own.
+// engine's own rules — object updates with unknown ids, duplicate inserts
+// or non-finite positions, query moves and terminations of unknown
+// queries, moves that core.ValidMove refuses, unknown kinds — the same
+// elements cpm.Monitor.InvalidUpdates counts. Each worker additionally
+// counts its own.
 func (c *Coordinator) InvalidUpdates() int64 { return c.invalid }
 
 // ---- Backend: streaming ---------------------------------------------------
@@ -689,11 +693,22 @@ func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 	for _, qu := range b.Queries {
 		switch qu.Kind {
 		case model.QueryMove:
-			if def, ok := c.defs[qu.ID]; ok && len(qu.NewPoints) == len(def.Points) {
-				copy(def.Points, qu.NewPoints) // the mirror owns its buffers
+			def, ok := c.defs[qu.ID]
+			if !ok || !core.ValidMove(def.Points, qu.NewPoints) {
+				c.invalid++
+				continue
 			}
+			copy(def.Points, qu.NewPoints) // the mirror owns its buffers
 		case model.QueryTerminate:
+			if _, ok := c.defs[qu.ID]; !ok {
+				c.invalid++
+				continue
+			}
 			delete(c.defs, qu.ID)
+		case model.QueryInstall:
+			// A no-op in the engine too: installation goes through Register.
+		default:
+			c.invalid++
 		}
 	}
 }

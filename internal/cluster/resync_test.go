@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -281,5 +282,68 @@ func TestFleetStatsFanIn(t *testing.T) {
 	coord.Tick(nudge(9, 6, 7))
 	if again := coord.Stats(); again != got {
 		t.Fatalf("stats cache missed within TTL: %+v then %+v", got, again)
+	}
+}
+
+// TestResyncAfterInvalidQueryMove: a query move the engines refuse — here
+// a NaN point — must not reach the coordinator's definition mirror either.
+// A mirror that stored it would re-register the poisoned definition on
+// every re-sync, each worker would reject it, and the cluster would never
+// come back after a restart. The mirror counts the refused updates as the
+// monitor does.
+func TestResyncAfterInvalidQueryMove(t *testing.T) {
+	const k = 3
+	coord, procs := startCluster(t, 2, 300*time.Millisecond)
+	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
+	defer single.Close()
+
+	objs, queries := denseScene(60, 4)
+	coord.Bootstrap(objs)
+	single.Bootstrap(objs)
+	for id, q := range queries {
+		if err := coord.RegisterQuery(id, q, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.RegisterQuery(id, q, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan := geom.Point{X: math.NaN(), Y: 0.5}
+	if err := coord.MoveQuery(2, nan); err == nil {
+		t.Fatal("coordinator accepted a non-finite query move")
+	}
+	b := nudge(0, 1, 2)
+	b.Queries = []model.QueryUpdate{
+		{ID: 0, Kind: model.QueryMove, NewPoints: []geom.Point{nan}},
+		{ID: 1, Kind: model.QueryMove, NewPoints: []geom.Point{{X: 0.3, Y: 0.3}}},
+		{ID: 3, Kind: model.QueryMove, NewPoints: []geom.Point{{X: 0.3, Y: 0.3}, {X: 0.4, Y: 0.4}}},
+		{ID: 99, Kind: model.QueryTerminate},
+	}
+	coord.Tick(b)
+	single.Tick(b)
+	if got, want := coord.InvalidUpdates(), single.InvalidUpdates(); got != want || want != 3 {
+		t.Fatalf("InvalidUpdates: coordinator %d, monitor %d, want 3 each", got, want)
+	}
+
+	for i := range procs {
+		procs[i].kill()
+		procs[i] = startWorker(t, procs[i].addr)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for round := 1; round == 1 || coord.SyncedWorkers() < 2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the cluster never re-synced after the restart")
+		}
+		coord.Tick(nudge(round, 7, 8)) // the first detects the restarts
+		single.Tick(nudge(round, 7, 8))
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := metric(t, coord, "cpm_coord_resync_full_total"); got < 2 {
+		t.Fatalf("%d full re-syncs, want one per restarted worker", got)
+	}
+	for id := range queries {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
+		}
 	}
 }

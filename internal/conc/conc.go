@@ -97,12 +97,13 @@ type Partition struct {
 	size   int
 	delta  float64
 	origin geom.Point // low-left corner of the workspace
+	xs, ys []float64  // a grid's own lines, or nil for origin + i·delta
 	block  Block
 }
 
 // NewPartition builds the partitioning around block for a grid of
-// size×size cells of side delta anchored at origin. The block must be
-// non-empty and within the grid.
+// size×size cells of side delta anchored at origin, whose lines lie at
+// origin + i·delta. The block must be non-empty and within the grid.
 func NewPartition(size int, delta float64, origin geom.Point, block Block) Partition {
 	if block.ColLo > block.ColHi || block.RowLo > block.RowHi {
 		panic(fmt.Sprintf("conc: empty block %+v", block))
@@ -113,12 +114,23 @@ func NewPartition(size int, delta float64, origin geom.Point, block Block) Parti
 	return Partition{size: size, delta: delta, origin: origin, block: block}
 }
 
+// NewGridPartition builds the partitioning around block for a grid with
+// the given lines, len(xs) == len(ys) == size+1, and cells of side about
+// delta (grid.Grid.Lines). Strip and block rectangles then contain the
+// grid's cell rectangles exactly, whatever the rounding of i·delta; the
+// strips beyond the grid step on by delta from its border lines.
+func NewGridPartition(xs, ys []float64, delta float64, block Block) Partition {
+	p := NewPartition(len(xs)-1, delta, geom.Point{X: xs[0], Y: ys[0]}, block)
+	p.xs, p.ys = xs, ys
+	return p
+}
+
 // Block returns the center block.
-func (p Partition) Block() Block { return p.block }
+func (p *Partition) Block() Block { return p.block }
 
 // span returns the fixed coordinate of the strip and the inclusive range of
 // its varying coordinate, in cell units, before grid clamping.
-func (p Partition) span(s Strip) (fixed, lo, hi int) {
+func (p *Partition) span(s Strip) (fixed, lo, hi int) {
 	l := int(s.Level)
 	b := p.block
 	switch s.Dir {
@@ -140,7 +152,7 @@ func (p Partition) span(s Strip) (fixed, lo, hi int) {
 // moves the fixed coordinate one cell further from the block, once a strip
 // leaves the grid all higher levels of that direction are outside too — the
 // search uses this to stop en-heaping a direction.
-func (p Partition) InGrid(s Strip) bool {
+func (p *Partition) InGrid(s Strip) bool {
 	fixed, _, _ := p.span(s)
 	return fixed >= 0 && fixed < p.size
 }
@@ -148,17 +160,8 @@ func (p Partition) InGrid(s Strip) bool {
 // Cells invokes fn for every grid cell of strip s, clamped to the grid, in
 // ascending varying-coordinate order. It is a no-op when the strip lies
 // outside the grid.
-func (p Partition) Cells(s Strip, fn func(col, row int)) {
-	fixed, lo, hi := p.span(s)
-	if fixed < 0 || fixed >= p.size {
-		return
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= p.size {
-		hi = p.size - 1
-	}
+func (p *Partition) Cells(s Strip, fn func(col, row int)) {
+	fixed, lo, hi := p.CellSpan(s)
 	horizontal := s.Dir == Up || s.Dir == Down
 	for v := lo; v <= hi; v++ {
 		if horizontal {
@@ -169,12 +172,24 @@ func (p Partition) Cells(s Strip, fn func(col, row int)) {
 	}
 }
 
+// CellSpan returns the grid cells of strip s as its fixed coordinate — the
+// row of an Up or Down strip, the column of a Left or Right one — and the
+// inclusive range lo..hi of the other coordinate, clamped to the grid. The
+// range is empty (lo > hi) when the strip lies outside the grid.
+func (p *Partition) CellSpan(s Strip) (fixed, lo, hi int) {
+	fixed, lo, hi = p.span(s)
+	if fixed < 0 || fixed >= p.size {
+		return fixed, 0, -1
+	}
+	return fixed, max(lo, 0), min(hi, p.size-1)
+}
+
 // Rect returns the geometric extent of strip s, unclamped: strips around a
 // border block extend beyond the workspace. The mindist of the full strip
 // lower-bounds the mindist of each of its in-grid cells, so using it as the
 // strip's heap key preserves search correctness everywhere, including at
 // the workspace border.
-func (p Partition) Rect(s Strip) geom.Rect {
+func (p *Partition) Rect(s Strip) geom.Rect {
 	fixed, lo, hi := p.span(s)
 	horizontal := s.Dir == Up || s.Dir == Down
 	var r geom.Rect
@@ -189,16 +204,25 @@ func (p Partition) Rect(s Strip) geom.Rect {
 }
 
 // BlockRect returns the geometric extent of the center block.
-func (p Partition) BlockRect() geom.Rect {
+func (p *Partition) BlockRect() geom.Rect {
 	return geom.Rect{
 		Lo: p.cellCorner(p.block.ColLo, p.block.RowLo),
 		Hi: p.cellCorner(p.block.ColHi+1, p.block.RowHi+1),
 	}
 }
 
-func (p Partition) cellCorner(col, row int) geom.Point {
-	return geom.Point{
-		X: p.origin.X + float64(col)*p.delta,
-		Y: p.origin.Y + float64(row)*p.delta,
+func (p *Partition) cellCorner(col, row int) geom.Point {
+	return geom.Point{X: p.line(p.xs, p.origin.X, col), Y: p.line(p.ys, p.origin.Y, row)}
+}
+
+// line returns grid line i of an axis with lines ls starting at origin.
+func (p *Partition) line(ls []float64, origin float64, i int) float64 {
+	switch {
+	case ls == nil || i < 0:
+		return origin + float64(i)*p.delta
+	case i > p.size:
+		return ls[p.size] + float64(i-p.size)*p.delta
+	default:
+		return ls[i]
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cpm/internal/geom"
+	"cpm/internal/grid"
 )
 
 func unitPartition(size int, b Block) Partition {
@@ -245,5 +246,44 @@ func TestBlockRect(t *testing.T) {
 	}
 	if p.Block() != (Block{ColLo: 1, ColHi: 2, RowLo: 0, RowHi: 1}) {
 		t.Errorf("Block() round-trip failed")
+	}
+}
+
+// TestGridPartitionContainsCells: over a grid of any size, the block
+// rectangle and every strip rectangle contain the grid's own rectangles of
+// their cells exactly — no rounding slack at interior lines or at the last
+// row and column — so a strip's key is never above a key of its cells.
+func TestGridPartitionContainsCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ws := geom.Rect{Lo: geom.Point{X: -0.3, Y: -0.3}, Hi: geom.Point{X: 1.1, Y: 1.1}}
+	contains := func(outer, inner geom.Rect) bool {
+		return outer.Contains(inner.Lo) && outer.Contains(inner.Hi)
+	}
+	for size := 1; size <= 60; size++ {
+		g := grid.New(size, ws)
+		for range 5 {
+			b := randBlock(rng, size)
+			xs, ys := g.Lines()
+			p := NewGridPartition(xs, ys, g.Delta(), b)
+			for row := b.RowLo; row <= b.RowHi; row++ {
+				for col := b.ColLo; col <= b.ColHi; col++ {
+					if !contains(p.BlockRect(), g.CellRect(col, row)) {
+						t.Fatalf("size %d: block %+v rect %v misses cell (%d,%d) %v",
+							size, b, p.BlockRect(), col, row, g.CellRect(col, row))
+					}
+				}
+			}
+			for _, dir := range Dirs {
+				for lvl := int32(0); lvl < int32(size); lvl++ {
+					s := Strip{Dir: dir, Level: lvl}
+					p.Cells(s, func(col, row int) {
+						if !contains(p.Rect(s), g.CellRect(col, row)) {
+							t.Fatalf("size %d: strip %v rect %v misses cell (%d,%d) %v",
+								size, s, p.Rect(s), col, row, g.CellRect(col, row))
+						}
+					})
+				}
+			}
+		}
 	}
 }

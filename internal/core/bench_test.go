@@ -80,3 +80,64 @@ func BenchmarkRelocate(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/move")
 }
+
+// BenchmarkMoveQueries prices the from-scratch search: every query moves
+// every iteration, so each op is one NN computation (Figure 3.4) per query.
+// The mix follows a query-churn workload — 7 in 9 point queries with k=64,
+// the rest sum-aggregate and constrained with k=16 — over 10 000 uniform
+// objects on 128², about 0.6 objects a cell, where most of the cells a
+// search crosses are empty.
+func BenchmarkMoveQueries(b *testing.B) {
+	const (
+		nObjects = 10000
+		nQueries = 450
+		rounds   = 8
+	)
+	rng := rand.New(rand.NewSource(23))
+	w := &world{rng: rng, pos: map[model.ObjectID]geom.Point{}}
+	e := newTestEngine(128, Options{})
+	e.Bootstrap(w.populate(nObjects))
+	near := func(c geom.Point) geom.Point {
+		return geom.Point{X: c.X + 0.1*rng.Float64() - 0.05, Y: c.Y + 0.1*rng.Float64() - 0.05}
+	}
+	batches := make([][]model.QueryUpdate, rounds)
+	for i := range nQueries {
+		id := model.QueryID(i)
+		var def Def
+		switch i % 9 {
+		case 7:
+			c := w.randPoint()
+			def = AggQuery([]geom.Point{near(c), near(c), near(c)}, 16, geom.AggSum)
+		case 8:
+			region := geom.Rect{Lo: geom.Point{X: 0.35, Y: 0.35}, Hi: geom.Point{X: 0.65, Y: 0.65}}
+			def = PointQuery(geom.Point{X: 0.35 + 0.3*rng.Float64(), Y: 0.35 + 0.3*rng.Float64()}, 16)
+			def.Constraint = &region
+		default:
+			def = PointQuery(w.randPoint(), 64)
+		}
+		if err := e.Register(id, def); err != nil {
+			b.Fatal(err)
+		}
+		for r := range batches {
+			to := make([]geom.Point, len(def.Points))
+			c := w.randPoint()
+			for j := range to {
+				to[j] = c
+				if len(to) > 1 {
+					to[j] = near(c)
+				}
+			}
+			batches[r] = append(batches[r], model.QueryUpdate{ID: id, Kind: model.QueryMove, NewPoints: to})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ProcessBatch(model.Batch{Queries: batches[i%rounds]})
+	}
+	b.StopTimer()
+	if e.InvalidUpdates() != 0 {
+		b.Fatalf("%d invalid query moves", e.InvalidUpdates())
+	}
+	b.ReportMetric(float64(e.Stats().HeapOps)/float64(b.N+1), "heapops/op")
+}

@@ -59,12 +59,12 @@ func (d Def) Validate() error {
 
 // single reports whether this is a conventional single-point query, the
 // fast path for distance evaluation.
-func (d Def) single() bool { return len(d.Points) == 1 }
+func (d *Def) single() bool { return len(d.Points) == 1 }
 
 // dist returns the (aggregate) distance of an object at p from the query.
 // Constraint filtering is separate (see admits): distance remains defined
 // for every point.
-func (d Def) dist(p geom.Point) float64 {
+func (d *Def) dist(p geom.Point) float64 {
 	if d.single() {
 		return geom.Dist(p, d.Points[0])
 	}
@@ -73,7 +73,7 @@ func (d Def) dist(p geom.Point) float64 {
 
 // minDist returns the (aggregate) mindist lower bound for rectangle r: for
 // every object p in r, d.dist(p) >= d.minDist(r).
-func (d Def) minDist(r geom.Rect) float64 {
+func (d *Def) minDist(r geom.Rect) float64 {
 	if d.single() {
 		return r.MinDist(d.Points[0])
 	}
@@ -82,12 +82,12 @@ func (d Def) minDist(r geom.Rect) float64 {
 
 // admits reports whether an object at p is eligible for the result
 // (constraint region check).
-func (d Def) admits(p geom.Point) bool {
+func (d *Def) admits(p geom.Point) bool {
 	return d.Constraint == nil || d.Constraint.Contains(p)
 }
 
 // prunesRect reports whether rectangle r can be skipped entirely because it
 // cannot contain an admissible object.
-func (d Def) prunesRect(r geom.Rect) bool {
+func (d *Def) prunesRect(r geom.Rect) bool {
 	return d.Constraint != nil && !d.Constraint.Intersects(r)
 }

@@ -117,6 +117,12 @@ type Engine struct {
 	// rangeScratch is the pooled buffer current builds a range query's
 	// sorted result into, so per-cycle range-change checks allocate nothing.
 	rangeScratch []model.Neighbor
+	// parked is the running traversal's run of cells it did not en-heap,
+	// empty between traversals; sortBuf and sortEnds are orderVisit's
+	// bucket-sort scratch (search.go).
+	parked   []visitEntry
+	sortBuf  []visitEntry
+	sortEnds []int
 
 	// Result-diff collection (diff.go): with diffsOn the engine derives,
 	// for every changed query, the entered/exited/re-ranked delta against
@@ -183,16 +189,22 @@ type query struct {
 
 	// visit is the visit list: every cell processed by search or
 	// re-computation, in ascending key (mindist/amindist) order. It is a
-	// superset of the influence region.
-	visit []visitEntry
+	// superset of the influence region. visit[:ordered] is in that order;
+	// the tail beyond, which the last traversal built from de-heaped and
+	// parked cells, holds keys no smaller and within best_dist but in no
+	// order until orderVisit sorts it.
+	visit   []visitEntry
+	ordered int
 	// influenceEnd is one past the last visit entry whose cell currently
 	// carries this query in its influence list. Influence cells are always
 	// a prefix of the visit list (keys ≤ best_dist).
 	influenceEnd int
-	// heap holds the entries en-heaped but not de-heaped by the last
-	// search: the cells/strips with key ≥ best_dist, including the four
-	// boundary boxes.
-	heap *qheap.Heap
+	// heap and fronts are the leftover search state of the last search:
+	// heap the cells en-heaped but not de-heaped, fronts the strip each
+	// direction reaches next (search.go) — the entries with key ≥
+	// best_dist, including the four boundary boxes.
+	heap   *qheap.Heap
+	fronts [4]front
 
 	// reported is the result as last exposed through ChangedQueries; pend
 	// locates the query's pending diff event, if any (diff.go).
@@ -341,7 +353,10 @@ func (e *Engine) arm(id model.QueryID, kind grid.Handle, def Def) *query {
 	if n := len(e.free); n > 0 {
 		qu, e.free = e.free[n-1], e.free[:n-1]
 	} else {
-		qu = &query{h: grid.Handle(len(e.slots)) << 1, heap: qheap.New(16)}
+		// A search leaves a few dozen cells on the heap, and the empty
+		// cells beyond best_dist arrive there at once (unpark): starting
+		// at that size spares the slot's later searches the regrowing.
+		qu = &query{h: grid.Handle(len(e.slots)) << 1, heap: qheap.New(64)}
 		e.slots = append(e.slots, qu)
 	}
 	*qu = query{
@@ -439,7 +454,7 @@ func (e *Engine) moveNoted(id model.QueryID, kind grid.Handle, points []geom.Poi
 // which ApplyQueryUpdates runs once for all of a batch's moves
 // (noteTouched). Only the points change, so only they are validated.
 func (e *Engine) move(qu *query, points []geom.Point) error {
-	if !qu.movable(points) {
+	if !ValidMove(qu.def.Points, points) {
 		if len(points) != len(qu.def.Points) {
 			return fmt.Errorf("core: query %d move with %d points, want %d",
 				qu.id, len(points), len(qu.def.Points))
@@ -451,13 +466,15 @@ func (e *Engine) move(qu *query, points []geom.Point) error {
 	return nil
 }
 
-// movable reports whether points are a valid new location for the query:
-// one per query point, each finite.
-func (qu *query) movable(points []geom.Point) bool {
-	if len(points) != len(qu.def.Points) {
+// ValidMove is the engine's rule for a query move from the points from to
+// the points to: one new point per query point, each finite. It holds for
+// queries of both kinds. internal/cluster's definition mirror applies the
+// same rule, so it stores exactly the moves an engine accepts.
+func ValidMove(from, to []geom.Point) bool {
+	if len(to) != len(from) {
 		return false
 	}
-	for _, p := range points {
+	for _, p := range to {
 		if !p.Finite() {
 			return false
 		}
@@ -528,7 +545,7 @@ func (e *Engine) Bookkeeping(id model.QueryID) (visit, heap, influence int) {
 	if qu == nil {
 		return 0, 0, 0
 	}
-	return len(qu.visit), qu.heap.Len(), qu.influenceEnd
+	return len(qu.visit), qu.leftover(), qu.influenceEnd
 }
 
 // MemoryFootprint returns the engine's size in the abstract memory units of
@@ -556,7 +573,7 @@ func (e *Engine) QueryMemoryUnits() int64 {
 			continue
 		}
 		units += int64(3*len(qu.def.Points) + 2*qu.def.K)
-		units += int64(3 * (len(qu.visit) + qu.heap.Len()))
+		units += int64(3 * (len(qu.visit) + qu.leftover()))
 	}
 	return units
 }
@@ -586,9 +603,9 @@ func (e *Engine) clearInfluence(qu *query) {
 	for _, ve := range qu.visit[:qu.influenceEnd] {
 		infl.Remove(ve.cell, qu.h)
 	}
-	qu.visit = qu.visit[:0]
+	qu.visit, qu.ordered = qu.visit[:0], 0
 	qu.influenceEnd = 0
-	qu.heap.Reset()
+	qu.resetSearch()
 }
 
 // partitionFor builds the conceptual partitioning around the query's
@@ -605,5 +622,6 @@ func (e *Engine) partitionFor(def Def) conc.Partition {
 		cHi, rHi := e.g.ColRow(m.Hi)
 		block = conc.Block{ColLo: cLo, ColHi: cHi, RowLo: rLo, RowHi: rHi}
 	}
-	return conc.NewPartition(e.g.Size(), e.g.Delta(), e.g.Workspace().Lo, block)
+	xs, ys := e.g.Lines()
+	return conc.NewGridPartition(xs, ys, e.g.Delta(), block)
 }

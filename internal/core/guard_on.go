@@ -8,8 +8,9 @@ import (
 	"cpm/internal/grid"
 )
 
-// Freed-slot guard, compiled in under -race and the cpmassert tag like the
-// grid's epoch guards; the release build pays nothing (guard_off.go).
+// Freed-slot and search-state guards, compiled in under -race and the
+// cpmassert tag like the grid's epoch guards; the release build pays
+// nothing (guard_off.go).
 
 // assertUnnamed panics if any influence list or touched list still names
 // the slot RemoveQuery is about to park: the next tenant would receive the
@@ -28,5 +29,35 @@ func (e *Engine) assertUnnamed(qu *query) {
 				panic(fmt.Sprintf("core: freed slot %d of query %d still on the touched list of group %d", qu.h>>1, qu.id, w))
 			}
 		}
+	}
+}
+
+// assertSearchState panics unless a k-NN query's visit list and influence
+// prefix are what finishSearch or shrinkInfluence must leave: the ordered
+// prefix ascending by key, the unordered tail's keys no smaller
+// than the prefix's and within best_dist, and influenceEnd the number of
+// entries with key ≤ best_dist — firstGreater over the list once ordered —
+// capped by processedEnd, the entries that carry an influence entry.
+func (e *Engine) assertSearchState(qu *query, processedEnd int) {
+	bound := qu.best.kthDist()
+	within := 0
+	for i, ve := range qu.visit {
+		if ve.key <= bound {
+			within++
+		}
+		switch {
+		case i == 0:
+		case i < qu.ordered && ve.key < qu.visit[i-1].key:
+			panic(fmt.Sprintf("core: query %d visit list out of order at %d: %+v after %+v", qu.id, i, ve, qu.visit[i-1]))
+		case i >= qu.ordered && qu.ordered > 0 && ve.key < qu.visit[qu.ordered-1].key:
+			panic(fmt.Sprintf("core: query %d unordered visit entry %+v below the ordered prefix's last key %v", qu.id, ve, qu.visit[qu.ordered-1].key))
+		}
+		if i >= qu.ordered && ve.key > bound {
+			panic(fmt.Sprintf("core: query %d unordered visit entry %+v beyond best_dist %v", qu.id, ve, bound))
+		}
+	}
+	if want := min(within, processedEnd); qu.influenceEnd != want {
+		panic(fmt.Sprintf("core: query %d influence prefix ends at %d, want %d (%d entries within best_dist %v, %d processed)",
+			qu.id, qu.influenceEnd, want, within, bound, processedEnd))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"cpm/internal/geom"
 	"cpm/internal/grid"
+	"cpm/internal/model"
 )
 
 // The negative controls of the freed-slot guard: it must fire when a slot
@@ -64,4 +65,49 @@ func TestGuardQuietOnCleanRemoval(t *testing.T) {
 	if len(e.free) != 2 {
 		t.Fatalf("%d slots parked, want 2", len(e.free))
 	}
+}
+
+// The negative controls of the search-state guard: a visit list out of key
+// order, or an influence prefix that disagrees with best_dist, must trip
+// it where finishSearch and shrinkInfluence leave the query.
+
+func TestGuardTripsOnUnorderedVisitList(t *testing.T) {
+	e := guardedEngine(t)
+	qu := e.ids[1]
+	e.orderVisit(qu)
+	if len(qu.visit) < 2 || qu.visit[0].key == qu.visit[len(qu.visit)-1].key {
+		t.Fatalf("visit list %v too short to swap", qu.visit)
+	}
+	last := len(qu.visit) - 1
+	qu.visit[0], qu.visit[last] = qu.visit[last], qu.visit[0]
+	mustPanic(t, "shrinking over an unordered visit list", func() { e.shrinkInfluence(qu) })
+}
+
+func TestGuardTripsOnTailBeyondBestDist(t *testing.T) {
+	e := guardedEngine(t)
+	qu := e.ids[1]
+	// A traversal that let a cell beyond best_dist join its unordered tail
+	// would put it in the influence prefix.
+	far := visitEntry{cell: 0, key: qu.best.kthDist() + 1}
+	qu.visit = append(qu.visit, far)
+	qu.ordered = min(qu.ordered, len(qu.visit)-1)
+	mustPanic(t, "finishing a search whose tail holds a key beyond best_dist", func() {
+		e.finishSearch(qu, len(qu.visit), qu.influenceEnd)
+	})
+}
+
+func TestGuardQuietOnSearches(t *testing.T) {
+	w := newWorld(5)
+	e := newTestEngine(11, Options{})
+	e.Bootstrap(w.populate(80))
+	for i := range 20 {
+		if err := e.RegisterQuery(model.QueryID(i), w.randPoint(), 1+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 5 {
+		e.ProcessBatch(w.randomBatch(40, false))
+	}
+	e.Rebalance(6)
+	e.ProcessBatch(w.randomBatch(40, false))
 }

@@ -1,36 +1,17 @@
 package core
 
-import (
-	"cpm/internal/conc"
-	"cpm/internal/grid"
-)
+import "cpm/internal/grid"
 
-// Search-heap payload encoding. Cells and conceptual rectangles share one
-// heap; the payload word distinguishes them and, through the heap's
-// (key, payload) tie-break, fixes a deterministic processing order: on
-// equal keys, cells pop before strips (cells have bit 63 clear) and lower
-// cell indices pop first. Deterministic order makes search traces — and
-// therefore visit lists and influence regions — reproducible across runs.
-
-const stripFlag uint64 = 1 << 63
+// Search-heap payload encoding. The heap holds cells only — the strips wait
+// beside it as fronts (search.go) — and its (key, payload) tie-break fixes a
+// deterministic processing order: on equal keys, lower cell indices pop
+// first. Deterministic order makes search traces — and therefore visit
+// lists and influence regions — reproducible across runs.
 
 func cellPayload(c grid.CellIndex) uint64 {
 	return uint64(uint32(c))
 }
 
-func stripPayload(s conc.Strip) uint64 {
-	return stripFlag | uint64(s.Dir)<<32 | uint64(uint32(s.Level))
-}
-
-func isStrip(payload uint64) bool { return payload&stripFlag != 0 }
-
 func payloadCell(payload uint64) grid.CellIndex {
 	return grid.CellIndex(uint32(payload))
-}
-
-func payloadStrip(payload uint64) conc.Strip {
-	return conc.Strip{
-		Dir:   conc.Dir(payload >> 32 & 0x3),
-		Level: int32(uint32(payload)),
-	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "cpm/internal/conc"
-
 // Online grid rebalancing — the engine half of resizing δ at runtime.
 //
 // The paper picks the cell side δ once, from the cost model of Section 4
@@ -44,7 +42,7 @@ func (e *Engine) Reindex() {
 	}
 	for _, qu := range e.ids {
 		qu.group = e.homeGroup(qu.def.Points)
-		qu.visit = qu.visit[:0]
+		qu.visit, qu.ordered = qu.visit[:0], 0
 		if qu.h&rangeBit != 0 {
 			// A range query just re-enumerates its disk cover on the new
 			// grid: membership is δ-independent.
@@ -70,33 +68,15 @@ func (e *Engine) Reindex() {
 func (e *Engine) reindexQuery(qu *query) {
 	// The old geometry's influence entries died with the wholesale
 	// Influence.Reset in Reindex, which emptied the visit list too.
-	qu.heap.Reset()
+	qu.resetSearch()
 
 	part := e.partitionFor(qu.def)
-	e.seedHeap(qu, part)
-	bound := qu.best.kthDist()
-	infl := e.infls[qu.group]
-	for {
-		top, ok := qu.heap.Min()
-		if !ok || top.Key > bound {
-			break
-		}
-		qu.heap.Pop()
-		e.stats.HeapOps++
-		if !isStrip(top.Payload) {
-			c := payloadCell(top.Payload)
-			infl.AddUnchecked(c, qu.h)
-			qu.visit = append(qu.visit, visitEntry{cell: c, key: top.Key})
-			continue
-		}
-		s := payloadStrip(top.Payload)
-		part.Cells(s, func(col, row int) { e.pushCell(qu, col, row) })
-		e.pushStrip(qu, part, conc.Strip{Dir: s.Dir, Level: s.Level + 1})
-	}
+	e.seedHeap(qu, &part, false)
+	e.traverse(qu, &part, false)
 	qu.influenceEnd = len(qu.visit)
 	if e.opts.DropBookkeeping {
 		// Memory-pressure mode stores no search state beyond the influence
 		// prefix; match compute's post-search truncation.
-		qu.heap.Reset()
+		qu.resetSearch()
 	}
 }

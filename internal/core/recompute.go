@@ -4,7 +4,8 @@ package core
 // the result of an affected query — one whose outgoing NNs outnumber its
 // incoming objects — re-using the book-keeping stored in the query table.
 //
-// The stored visit list is already sorted by key, so it is replayed with
+// The stored visit list is sorted by key (orderVisit finishes the sort a
+// search may have left pending), so it is replayed with
 // O(1) "get next" operations and no mindist computations; only if the
 // replay exhausts the list does the search fall through to the leftover
 // heap (Figure 3.6 lines 7–8), which resumes exactly where the original
@@ -20,6 +21,7 @@ func (e *Engine) recompute(qu *query) {
 		return
 	}
 	e.stats.Recomputations++
+	e.orderVisit(qu)
 
 	oldInfluenceEnd := qu.influenceEnd
 	qu.best.reset()
@@ -46,10 +48,10 @@ func (e *Engine) recompute(qu *query) {
 
 	if processed == len(qu.visit) {
 		// The whole stored prefix was consumed; continue with the leftover
-		// heap (Figure 3.6 lines 7–8). Popped cells append to the visit
-		// list, extending it for future replays.
+		// heap (Figure 3.6 lines 7–8). Popped and joining parked cells
+		// append to the visit list, extending it for future replays.
 		part := e.partitionFor(qu.def)
-		e.runSearch(qu, part)
+		e.traverse(qu, &part, true)
 		processed = len(qu.visit)
 	}
 
@@ -61,13 +63,13 @@ func (e *Engine) recompute(qu *query) {
 // 3.8, line 22): entries between the new and the old best_dist are removed
 // from their cells' influence lists.
 func (e *Engine) shrinkInfluence(qu *query) {
-	newEnd := firstGreater(qu.visit, qu.best.kthDist())
-	if newEnd > qu.influenceEnd {
-		newEnd = qu.influenceEnd
-	}
+	e.orderVisit(qu)
+	oldEnd := qu.influenceEnd
+	newEnd := min(firstGreater(qu.visit, qu.best.kthDist()), oldEnd)
 	infl := e.infls[qu.group]
-	for i := newEnd; i < qu.influenceEnd; i++ {
+	for i := newEnd; i < oldEnd; i++ {
 		infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
+	e.assertSearchState(qu, oldEnd)
 }

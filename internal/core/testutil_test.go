@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,8 +255,9 @@ func oracle(e *testEngine, def Def) []model.Neighbor {
 
 // checkInvariants verifies the structural invariants of a query's
 // book-keeping after any operation:
-//   - the visit list is sorted by key;
-//   - visit keys lower-bound the true mindist of their cells... they equal it;
+//   - the visit list's ordered prefix is sorted by key, and its
+//     unordered tail holds keys no smaller and within best_dist, which
+//     sortVisit puts in order;
 //   - influence entries exist exactly for the influence prefix;
 //   - every result member's current cell carries the query's influence.
 func checkInvariants(t *testing.T, e *testEngine, id model.QueryID) {
@@ -263,10 +266,25 @@ func checkInvariants(t *testing.T, e *testEngine, id model.QueryID) {
 	if qu == nil {
 		t.Fatalf("query %d not installed", id)
 	}
-	for i := 1; i < len(qu.visit); i++ {
+	if qu.ordered > len(qu.visit) {
+		t.Fatalf("query %d: ordered prefix %d > visit len %d", id, qu.ordered, len(qu.visit))
+	}
+	byKey := func(a, b visitEntry) int { return cmp.Compare(a.key, b.key) }
+	for i := 1; i < qu.ordered; i++ {
 		if qu.visit[i].key < qu.visit[i-1].key {
 			t.Fatalf("query %d: visit list unsorted at %d", id, i)
 		}
+	}
+	for _, ve := range qu.visit[qu.ordered:] {
+		if qu.ordered > 0 && ve.key < qu.visit[qu.ordered-1].key || ve.key > qu.best.kthDist() {
+			t.Fatalf("query %d: unordered visit entry %+v outside [%v, best_dist %v]",
+				id, ve, qu.visit[max(qu.ordered-1, 0)].key, qu.best.kthDist())
+		}
+	}
+	sorted := slices.Clone(qu.visit)
+	e.sortVisit(sorted[qu.ordered:])
+	if !slices.IsSortedFunc(sorted, byKey) {
+		t.Fatalf("query %d: sortVisit left the visit list unsorted", id)
 	}
 	if qu.influenceEnd > len(qu.visit) {
 		t.Fatalf("query %d: influenceEnd %d > visit len %d", id, qu.influenceEnd, len(qu.visit))

@@ -45,7 +45,7 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.batchGen++
 	for _, u := range queries {
 		qu, ok := e.ids[u.ID]
-		if ok && (u.Kind == model.QueryTerminate || u.Kind == model.QueryMove && qu.movable(u.NewPoints)) {
+		if ok && (u.Kind == model.QueryTerminate || u.Kind == model.QueryMove && ValidMove(qu.def.Points, u.NewPoints)) {
 			qu.ignoreMark = e.batchGen
 		}
 	}

@@ -72,6 +72,10 @@ type Grid struct {
 	workspace geom.Rect // indexed area; points outside are clamped onto the border
 	cells     []Cell
 
+	// xs and ys are the grid lines: cell (i, j) spans [xs[i], xs[i+1]] ×
+	// [ys[j], ys[j+1]] (see setGeometry).
+	xs, ys []float64
+
 	positions []geom.Point // dense object position store, indexed by ObjectID
 	alive     []bool
 	cellOf    []CellIndex // object -> the cell whose list holds it
@@ -106,12 +110,65 @@ func New(size int, workspace geom.Rect) *Grid {
 		// make δ ambiguous; the generator normalizes to the unit square.
 		panic(fmt.Sprintf("grid: workspace must be square, got %+v", workspace))
 	}
-	return &Grid{
-		size:      size,
-		delta:     workspace.Width() / float64(size),
-		workspace: workspace,
-		cells:     make([]Cell, size*size),
+	g := &Grid{workspace: workspace}
+	g.setGeometry(size)
+	return g
+}
+
+// setGeometry partitions the workspace into size×size cells of side δ.
+// ColRow's arithmetic decides which cell a point belongs to, and the grid
+// lines follow from it: line i is the least coordinate ColRow puts in cell
+// i or beyond, so a cell's rectangle holds exactly the points ColRow maps
+// to it. Where i·δ rounds (at any size that is not a power of two) the
+// line moves by the ulps that takes; the last line is the workspace
+// border.
+func (g *Grid) setGeometry(size int) {
+	ws := g.workspace
+	g.size = size
+	g.delta = ws.Width() / float64(size)
+	g.cells = make([]Cell, size*size)
+	g.xs = g.lines(ws.Lo.X, ws.Hi.X)
+	g.ys = g.xs
+	if ws.Lo.Y != ws.Lo.X || ws.Hi.Y != ws.Hi.X {
+		g.ys = g.lines(ws.Lo.Y, ws.Hi.Y)
 	}
+}
+
+// lines returns the size+1 grid lines of the axis [lo, hi] (setGeometry):
+// each inner one found by bisection over the ordered float64 values, at
+// most 64 steps.
+func (g *Grid) lines(lo, hi float64) []float64 {
+	ls := make([]float64, g.size+1)
+	ls[0], ls[g.size] = lo, hi
+	for i := 1; i < g.size; i++ {
+		a, b := order(lo), order(hi) // cell(hi) = size-1 >= i
+		for a < b {
+			if mid := a + (b-a)/2; g.cell(unorder(mid), lo, hi) >= i {
+				b = mid
+			} else {
+				a = mid + 1
+			}
+		}
+		ls[i] = unorder(b)
+	}
+	return ls
+}
+
+// order maps a float64 to a uint64 that sorts as the float does; unorder
+// inverts it.
+func order(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u>>63 == 1 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+func unorder(k uint64) float64 {
+	if k>>63 == 1 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // NewUnit creates a grid over the unit square [0,1]×[0,1], the canonical
@@ -188,9 +245,7 @@ func (g *Grid) Rebuild(newSize int) {
 	}
 	g.BeginWrites()
 	defer g.EndWrites()
-	g.size = newSize
-	g.delta = g.workspace.Width() / float64(newSize)
-	g.cells = make([]Cell, newSize*newSize)
+	g.setGeometry(newSize)
 	for id, ok := range g.alive {
 		if ok {
 			g.cellOf[id] = g.CellOf(g.positions[id])
@@ -202,27 +257,28 @@ func (g *Grid) Rebuild(newSize int) {
 
 // ColRow returns the column and row of the cell covering p. Points on or
 // beyond the workspace border are clamped into the border cells, so every
-// point maps to a valid cell.
+// point maps to a valid cell — the one whose CellRect contains it.
 func (g *Grid) ColRow(p geom.Point) (int, int) {
-	i := int(math.Floor((p.X - g.workspace.Lo.X) / g.delta))
-	j := int(math.Floor((p.Y - g.workspace.Lo.Y) / g.delta))
-	return clamp(i, g.size), clamp(j, g.size)
+	ws := &g.workspace
+	return g.cell(p.X, ws.Lo.X, ws.Hi.X), g.cell(p.Y, ws.Lo.Y, ws.Hi.Y)
 }
 
-func clamp(v, size int) int {
-	if v < 0 {
+// cell returns the index of the cell covering coordinate v of the axis
+// [lo, hi]: ⌊(v-lo)/δ⌋, clamped to the grid.
+func (g *Grid) cell(v, lo, hi float64) int {
+	if !(v > lo) { // also NaN
 		return 0
 	}
-	if v >= size {
-		return size - 1
+	if v >= hi {
+		return g.size - 1
 	}
-	return v
+	return min(int((v-lo)/g.delta), g.size-1)
 }
 
 // CellOf returns the index of the cell covering p.
 func (g *Grid) CellOf(p geom.Point) CellIndex {
-	i, j := g.ColRow(p)
-	return g.Index(i, j)
+	ws := &g.workspace
+	return CellIndex(g.cell(p.Y, ws.Lo.Y, ws.Hi.Y)*g.size + g.cell(p.X, ws.Lo.X, ws.Hi.X))
 }
 
 // Index converts (col, row) to a CellIndex, or NoCell when out of range.
@@ -238,14 +294,22 @@ func (g *Grid) Split(c CellIndex) (int, int) {
 	return int(c) % g.size, int(c) / g.size
 }
 
-// CellRect returns the geometric extent of cell (col, row).
+// CellRect returns the geometric extent of cell (col, row): from its
+// corner to the next cell's along both axes.
 func (g *Grid) CellRect(col, row int) geom.Rect {
-	lo := geom.Point{
-		X: g.workspace.Lo.X + float64(col)*g.delta,
-		Y: g.workspace.Lo.Y + float64(row)*g.delta,
-	}
-	return geom.Rect{Lo: lo, Hi: geom.Point{X: lo.X + g.delta, Y: lo.Y + g.delta}}
+	return geom.Rect{Lo: g.Corner(col, row), Hi: g.Corner(col+1, row+1)}
 }
+
+// Corner returns the low corner of cell (col, row), where grid lines col
+// and row cross (setGeometry). Indices up to Size are valid: the last
+// lines are the workspace border.
+func (g *Grid) Corner(col, row int) geom.Point {
+	return geom.Point{X: g.xs[col], Y: g.ys[row]}
+}
+
+// Lines returns the grid lines of both axes, Size+1 each (setGeometry).
+// They are borrowed: Rebuild replaces them.
+func (g *Grid) Lines() (xs, ys []float64) { return g.xs, g.ys }
 
 // RectOf returns the geometric extent of cell c.
 func (g *Grid) RectOf(c CellIndex) geom.Rect {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -87,6 +88,52 @@ func TestCellRect(t *testing.T) {
 	p := geom.Point{X: 0.3, Y: 0.6}
 	if got := g.RectOf(g.CellOf(p)); !got.Contains(p) {
 		t.Errorf("RectOf(CellOf(%v)) = %v does not contain the point", p, got)
+	}
+}
+
+// TestCellRectContainsItsPoints is the property the searches' mindist
+// lower bound rests on: the rectangle of the cell a point maps to contains
+// the point, for every grid size — not only powers of two, where the cell
+// side is exact — and on workspaces away from the origin. The points
+// include every grid line, both as i·δ and as the grid places it, with
+// their neighbouring floats, and the points beyond the border that Clamp
+// projects.
+func TestCellRectContainsItsPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	workspaces := []geom.Rect{
+		unitRect(),
+		{Lo: geom.Point{X: -3.7, Y: -3.7}, Hi: geom.Point{X: 11.2, Y: 11.2}},
+	}
+	for _, ws := range workspaces {
+		for size := 1; size <= 200; size++ {
+			g := New(size, ws)
+			check := func(p geom.Point) {
+				p = g.Clamp(p)
+				col, row := g.ColRow(p)
+				if r := g.CellRect(col, row); !r.Contains(p) {
+					t.Fatalf("size %d over %v: CellRect(ColRow(%v)) = (%d,%d) %v misses the point",
+						size, ws, p, col, row, r)
+				}
+			}
+			xs, _ := g.Lines()
+			for i := 0; i <= size; i++ {
+				for _, v := range []float64{ws.Lo.X + float64(i)*g.Delta(), xs[i]} {
+					for _, x := range []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))} {
+						check(geom.Point{X: x, Y: ws.Lo.Y + ws.Hi.Y - x})
+						check(geom.Point{X: x, Y: x})
+					}
+				}
+			}
+			for range 50 {
+				check(geom.Point{
+					X: ws.Lo.X + (rng.Float64()*1.4-0.2)*ws.Width(),
+					Y: ws.Lo.Y + (rng.Float64()*1.4-0.2)*ws.Height(),
+				})
+			}
+			if r := g.CellRect(size-1, size-1); r.Hi != ws.Hi {
+				t.Fatalf("size %d: last cell ends at %v, want the workspace corner %v", size, r.Hi, ws.Hi)
+			}
+		}
 	}
 }
 

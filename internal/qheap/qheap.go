@@ -1,15 +1,15 @@
 // Package qheap implements the binary min-heap used as CPM's search heap H.
 //
 // Entries carry a float64 key (mindist / amindist from the query) and an
-// opaque uint64 payload in which the core engine packs either a cell index
-// or a conceptual-rectangle descriptor (direction + level). Compared to
+// opaque uint64 payload in which the core engine packs a cell index (it
+// keeps the conceptual rectangles beside the heap). Compared to
 // container/heap this avoids interface dispatch and per-push allocations:
 // the heap is on the critical path of every NN computation (the paper's
 // Section 4.1 cost model attributes the C_SH·log C_SH term to it).
 //
-// Ties on the key are broken by payload order, which the core engine
-// arranges to mean "cells before rectangles, lower cell index first". The
-// deterministic order makes search traces reproducible and testable.
+// Ties on the key are broken by payload order — for the core engine, lower
+// cell index first. The deterministic order makes search traces
+// reproducible and testable.
 package qheap
 
 // Entry is a keyed heap element.

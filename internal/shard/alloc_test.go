@@ -21,8 +21,9 @@ import (
 // per-cycle dirty/changed sets, the shard routing buffers and worker
 // channels — has reached its steady capacity), ProcessBatch must perform
 // zero heap allocations per tick, at 1 shard (the bare engine path) and at
-// 8 shards (the persistent-worker fan-out). Range queries ride along to
-// cover the range-monitoring notification path.
+// 8 shards (the persistent-worker fan-out), also when every query moves
+// every tick over a sparse grid. Range queries ride along to cover the
+// range-monitoring notification path.
 //
 // The paper's cost model (Section 4.1) charges updates a constant
 // Time_ind for index maintenance; this test is the Go-level counterpart —
@@ -31,18 +32,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts are meaningless")
 	}
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	cases := []struct {
+		name string
+		// A sparse case moves every query, half of them each tick, as a
+		// query-churn stream does: a move is a from-scratch search over a
+		// 256² grid a thousand objects leave mostly empty, which puts the
+		// search's parked-cell run on the measured path, and in the tick
+		// between its moves the object stream re-computes or shrinks the
+		// query, which sorts the visit list that search left unordered.
+		sparse bool
+		shards int
+	}{
+		{"shards=1", false, 1},
+		{"shards=8", false, 8},
+		{"sparse-moving/shards=1", true, 1},
+		{"sparse-moving/shards=8", true, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			w := makeTickWorkload(2048, 64, 8, 8, 0.5, 5)
-			m := shard.NewUnit(shards, 64, core.Options{})
-			// Auto-rebalancing rides along with a band wide enough that the
+			gridSize := 64
+			if tc.sparse {
+				w = makeTickWorkload(1000, 32, 64, 8, 0.2, 9)
+				w.moveQueries()
+				gridSize = 256
+			}
+			m := shard.NewUnit(tc.shards, gridSize, core.Options{})
+			// Auto-rebalancing rides along — except on the sparse grid,
+			// which it would coarsen — with a band wide enough that the
 			// steady workload never triggers a resize: the per-tick policy
 			// check (occupancy read + hysteresis test) must itself be
 			// allocation-free between rebalances. The trailing Rebalances
 			// assertion turns an unexpected resize into a readable failure
 			// instead of a mysterious alloc count.
 			m.SetAutoRebalance(shard.AutoRebalance{
-				Enabled:              true,
+				Enabled:              !tc.sparse,
 				TargetObjectsPerCell: 2,
 				CheckEvery:           1,
 				Band:                 4,
@@ -71,6 +95,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			cycleHist := reg.Histogram("cpm_test_cycle_ns")
 			tickCtr := reg.Counter("cpm_test_ticks_total")
 			tick := 0
+			before := m.Stats()
 			avg := testing.AllocsPerRun(100, func() {
 				start := time.Now()
 				m.ProcessBatch(w.batches[tick%len(w.batches)])
@@ -83,6 +108,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 			if got := m.Rebalances(); got != 0 {
 				t.Errorf("steady workload triggered %d rebalances; widen the test band", got)
+			}
+			if st := m.Stats().Sub(before); tc.sparse && (st.FullSearches < int64(50*len(w.queries)) || st.Recomputations == 0 || st.ShortCircuits == 0) {
+				t.Errorf("%d full searches, %d re-computations, %d short circuits: the sparse case misses a search path",
+					st.FullSearches, st.Recomputations, st.ShortCircuits)
 			}
 		})
 	}

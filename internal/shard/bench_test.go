@@ -72,6 +72,21 @@ func (w *tickWorkload) advance() model.Batch {
 	return b
 }
 
+// moveQueries adds to every batch of the ring a move of half the queries,
+// the other half in the next batch, each to a fresh random point. The
+// points are drawn once, so replaying the ring allocates nothing.
+func (w *tickWorkload) moveQueries() {
+	for i := range w.batches {
+		pts := make([]geom.Point, len(w.queries))
+		for j := i % 2; j < len(w.queries); j += 2 {
+			pts[j] = geom.Point{X: w.rng.Float64(), Y: w.rng.Float64()}
+			w.batches[i].Queries = append(w.batches[i].Queries, model.QueryUpdate{
+				ID: model.QueryID(j), Kind: model.QueryMove, NewPoints: pts[j : j+1],
+			})
+		}
+	}
+}
+
 // mount boots a monitor with the workload's population and queries.
 func (w *tickWorkload) mount(tb testing.TB, m monitor) {
 	tb.Helper()
