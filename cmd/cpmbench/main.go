@@ -8,19 +8,16 @@
 //	cpmbench -list
 //	cpmbench -exp fig6.1,fig6.3b -scale 0.05 -ts 20
 //	cpmbench -exp all -scale 0.02 -csvdir results/
-//	cpmbench -exp none -json BENCH_main.json -shards 8
+//	cpmbench -exp fig6.3a -scale 1 -ts 3 -shards 8
 //
 // -shards sets the worker count of the CPM-shard method column (default:
-// all usable cores). -json additionally runs the default-setting method
-// comparison and writes machine-readable results (time/ns, cell accesses,
-// allocs per method) for benchmark trajectory tracking; combine with
-// -exp none to write only the JSON.
+// all usable cores).
 //
 // -scale multiplies the paper's population sizes (1.0 = N=100K objects and
 // n=5K queries; the default 0.05 runs every experiment on a laptop in
-// minutes). Shapes — which method wins, how curves trend — are preserved
-// across scales; absolute milliseconds are not comparable to the paper's
-// 2005 hardware.
+// minutes). Small scales do not keep the paper's ordering in CPU time
+// (cell accesses hold better); `make repro-gate` checks it at scale 1.
+// Absolute milliseconds are not comparable to the paper's 2005 hardware.
 package main
 
 import (
@@ -35,15 +32,14 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		exp      = flag.String("exp", "all", "comma-separated experiment ids, 'all', or 'none'")
-		scale    = flag.Float64("scale", 0.05, "population scale (1.0 = paper's N=100K, n=5K)")
-		ts       = flag.Int("ts", 20, "timestamps per simulation (paper: 100)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		grid     = flag.Int("grid", 128, "default grid size (cells per dimension)")
-		csvdir   = flag.String("csvdir", "", "directory for per-experiment CSV output (optional)")
-		shards   = flag.Int("shards", 0, "CPM-shard worker count (0 = all usable cores)")
-		jsonPath = flag.String("json", "", "write the method comparison as machine-readable JSON to this file")
+		list   = flag.Bool("list", false, "list available experiments and exit")
+		exp    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		scale  = flag.Float64("scale", 0.05, "population scale (1.0 = paper's N=100K, n=5K)")
+		ts     = flag.Int("ts", 20, "timestamps per simulation (paper: 100)")
+		seed   = flag.Int64("seed", 1, "workload seed")
+		grid   = flag.Int("grid", 128, "default grid size (cells per dimension)")
+		csvdir = flag.String("csvdir", "", "directory for per-experiment CSV output (optional)")
+		shards = flag.Int("shards", 0, "CPM-shard worker count (0 = all usable cores)")
 	)
 	flag.Parse()
 
@@ -63,11 +59,6 @@ func main() {
 	switch *exp {
 	case "all":
 		selected = bench.All()
-	case "none":
-		if *jsonPath == "" {
-			fmt.Fprintf(os.Stderr, "cpmbench: -exp none without -json runs nothing\n")
-			os.Exit(2)
-		}
 	default:
 		for _, id := range strings.Split(*exp, ",") {
 			e, ok := bench.ByID(strings.TrimSpace(id))
@@ -82,14 +73,6 @@ func main() {
 	opts := bench.Options{Scale: *scale, Timestamps: *ts, Seed: *seed, GridSize: *grid, Shards: *shards}
 	fmt.Printf("cpmbench: scale=%.3g ts=%d grid=%d seed=%d shards=%d (%d experiments)\n\n",
 		*scale, *ts, *grid, *seed, bench.ResolveShards(*shards), len(selected))
-
-	if *jsonPath != "" {
-		fmt.Fprintf(os.Stderr, "running method comparison for %s ...\n", *jsonPath)
-		if err := bench.WriteReport(*jsonPath, opts, bench.AllMethods); err != nil {
-			fmt.Fprintf(os.Stderr, "cpmbench: json report: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	for _, e := range selected {
 		fmt.Fprintf(os.Stderr, "running %s ...\n", e.ID)

@@ -11,14 +11,10 @@
 // arriving on a subscription.
 //
 //	cpmserver -addr :7845 &
-//	cpmload -addr localhost:7845 -rate 500 -duration 10s -json LOAD.json
+//	cpmload -addr localhost:7845 -rate 500 -duration 10s
 //
 // The summary prints one row per op type (ingest, tick, register,
-// deliver) with completed-op counts and p50/p99/p999. With -json the run
-// is written in the BENCH_*.json report shape, so two runs gate against
-// each other exactly like benchmark trajectories:
-//
-//	benchdiff -base LOAD_old.json -current LOAD.json
+// deliver) with completed-op counts, the mean and p50/p99/p999.
 //
 // With -trace every driven op is stamped with a trace context, and the
 // report ends with the -trace-top slowest ops: the client-observed
@@ -32,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +51,6 @@ func main() {
 		k        = flag.Int("k", 8, "neighbors per standing query")
 		batch    = flag.Int("batch", 16, "object moves per ingest operation")
 		seed     = flag.Int64("seed", 1, "workload and arrival-process seed")
-		jsonPath = flag.String("json", "", "write the run as a bench report to this file")
 		trace    = flag.Bool("trace", false, "stamp ops with trace contexts and report the slowest with server-side breakdowns")
 		traceTop = flag.Int("trace-top", 5, "slowest traced ops to report (-trace)")
 		verbose  = flag.Bool("v", false, "shorthand for -log-level debug")
@@ -92,27 +86,20 @@ func main() {
 		cmdutil.Fatal(logger, "run failed", "err", err)
 	}
 
-	rep := res.Report()
 	fmt.Printf("cpmload: %s for %v at %g ops/s over %d conns (errors=%d shed=%d gaps=%d)\n",
 		*addr, res.Elapsed.Round(time.Millisecond), *rate, *conns, res.Errors, res.Shed, res.Gaps)
 	fmt.Printf("%-14s %8s %12s %12s %12s %12s\n", "op", "ops", "mean", "p50", "p99", "p999")
-	for _, m := range rep.Methods {
-		fmt.Printf("%-14s %8d %12v %12v %12v %12v\n", m.Method, m.Ops,
-			time.Duration(m.NsPerCycle), time.Duration(m.P50Ns),
-			time.Duration(m.P99Ns), time.Duration(m.P999Ns))
+	for _, op := range res.Ops() {
+		n, mean := op.Hist.Count(), time.Duration(0)
+		if n > 0 {
+			mean = time.Duration(op.Hist.SumNs() / n)
+		}
+		fmt.Printf("%-14s %8d %12v %12v %12v %12v\n", op.Name, n, mean,
+			time.Duration(op.Hist.Quantile(0.50)), time.Duration(op.Hist.Quantile(0.99)),
+			time.Duration(op.Hist.Quantile(0.999)))
 	}
 	if *trace {
 		printTraceReport(res, *traceTop)
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			cmdutil.Fatal(logger, "report marshal failed", "err", err)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			cmdutil.Fatal(logger, "report write failed", "err", err)
-		}
 	}
 
 	if res.Errors > 0 {

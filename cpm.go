@@ -288,7 +288,8 @@ func NewMonitor(opts Options) *Monitor {
 }
 
 // Bootstrap loads the initial object population. Call once, before
-// registering queries or processing updates.
+// registering queries or processing updates. An object at a non-finite
+// position is dropped and counted in InvalidUpdates.
 func (m *Monitor) Bootstrap(objs map[ObjectID]Point) { m.e.Bootstrap(objs) }
 
 // RegisterQuery installs a conventional k-NN query at q and computes its

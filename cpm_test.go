@@ -2,7 +2,11 @@ package cpm
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"cpm/internal/bruteforce"
+	"cpm/internal/grid"
 )
 
 func seedObjects() map[ObjectID]Point {
@@ -320,5 +324,42 @@ func TestMonitorShardedAgreesWithSingle(t *testing.T) {
 	}
 	if single.InvalidUpdates() != sharded.InvalidUpdates() {
 		t.Fatalf("InvalidUpdates: %d vs %d", single.InvalidUpdates(), sharded.InvalidUpdates())
+	}
+}
+
+// TestBootstrapDropsNonFinite holds Bootstrap to the update stream's rule:
+// an object at a non-finite position is dropped and counted in
+// InvalidUpdates, never stored, so no result carries a NaN distance.
+func TestBootstrapDropsNonFinite(t *testing.T) {
+	objs := map[ObjectID]Point{
+		1: {X: math.NaN(), Y: 0.5},
+		2: {X: 0.9, Y: 0.9},
+		3: {X: math.Inf(1), Y: 0.1},
+		4: {X: 0.2, Y: 0.3},
+	}
+	oracle := grid.NewUnit(8)
+	for _, id := range []ObjectID{2, 4} {
+		if err := oracle.Insert(id, objs[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := Point{X: 0.5, Y: 0.5}
+	want := bruteforce.TopK(oracle, q, 3)
+	for _, shards := range []int{1, 3} {
+		m := NewMonitor(Options{GridSize: 8, Shards: shards})
+		m.Bootstrap(objs)
+		if got := m.ObjectCount(); got != 2 {
+			t.Errorf("%d shards: ObjectCount = %d, want 2", shards, got)
+		}
+		if got := m.InvalidUpdates(); got != 2 {
+			t.Errorf("%d shards: InvalidUpdates = %d, want 2", shards, got)
+		}
+		if err := m.RegisterQuery(7, q, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Result(7); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: result %v, oracle %v", shards, got, want)
+		}
+		m.Close()
 	}
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,7 +130,7 @@ func TestExperimentRegistry(t *testing.T) {
 // implementations end to end at minuscule scale.
 func TestSmallExperimentsRun(t *testing.T) {
 	o := tinyOptions()
-	for _, id := range []string{"fig6.3b", "fig6.4a", "space", "model", "ann", "ablation.batch"} {
+	for _, id := range []string{"fig6.3b", "fig6.4a", "space", "model", "ann", "ablation.batch", "ablation.rebalance"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
@@ -173,88 +170,6 @@ func TestShardedMatchesCPMCounters(t *testing.T) {
 	}
 	if a.Stats != b.Stats {
 		t.Errorf("sharded work diverged from CPM: %+v vs %+v", b.Stats, a.Stats)
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteReport(path, tinyOptions(), []Method{CPM, CPMSharded}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	// The two requested methods plus the always-on pseudo-method rows: the
-	// serving layer's wire-encode row, the two hotspot-drift rebalance
-	// rows, the loopback-cluster row, the two mem-footprint rows and the
-	// update-heavy scan-parallelism row.
-	if len(rep.Methods) != 9 {
-		t.Fatalf("report holds %d methods, want 9", len(rep.Methods))
-	}
-	seen := map[string]bool{}
-	for _, mr := range rep.Methods {
-		seen[mr.Method] = true
-		if strings.HasPrefix(mr.Method, "mem-") {
-			// The mem-footprint rows record resident cost, not timings.
-			if mr.MemoryUnits <= 0 || mr.MemHeapBytes <= 0 {
-				t.Errorf("implausible mem-footprint result: %+v", mr)
-			}
-			continue
-		}
-		if mr.Method == WireEncodeMethod {
-			// The wire hot path is allocation-free by design; the counter
-			// only ever sees stray background allocations, so it must stay
-			// far below the gate's noise floor. No work counters here.
-			if mr.TotalNs <= 0 || mr.Mallocs >= NoiseFloorMallocs || mr.MemoryUnits <= 0 {
-				t.Errorf("implausible wire-encode result: %+v", mr)
-			}
-			continue
-		}
-		if mr.Method == ClusterMethod {
-			// The cluster row measures coordination cost around remote
-			// workers: the engine work counters live in the workers, so
-			// only the timing/allocation columns carry signal.
-			if mr.TotalNs <= 0 || mr.RegisterNs <= 0 || mr.Mallocs == 0 || mr.MemoryUnits != clusterWorkers {
-				t.Errorf("implausible cluster result: %+v", mr)
-			}
-			continue
-		}
-		if mr.Method == "" || mr.TotalNs <= 0 || mr.CellAccesses <= 0 || mr.Mallocs == 0 {
-			t.Errorf("implausible method result: %+v", mr)
-		}
-	}
-	for _, want := range []string{WireEncodeMethod, RebalanceMethod, RebalanceFrozenMethod,
-		ClusterMethod, "mem-1shard", "mem-8shard", "updateheavy"} {
-		if !seen[want] {
-			t.Errorf("%s row missing: %+v", want, rep.Methods)
-		}
-	}
-	// The shared-grid memory story, as the report records it: the 8-shard
-	// monitor's abstract footprint must EQUAL the 1-shard monitor's — the
-	// grid term is counted once.
-	var mem1, mem8 MethodResult
-	for _, mr := range rep.Methods {
-		switch mr.Method {
-		case "mem-1shard":
-			mem1 = mr
-		case "mem-8shard":
-			mem8 = mr
-		}
-	}
-	if mem1.MemoryUnits != mem8.MemoryUnits {
-		t.Errorf("memory units differ across shard counts: 1-shard %d, 8-shard %d",
-			mem1.MemoryUnits, mem8.MemoryUnits)
-	}
-	// Measured heap is not asserted as a ratio here: at test scale the
-	// per-shard influence cell arrays dominate, so the column is tracked
-	// by the benchdiff trajectory gate instead (mem_heap_bytes).
-	if rep.GOMAXPROCS <= 0 || rep.Shards <= 0 {
-		t.Errorf("environment fields missing: %+v", rep)
 	}
 }
 

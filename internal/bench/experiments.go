@@ -67,23 +67,24 @@ type Experiment struct {
 // DESIGN.md §6.
 func All() []Experiment {
 	return []Experiment{
-		{"fig6.1", "CPU time vs grid granularity", runFig61},
+		fig61.experiment(),
 		{"space", "memory footprint at the default setting (footnote 6)", runSpace},
-		{"fig6.2a", "CPU time vs object population N", runFig62a},
-		{"fig6.2b", "CPU time vs number of queries n", runFig62b},
-		{"fig6.3a", "CPU time vs number of NNs k", runFig63a},
-		{"fig6.3b", "cell accesses per query per timestamp vs k", runFig63b},
-		{"fig6.4a", "CPU time vs object speed", runFig64a},
-		{"fig6.4b", "CPU time vs query speed", runFig64b},
-		{"fig6.5a", "CPU time vs object agility f_obj", runFig65a},
-		{"fig6.5b", "CPU time vs query agility f_qry", runFig65b},
-		{"fig6.6a", "CPU time vs N, constantly moving queries", runFig66a},
-		{"fig6.6b", "CPU time vs N, static queries", runFig66b},
+		fig62a.experiment(),
+		fig62b.experiment(),
+		fig63a.experiment(),
+		fig63b.experiment(),
+		fig64a.experiment(),
+		fig64b.experiment(),
+		fig65a.experiment(),
+		fig65b.experiment(),
+		fig66a.experiment(),
+		fig66b.experiment(),
 		{"model", "Section 4.1 estimates vs measurement", runModel},
 		{"ann", "aggregate NN monitoring throughput (extension)", runANN},
-		{"ablation.recompute", "visit-list re-computation vs from-scratch fallback", runAblationRecompute},
-		{"ablation.batch", "batched vs per-update handling", runAblationBatch},
-		{"updateheavy", "update-heavy/query-light: intra-shard scan parallelism", runUpdateHeavy},
+		ablationRecompute.experiment(),
+		ablationBatch.experiment(),
+		{"ablation.rebalance", "online grid rebalancing vs a frozen grid under hotspot drift", runAblationRebalance},
+		updateHeavy.experiment(),
 	}
 }
 
@@ -110,28 +111,60 @@ type sweepPoint struct {
 	cfg   Config
 }
 
-func runSweep(id, title, xLabel string, methods []Method, points []sweepPoint, m metric) (Table, error) {
-	t := Table{ID: id, Title: title, Header: []string{xLabel}}
-	for _, method := range methods {
+// sweep is a figure drawn by running every method at every point of one
+// x-axis over identical workloads.
+type sweep struct {
+	id, title, xLabel string
+	methods           []Method
+	metric            metric
+	// config is the setting the x-axis varies (baseConfig when nil), and
+	// points derives the axis from it.
+	config func(Options) Config
+	points func(base Config) []sweepPoint
+	note   string // appended to the setting's note
+}
+
+func (s sweep) experiment() Experiment {
+	return Experiment{s.id, s.title, func(o Options) (Table, error) {
+		t, _, err := s.run(o)
+		return t, err
+	}}
+}
+
+// run renders the sweep's table and hands back every measurement behind
+// it, indexed [point][method], so a caller can check the CPU time and the
+// cell accesses of one run together.
+func (s sweep) run(o Options) (Table, [][]Measurement, error) {
+	o.defaults()
+	base := baseConfig(o)
+	if s.config != nil {
+		base = s.config(o)
+	}
+	t := Table{ID: s.id, Title: s.title, Note: note(o, base) + s.note, Header: []string{s.xLabel}}
+	for _, method := range s.methods {
 		t.Header = append(t.Header, method.String())
 	}
-	for _, pt := range points {
+	var all [][]Measurement
+	for _, pt := range s.points(base) {
 		row := []string{pt.label}
-		for _, method := range methods {
-			meas, err := RunMethod(method, pt.cfg)
+		meas := make([]Measurement, len(s.methods))
+		for i, method := range s.methods {
+			m, err := RunMethod(method, pt.cfg)
 			if err != nil {
-				return Table{}, fmt.Errorf("%s %s@%s: %w", id, method, pt.label, err)
+				return Table{}, nil, fmt.Errorf("%s %s@%s: %w", s.id, method, pt.label, err)
 			}
-			switch m {
+			meas[i] = m
+			switch s.metric {
 			case metricCPU:
-				row = append(row, fmtFloat(float64(meas.Elapsed.Microseconds())/1000))
+				row = append(row, fmtFloat(float64(m.Elapsed.Microseconds())/1000))
 			case metricCells:
-				row = append(row, fmtFloat(meas.CellsPerQueryPerCycle()))
+				row = append(row, fmtFloat(m.CellsPerQueryPerCycle()))
 			}
 		}
 		t.Rows = append(t.Rows, row)
+		all = append(all, meas)
 	}
-	return t, nil
+	return t, all, nil
 }
 
 func note(o Options, cfg Config) string {
@@ -139,18 +172,18 @@ func note(o Options, cfg Config) string {
 		cfg.Gen.N, cfg.Gen.NumQueries, cfg.K, cfg.GridSize, cfg.Timestamps, o.Scale)
 }
 
-func runFig61(o Options) (Table, error) {
-	o.defaults()
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, g := range []int{32, 64, 128, 256, 512, 1024} {
-		cfg := base
-		cfg.GridSize = g
-		points = append(points, sweepPoint{fmt.Sprintf("%d^2", g), cfg})
-	}
-	t, err := runSweep("fig6.1", "CPU time vs grid granularity", "grid", AllMethods, points, metricCPU)
-	t.Note = note(o, base)
-	return t, err
+var fig61 = sweep{
+	id: "fig6.1", title: "CPU time vs grid granularity", xLabel: "grid",
+	methods: AllMethods,
+	points: func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, g := range []int{32, 64, 128, 256, 512, 1024} {
+			cfg := base
+			cfg.GridSize = g
+			points = append(points, sweepPoint{fmt.Sprintf("%d^2", g), cfg})
+		}
+		return points
+	},
 }
 
 func runSpace(o Options) (Table, error) {
@@ -172,139 +205,132 @@ func runSpace(o Options) (Table, error) {
 	return t, nil
 }
 
-func sweepN(o Options, id, title string, methods []Method, mutate func(*Config)) (Table, error) {
-	o.defaults()
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, frac := range []float64{0.1, 0.5, 1.0, 1.5, 2.0} {
-		cfg := base
-		cfg.Gen.N = max(1, int(float64(cfg.Gen.N)*frac))
-		if mutate != nil {
-			mutate(&cfg)
+// nPoints is the N axis of Figures 6.2a and 6.6, 10K..200K around the
+// paper's 100K default, with mutate (if any) applied at every point.
+func nPoints(mutate func(*Config)) func(Config) []sweepPoint {
+	return func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, frac := range []float64{0.1, 0.5, 1.0, 1.5, 2.0} {
+			cfg := base
+			cfg.Gen.N = max(1, int(float64(cfg.Gen.N)*frac))
+			if mutate != nil {
+				mutate(&cfg)
+			}
+			points = append(points, sweepPoint{fmt.Sprintf("%dK", int(100*frac)), cfg})
 		}
-		points = append(points, sweepPoint{fmt.Sprintf("%dK", paperN(frac)), cfg})
+		return points
 	}
-	t, err := runSweep(id, title, "N", methods, points, metricCPU)
-	t.Note = note(o, base)
-	return t, err
 }
 
-// paperN converts the N sweep fraction to the paper's axis labels
-// (10K..200K around the 100K default).
-func paperN(frac float64) int { return int(100 * frac) }
-
-func runFig62a(o Options) (Table, error) {
-	return sweepN(o, "fig6.2a", "CPU time vs object population N", AllMethods, nil)
+var fig62a = sweep{
+	id: "fig6.2a", title: "CPU time vs object population N", xLabel: "N",
+	methods: AllMethods, points: nPoints(nil),
 }
 
-func runFig62b(o Options) (Table, error) {
-	o.defaults()
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, frac := range []float64{0.2, 0.4, 1.0, 1.4, 2.0} {
-		cfg := base
-		cfg.Gen.NumQueries = max(1, int(float64(cfg.Gen.NumQueries)*frac))
-		points = append(points, sweepPoint{fmt.Sprintf("%gK", 5*frac), cfg})
-	}
-	t, err := runSweep("fig6.2b", "CPU time vs number of queries n", "n", AllMethods, points, metricCPU)
-	t.Note = note(o, base)
-	return t, err
-}
-
-func kSweepPoints(o Options) []sweepPoint {
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, k := range []int{1, 4, 16, 64, 256} {
-		cfg := base
-		cfg.K = k
-		points = append(points, sweepPoint{fmt.Sprintf("%d", k), cfg})
-	}
-	return points
-}
-
-func runFig63a(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.3a", "CPU time vs number of NNs k", "k", AllMethods, kSweepPoints(o), metricCPU)
-	t.Note = note(o, baseConfig(o))
-	return t, err
-}
-
-func runFig63b(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.3b", "cell accesses per query per timestamp vs k", "k", AllMethods, kSweepPoints(o), metricCells)
-	t.Note = note(o, baseConfig(o)) + "; metric: cell accesses/query/timestamp"
-	return t, err
-}
-
-func speedPoints(o Options, query bool) []sweepPoint {
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, s := range []generator.Speed{generator.Slow, generator.Medium, generator.Fast} {
-		cfg := base
-		if query {
-			cfg.Gen.QuerySpeed = s
-		} else {
-			cfg.Gen.ObjectSpeed = s
+var fig62b = sweep{
+	id: "fig6.2b", title: "CPU time vs number of queries n", xLabel: "n",
+	methods: AllMethods,
+	points: func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, frac := range []float64{0.2, 0.4, 1.0, 1.4, 2.0} {
+			cfg := base
+			cfg.Gen.NumQueries = max(1, int(float64(cfg.Gen.NumQueries)*frac))
+			points = append(points, sweepPoint{fmt.Sprintf("%gK", 5*frac), cfg})
 		}
-		points = append(points, sweepPoint{s.String(), cfg})
-	}
-	return points
+		return points
+	},
 }
 
-func runFig64a(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.4a", "CPU time vs object speed", "speed", AllMethods, speedPoints(o, false), metricCPU)
-	t.Note = note(o, baseConfig(o))
-	return t, err
-}
-
-func runFig64b(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.4b", "CPU time vs query speed", "speed", AllMethods, speedPoints(o, true), metricCPU)
-	t.Note = note(o, baseConfig(o))
-	return t, err
-}
-
-func agilityPoints(o Options, query bool) []sweepPoint {
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, f := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
-		cfg := base
-		if query {
-			cfg.Gen.QueryAgility = f
-		} else {
-			cfg.Gen.ObjectAgility = f
+// kPoints is the k axis of Figure 6.3, or the given subset of it.
+func kPoints(ks ...int) func(Config) []sweepPoint {
+	return func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, k := range ks {
+			cfg := base
+			cfg.K = k
+			points = append(points, sweepPoint{fmt.Sprintf("%d", k), cfg})
 		}
-		points = append(points, sweepPoint{fmt.Sprintf("%.0f%%", f*100), cfg})
+		return points
 	}
-	return points
 }
 
-func runFig65a(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.5a", "CPU time vs object agility f_obj", "f_obj", AllMethods, agilityPoints(o, false), metricCPU)
-	t.Note = note(o, baseConfig(o))
-	return t, err
+var fig63a = sweep{
+	id: "fig6.3a", title: "CPU time vs number of NNs k", xLabel: "k",
+	methods: AllMethods, points: kPoints(1, 4, 16, 64, 256),
 }
 
-func runFig65b(o Options) (Table, error) {
-	o.defaults()
-	t, err := runSweep("fig6.5b", "CPU time vs query agility f_qry", "f_qry", AllMethods, agilityPoints(o, true), metricCPU)
-	t.Note = note(o, baseConfig(o))
-	return t, err
+var fig63b = sweep{
+	id: "fig6.3b", title: "cell accesses per query per timestamp vs k", xLabel: "k",
+	methods: AllMethods, metric: metricCells, points: kPoints(1, 4, 16, 64, 256),
+	note: "; metric: cell accesses/query/timestamp",
 }
 
-func runFig66a(o Options) (Table, error) {
-	// Constantly moving queries isolate the NN computation modules;
-	// SEA-CNN is omitted as in the paper (it has no own first-time
-	// evaluation).
-	return sweepN(o, "fig6.6a", "CPU time vs N, constantly moving queries",
-		[]Method{CPM, YPK}, func(c *Config) { c.Gen.QueryAgility = 1.0 })
+func speedPoints(query bool) func(Config) []sweepPoint {
+	return func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, s := range []generator.Speed{generator.Slow, generator.Medium, generator.Fast} {
+			cfg := base
+			if query {
+				cfg.Gen.QuerySpeed = s
+			} else {
+				cfg.Gen.ObjectSpeed = s
+			}
+			points = append(points, sweepPoint{s.String(), cfg})
+		}
+		return points
+	}
 }
 
-func runFig66b(o Options) (Table, error) {
-	return sweepN(o, "fig6.6b", "CPU time vs N, static queries",
-		AllMethods, func(c *Config) { c.Gen.QueryAgility = 0 })
+var fig64a = sweep{
+	id: "fig6.4a", title: "CPU time vs object speed", xLabel: "speed",
+	methods: AllMethods, points: speedPoints(false),
+}
+
+var fig64b = sweep{
+	id: "fig6.4b", title: "CPU time vs query speed", xLabel: "speed",
+	methods: AllMethods, points: speedPoints(true),
+}
+
+// agilityPoints sweeps the object (or query) agility over fracs.
+func agilityPoints(query bool, fracs ...float64) func(Config) []sweepPoint {
+	return func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, f := range fracs {
+			cfg := base
+			if query {
+				cfg.Gen.QueryAgility = f
+			} else {
+				cfg.Gen.ObjectAgility = f
+			}
+			points = append(points, sweepPoint{fmt.Sprintf("%.0f%%", f*100), cfg})
+		}
+		return points
+	}
+}
+
+var fig65a = sweep{
+	id: "fig6.5a", title: "CPU time vs object agility f_obj", xLabel: "f_obj",
+	methods: AllMethods, points: agilityPoints(false, 0.1, 0.2, 0.3, 0.4, 0.5),
+}
+
+var fig65b = sweep{
+	id: "fig6.5b", title: "CPU time vs query agility f_qry", xLabel: "f_qry",
+	methods: AllMethods, points: agilityPoints(true, 0.1, 0.2, 0.3, 0.4, 0.5),
+}
+
+// fig66a: constantly moving queries isolate the NN computation modules;
+// SEA-CNN is omitted as in the paper (it has no own first-time
+// evaluation).
+var fig66a = sweep{
+	id: "fig6.6a", title: "CPU time vs N, constantly moving queries", xLabel: "N",
+	methods: []Method{CPM, YPK},
+	points:  nPoints(func(c *Config) { c.Gen.QueryAgility = 1.0 }),
+}
+
+var fig66b = sweep{
+	id: "fig6.6b", title: "CPU time vs N, static queries", xLabel: "N",
+	methods: AllMethods,
+	points:  nPoints(func(c *Config) { c.Gen.QueryAgility = 0 }),
 }
 
 // runModel compares the Section 4.1 estimates with measurements on
@@ -419,66 +445,44 @@ func RunANN(cfg Config, numQueries, m int, agg geom.Agg, seed int64) (float64, e
 	return elapsed, nil
 }
 
-func runAblationRecompute(o Options) (Table, error) {
-	o.defaults()
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, k := range []int{4, 16, 64} {
-		cfg := base
-		cfg.K = k
-		points = append(points, sweepPoint{fmt.Sprintf("k=%d", k), cfg})
-	}
-	t, err := runSweep("ablation.recompute", "visit-list re-computation vs from-scratch fallback",
-		"k", []Method{CPM, CPMDropBookkeeping}, points, metricCPU)
-	t.Note = note(o, base)
-	return t, err
+var ablationRecompute = sweep{
+	id: "ablation.recompute", title: "visit-list re-computation vs from-scratch fallback", xLabel: "k",
+	methods: []Method{CPM, CPMDropBookkeeping}, points: kPoints(4, 16, 64),
 }
 
-func runAblationBatch(o Options) (Table, error) {
-	o.defaults()
-	base := baseConfig(o)
-	var points []sweepPoint
-	for _, f := range []float64{0.1, 0.3, 0.5} {
-		cfg := base
-		cfg.Gen.ObjectAgility = f
-		points = append(points, sweepPoint{fmt.Sprintf("%.0f%%", f*100), cfg})
-	}
-	t, err := runSweep("ablation.batch", "batched vs per-update handling",
-		"f_obj", []Method{CPM, CPMPerUpdate}, points, metricCPU)
-	t.Note = note(o, base)
-	return t, err
+var ablationBatch = sweep{
+	id: "ablation.batch", title: "batched vs per-update handling", xLabel: "f_obj",
+	methods: []Method{CPM, CPMPerUpdate}, points: agilityPoints(false, 0.1, 0.3, 0.5),
 }
 
-// updateHeavyConfig is the preset of the updateheavy experiment: nearly
-// every object moves fast every timestamp while a small static query set
-// watches, so per-tick cost is dominated by the influence-scan phase —
-// exactly the work ScanWorkers splits by cell range inside each shard.
-func updateHeavyConfig(o Options) Config {
-	cfg := baseConfig(o)
-	cfg.Gen.ObjectAgility = 0.9
-	cfg.Gen.ObjectSpeed = generator.Fast
-	cfg.Gen.QueryAgility = 0
-	cfg.Gen.NumQueries = max(1, cfg.Gen.NumQueries/5)
-	return cfg
-}
-
-// runUpdateHeavy sweeps the intra-shard scan-worker count over the
-// update-heavy/query-light preset, for the single engine and the sharded
-// monitor: the x-axis is where the scan-phase parallelism pays (or stops
-// paying) once sharding alone has run out of independent queries.
-func runUpdateHeavy(o Options) (Table, error) {
-	o.defaults()
-	base := updateHeavyConfig(o)
-	var points []sweepPoint
-	for _, workers := range []int{1, 2, 4} {
-		cfg := base
-		cfg.ScanWorkers = workers
-		points = append(points, sweepPoint{fmt.Sprintf("%d", workers), cfg})
-	}
-	t, err := runSweep("updateheavy", "update-heavy/query-light: intra-shard scan parallelism",
-		"scan workers", []Method{CPM, CPMSharded}, points, metricCPU)
-	t.Note = note(o, base) + "; f_obj=90% fast objects, static queries at n/5; ScanWorkers sweeps the per-shard scan pool"
-	return t, err
+// updateHeavy sweeps the intra-shard scan-worker count over an
+// update-heavy/query-light preset — nearly every object moves fast every
+// timestamp while a small static query set watches, so the tick is
+// dominated by the influence-scan phase ScanWorkers splits by cell range —
+// for the single engine and the sharded monitor: the x-axis is where the
+// scan-phase parallelism pays (or stops paying) once sharding alone has
+// run out of independent queries.
+var updateHeavy = sweep{
+	id: "updateheavy", title: "update-heavy/query-light: intra-shard scan parallelism", xLabel: "scan workers",
+	methods: []Method{CPM, CPMSharded},
+	config: func(o Options) Config {
+		cfg := baseConfig(o)
+		cfg.Gen.ObjectAgility = 0.9
+		cfg.Gen.ObjectSpeed = generator.Fast
+		cfg.Gen.QueryAgility = 0
+		cfg.Gen.NumQueries = max(1, cfg.Gen.NumQueries/5)
+		return cfg
+	},
+	points: func(base Config) []sweepPoint {
+		var points []sweepPoint
+		for _, workers := range []int{1, 2, 4} {
+			cfg := base
+			cfg.ScanWorkers = workers
+			points = append(points, sweepPoint{fmt.Sprintf("%d", workers), cfg})
+		}
+		return points
+	},
+	note: "; f_obj=90% fast objects, static queries at n/5; ScanWorkers sweeps the per-shard scan pool",
 }
 
 func max(a, b int) int {

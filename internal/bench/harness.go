@@ -3,7 +3,9 @@
 // generated workloads, measures per-cycle CPU time, cell accesses and
 // memory, sweeps the parameters of Table 6.1, and renders one table per
 // figure. cmd/cpmbench is the command-line front end; bench_test.go at the
-// module root exposes the same experiments as testing.B benchmarks.
+// module root exposes the same experiments as testing.B benchmarks, and
+// TestReproGate (build tag repro, `make repro-gate`) holds four figures at
+// the paper's scale to the paper's ordering of the methods.
 package bench
 
 import (
@@ -124,14 +126,8 @@ type Config struct {
 	// CPM and CPMSharded methods (values < 2 keep the serial scan); the
 	// baselines ignore it.
 	ScanWorkers int
-	// MeasureAllocs fills Measurement.Mallocs/AllocBytes. It pre-generates
-	// the whole update stream (so the allocation window excludes the
-	// generator) at the price of holding every cycle's batch in memory at
-	// once; leave it off for table sweeps, which stream one batch at a
-	// time and don't report allocations.
-	MeasureAllocs bool
-	Net           network.GenOptions
-	Gen           generator.Params
+	Net         network.GenOptions
+	Gen         generator.Params
 }
 
 // Validate reports whether the configuration is runnable.
@@ -150,13 +146,10 @@ func (c Config) Validate() error {
 
 // Measurement is the outcome of running one method over one config.
 type Measurement struct {
-	Method     Method
-	Elapsed    time.Duration // total ProcessBatch time across the run
-	Registered time.Duration // initial query evaluation time (not in Elapsed)
-	Stats      model.Stats   // work-counter deltas across the cycles
-	Memory     int64         // end-of-run footprint in Section 4.1 units
-	Mallocs    uint64        // heap allocations by registration + monitoring
-	AllocBytes uint64        // bytes allocated by registration + monitoring
+	Method  Method
+	Elapsed time.Duration // total ProcessBatch time across the run
+	Stats   model.Stats   // work-counter deltas across the cycles
+	Memory  int64         // end-of-run footprint in Section 4.1 units
 
 	Queries, Timestamps int
 }
@@ -185,8 +178,8 @@ type footprinter interface {
 
 // RunMethod executes one method over the configured workload. The workload
 // is regenerated deterministically from its seeds, so every method sees an
-// identical stream. Initial query registration is timed separately: the
-// paper's figures measure the monitoring cost.
+// identical stream. Initial query registration is not timed: the paper's
+// figures measure the monitoring cost.
 func RunMethod(method Method, cfg Config) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
 		return Measurement{}, err
@@ -208,43 +201,17 @@ func RunMethod(method Method, cfg Config) (Measurement, error) {
 	}
 	mon.Bootstrap(w.InitialObjects())
 
-	// With MeasureAllocs the whole update stream is generated up front, so
-	// the allocation window covers registration and monitoring only:
-	// workload generation allocates an identical (and much larger)
-	// constant for every method, which would drown the per-method signal
-	// the JSON trajectory report tracks.
 	queries := w.InitialQueries()
-	var batches []model.Batch
-	if cfg.MeasureAllocs {
-		batches = make([]model.Batch, cfg.Timestamps)
-		for ts := range batches {
-			batches[ts] = w.Advance()
-		}
-	}
-
-	// Mallocs/TotalAlloc are monotonic, so no GC barrier is needed.
-	var msBefore runtime.MemStats
-	if cfg.MeasureAllocs {
-		runtime.ReadMemStats(&msBefore)
-	}
-
-	regStart := time.Now()
 	for i, q := range queries {
 		if err := mon.RegisterQuery(model.QueryID(i), q, cfg.K); err != nil {
 			return Measurement{}, fmt.Errorf("bench: %s register: %w", method, err)
 		}
 	}
-	registered := time.Since(regStart)
 
 	statsBase := mon.Stats()
 	var elapsed time.Duration
 	for ts := 0; ts < cfg.Timestamps; ts++ {
-		var b model.Batch
-		if cfg.MeasureAllocs {
-			b = batches[ts]
-		} else {
-			b = w.Advance()
-		}
+		b := w.Advance()
 		start := time.Now()
 		mon.ProcessBatch(b)
 		elapsed += time.Since(start)
@@ -253,16 +220,9 @@ func RunMethod(method Method, cfg Config) (Measurement, error) {
 	meas := Measurement{
 		Method:     method,
 		Elapsed:    elapsed,
-		Registered: registered,
 		Stats:      mon.Stats().Sub(statsBase),
 		Queries:    len(queries),
 		Timestamps: cfg.Timestamps,
-	}
-	if cfg.MeasureAllocs {
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
-		meas.Mallocs = msAfter.Mallocs - msBefore.Mallocs
-		meas.AllocBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
 	}
 	if fp, ok := mon.(footprinter); ok {
 		meas.Memory = fp.MemoryFootprint()
@@ -283,17 +243,4 @@ func timeCycles(e *shard.Monitor, w *generator.Workload, timestamps int) float64
 		elapsed += time.Since(start)
 	}
 	return float64(elapsed.Microseconds()) / 1000
-}
-
-// RunMethods runs several methods over the same config.
-func RunMethods(methods []Method, cfg Config) ([]Measurement, error) {
-	out := make([]Measurement, 0, len(methods))
-	for _, m := range methods {
-		meas, err := RunMethod(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, meas)
-	}
-	return out, nil
 }

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"cpm/internal/core"
@@ -11,25 +11,17 @@ import (
 	"cpm/internal/shard"
 )
 
-// The rebalance trajectory rows: online grid rebalancing exists to keep
+// The ablation.rebalance table: online grid rebalancing exists to keep
 // cycle time flat when the population density drifts away from the density
-// δ was sized for, so the JSON report carries a dedicated hotspot-drift
-// workload — every object contracts from a uniform spread into a tiny
-// hotspot, then keeps churning inside it — run twice over identical
-// update streams: once on a frozen grid ("rebalance-frozen", the paper's
-// fixed-δ baseline degrading as cells around the hotspot fill up) and once
-// with the auto-rebalancing policy on ("rebalance"). The CI benchdiff gate
-// watches both like any method column; the pair makes the recovery visible
-// in every BENCH_smoke.json: the rebalance row's per-cycle time holds near
-// the uniform-density cost while the frozen row's blows up with the
-// hotspot. TestRebalanceBeatsFrozen pins the relation on deterministic
-// work counters.
-
-// Method-column names of the two drift rows.
-const (
-	RebalanceMethod       = "rebalance"
-	RebalanceFrozenMethod = "rebalance-frozen"
-)
+// δ was sized for, so this experiment runs a hotspot-drift workload —
+// every object contracts from a uniform spread into a tiny hotspot, then
+// keeps churning inside it — twice over identical update streams: once on
+// a frozen grid (the paper's fixed δ, degrading as cells around the
+// hotspot fill up) and once with the auto-rebalancing policy on. The
+// rebalancing monitor's post-drift cycle time holds near the
+// uniform-density cost while the frozen one's blows up with the hotspot.
+// TestRebalanceBeatsFrozen pins the relation on deterministic work
+// counters.
 
 // driftParams sizes the hotspot-drift workload.
 type driftParams struct {
@@ -39,11 +31,6 @@ type driftParams struct {
 	GridSize int   // initial cells per dimension (the frozen grid keeps it)
 	Cycles   int   // total processing cycles; the first half is the drift
 	Seed     int64 // rng seed
-}
-
-// smokeDriftParams is the configuration of the JSON report's rows.
-var smokeDriftParams = driftParams{
-	N: 3000, Queries: 24, K: 8, GridSize: 64, Cycles: 36, Seed: 1,
 }
 
 // driftHotspot is the collapse target: center and radius of the final
@@ -116,14 +103,9 @@ func driftWorkload(p driftParams) (objs map[model.ObjectID]geom.Point, batches [
 type driftRun struct {
 	Elapsed    time.Duration // total ProcessBatch time, all cycles
 	SecondHalf time.Duration // ProcessBatch time across the post-drift half
-	Registered time.Duration
-	Stats      model.Stats // whole-run counter deltas
-	HalfStats  model.Stats // post-drift-half counter deltas
-	Mallocs    uint64
-	AllocBytes uint64
-	Memory     int64
-	GridSize   int   // final cells per dimension
-	Rebalances int64 // resizes performed
+	HalfStats  model.Stats   // post-drift-half counter deltas
+	GridSize   int           // final cells per dimension
+	Rebalances int64         // resizes performed
 }
 
 // runDrift drives one monitor through the pre-generated drift stream.
@@ -131,18 +113,12 @@ func runDrift(m *shard.Monitor, objs map[model.ObjectID]geom.Point, batches []mo
 	defer m.Close()
 	m.Bootstrap(objs)
 
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-
-	regStart := time.Now()
 	for i, q := range queries {
 		if err := m.RegisterQuery(model.QueryID(i), q, k); err != nil {
 			return driftRun{}, err
 		}
 	}
-	r := driftRun{Registered: time.Since(regStart)}
-
-	base := m.Stats()
+	var r driftRun
 	var halfBase model.Stats
 	for c, b := range batches {
 		start := time.Now()
@@ -156,13 +132,7 @@ func runDrift(m *shard.Monitor, objs map[model.ObjectID]geom.Point, batches []mo
 			halfBase = m.Stats()
 		}
 	}
-	runtime.ReadMemStats(&msAfter)
-	final := m.Stats()
-	r.Stats = final.Sub(base)
-	r.HalfStats = final.Sub(halfBase)
-	r.Mallocs = msAfter.Mallocs - msBefore.Mallocs
-	r.AllocBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
-	r.Memory = m.MemoryFootprint()
+	r.HalfStats = m.Stats().Sub(halfBase)
 	r.GridSize = m.GridSize()
 	r.Rebalances = m.Rebalances()
 	return r, nil
@@ -190,37 +160,36 @@ func runDriftPair(p driftParams) (frozen, auto driftRun, err error) {
 	return frozen, auto, nil
 }
 
-// rebalanceResults builds the two drift rows of the JSON report.
-func rebalanceResults(seed int64) ([]MethodResult, error) {
-	p := smokeDriftParams
-	p.Seed = seed
+// runAblationRebalance renders the drift pair: N = 60K·scale objects (at
+// least 1 000), one query per 125 objects, 2·ts cycles on a 64² grid.
+func runAblationRebalance(o Options) (Table, error) {
+	o.defaults()
+	n := max(1000, int(60_000*o.Scale))
+	p := driftParams{N: n, Queries: n / 125, K: 8, GridSize: 64, Cycles: 2 * o.Timestamps, Seed: o.Seed}
 	frozen, auto, err := runDriftPair(p)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	row := func(name string, r driftRun) MethodResult {
-		return MethodResult{
-			Method:  name,
-			TotalNs: r.Elapsed.Nanoseconds(),
-			// For the drift rows ns_per_cycle is the POST-drift mean — the
-			// recovery metric: at full hotspot density the frozen row pays
-			// the collapsed-δ penalty every cycle, the rebalance row does
-			// not.
-			NsPerCycle: r.SecondHalf.Nanoseconds() / int64(p.Cycles-p.Cycles/2),
-			RegisterNs: r.Registered.Nanoseconds(),
-
-			CellAccesses: r.Stats.CellAccesses,
-			ObjectsProc:  r.Stats.ObjectsProcessed,
-			HeapOps:      r.Stats.HeapOps,
-			Recomputes:   r.Stats.Recomputations,
-			FullSearches: r.Stats.FullSearches,
-			ShortCircs:   r.Stats.ShortCircuits,
-			Mallocs:      r.Mallocs,
-			AllocBytes:   r.AllocBytes,
-			MemoryUnits:  r.Memory,
-			Queries:      p.Queries,
-			Timestamps:   p.Cycles,
-		}
+	t := Table{
+		ID:    "ablation.rebalance",
+		Title: "online grid rebalancing vs a frozen grid under hotspot drift",
+		Note: fmt.Sprintf("N=%d n=%d k=%d grid=%d cycles=%d (the first half drifts); CPU in ms",
+			p.N, p.Queries, p.K, p.GridSize, p.Cycles),
+		Header: []string{"monitor", "total", "post-drift/cycle", "post-drift objects", "final grid", "resizes"},
 	}
-	return []MethodResult{row(RebalanceMethod, auto), row(RebalanceFrozenMethod, frozen)}, nil
+	half := time.Duration(p.Cycles - p.Cycles/2)
+	for _, r := range []struct {
+		name string
+		run  driftRun
+	}{{"frozen", frozen}, {"rebalance", auto}} {
+		t.Rows = append(t.Rows, []string{
+			r.name,
+			fmtFloat(float64(r.run.Elapsed.Microseconds()) / 1000),
+			fmtFloat(float64((r.run.SecondHalf / half).Microseconds()) / 1000),
+			fmt.Sprintf("%d", r.run.HalfStats.ObjectsProcessed),
+			fmt.Sprintf("%d^2", r.run.GridSize),
+			fmt.Sprintf("%d", r.run.Rebalances),
+		})
+	}
+	return t, nil
 }

@@ -33,20 +33,3 @@ func TestRebalanceBeatsFrozen(t *testing.T) {
 		fWork, aWork, p.GridSize, auto.GridSize, auto.Rebalances,
 		frozen.SecondHalf/10, auto.SecondHalf/10)
 }
-
-// TestRebalanceRowsInReport checks the report plumbing: both drift rows
-// ride in every JSON report, so the CI trajectory gate watches them.
-func TestRebalanceRowsInReport(t *testing.T) {
-	rows, err := rebalanceResults(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Method != RebalanceMethod || rows[1].Method != RebalanceFrozenMethod {
-		t.Fatalf("rebalance rows = %+v", rows)
-	}
-	for _, r := range rows {
-		if r.TotalNs <= 0 || r.NsPerCycle <= 0 || r.Queries != smokeDriftParams.Queries {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-}

@@ -305,7 +305,9 @@ func (c *Coordinator) logf(format string, args ...any) {
 // ---- Backend: mutating operations ----------------------------------------
 
 // Bootstrap loads the initial object population into the mirror and every
-// worker. Call once, before registering queries, like cpm.Monitor's.
+// worker. Call once, before registering queries, like cpm.Monitor's: a
+// non-finite position is dropped from the mirror and counted in
+// InvalidUpdates, as each worker drops it.
 func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	c.beginOp()
 	c.opFull = true
@@ -313,6 +315,12 @@ func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	c.objs = maps.Clone(objs)
 	if c.objs == nil {
 		c.objs = make(map[model.ObjectID]geom.Point)
+	}
+	for id, p := range c.objs {
+		if !p.Finite() {
+			delete(c.objs, id)
+			c.invalid++
+		}
 	}
 	ctx := c.opSpan.Context()
 	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, error) {
@@ -398,12 +406,17 @@ func (c *Coordinator) RegisterRangeQuery(id model.QueryID, center geom.Point, ra
 // sync the registration is absorbed into the mirror (and installed on the
 // worker by the next accepted re-sync); subscribers see a gap for the
 // query instead of a DiffInstall, and re-converge from the re-sync's
-// synthetic full-result diff.
+// synthetic full-result diff. Either way the definition is first held to
+// the worker's register-time rule, so the mirror never stores one that a
+// re-sync could not install.
 func (c *Coordinator) registerDef(def wire.Register) error {
 	c.beginOp()
 	defer c.spawnResyncs()
 	if _, ok := c.defs[def.ID]; ok {
 		return fmt.Errorf("cluster: query %d already registered", def.ID)
+	}
+	if err := validateDef(def); err != nil {
+		return fmt.Errorf("cluster: query %d: %w", def.ID, err)
 	}
 	c.opQueryIDs = []model.QueryID{def.ID}
 	w := c.workers[c.owner(def.ID)]
@@ -425,6 +438,29 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 	c.defs[def.ID] = cloneDef(def)
 	c.finishDiffs(diffs)
 	return nil
+}
+
+// validateDef applies the rule a worker applies to a registration: the
+// server's point count per kind, then core's register-time checks.
+func validateDef(def wire.Register) error {
+	switch def.Kind {
+	case wire.KindAgg:
+		return core.AggQuery(def.Points, def.K, def.Agg).Validate()
+	case wire.KindPoint, wire.KindConstrained, wire.KindRange:
+		if len(def.Points) != 1 {
+			return fmt.Errorf("query of kind %d has %d points", def.Kind, len(def.Points))
+		}
+	default:
+		return fmt.Errorf("unknown query kind %d", def.Kind)
+	}
+	if def.Kind == wire.KindRange {
+		return core.ValidateRange(def.Points[0], def.Radius)
+	}
+	d := core.PointQuery(def.Points[0], def.K)
+	if def.Kind == wire.KindConstrained {
+		d.Constraint = &def.Region
+	}
+	return d.Validate()
 }
 
 // MoveQuery relocates an installed query on its owner worker.

@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -345,5 +347,108 @@ func TestResyncAfterInvalidQueryMove(t *testing.T) {
 		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
 		}
+	}
+}
+
+// TestResyncAfterInvalidRegistration: a registration absorbed while its
+// owner is out of sync is held to the worker's register-time rule. A
+// definition the mirror stored unchecked would be refused by every re-sync
+// that tried to install it, and the restarted workers would never sync.
+func TestResyncAfterInvalidRegistration(t *testing.T) {
+	const k = 3
+	coord, procs := startCluster(t, 2, 300*time.Millisecond)
+	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
+	defer single.Close()
+
+	objs, queries := denseScene(60, 4)
+	coord.Bootstrap(objs)
+	single.Bootstrap(objs)
+	for id, q := range queries {
+		if err := coord.RegisterQuery(id, q, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.RegisterQuery(id, q, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range procs {
+		p.kill()
+	}
+	coord.Tick(nudge(0, 1, 2)) // finds both workers gone
+	single.Tick(nudge(0, 1, 2))
+	if got := coord.SyncedWorkers(); got != 0 {
+		t.Fatalf("%d workers synced after both died", got)
+	}
+
+	mid := geom.Point{X: 0.5, Y: 0.5}
+	if err := coord.RegisterQuery(100, geom.Point{X: math.NaN(), Y: 0.5}, k); err == nil {
+		t.Error("coordinator absorbed a query at a non-finite point")
+	}
+	if err := coord.RegisterQuery(200, mid, 0); err == nil {
+		t.Error("coordinator absorbed a query with k = 0")
+	}
+	if err := coord.RegisterRangeQuery(300, mid, -1); err == nil {
+		t.Error("coordinator absorbed a range query with a negative radius")
+	}
+	if err := coord.RegisterAggQuery(400, nil, k, geom.AggSum); err == nil {
+		t.Error("coordinator absorbed an aggregate query with no points")
+	}
+	if err := coord.RegisterQuery(500, mid, k); err != nil {
+		t.Fatalf("a valid registration while out of sync: %v", err)
+	}
+	if err := single.RegisterQuery(500, mid, k); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.QueryCount(); got != len(queries)+1 {
+		t.Errorf("QueryCount = %d, want %d", got, len(queries)+1)
+	}
+
+	for i := range procs {
+		procs[i] = startWorker(t, procs[i].addr)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for round := 1; coord.SyncedWorkers() < 2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 workers synced after the restart", coord.SyncedWorkers())
+		}
+		coord.Tick(nudge(round, 7, 8))
+		single.Tick(nudge(round, 7, 8))
+		time.Sleep(20 * time.Millisecond)
+	}
+	for _, id := range append(slices.Collect(maps.Keys(queries)), 500) {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
+		}
+	}
+}
+
+// TestBootstrapDropsNonFinite: the coordinator's mirror drops and counts a
+// non-finite bootstrap position as a monitor does, so ObjectCount,
+// InvalidUpdates and the results agree.
+func TestBootstrapDropsNonFinite(t *testing.T) {
+	coord, _ := startCluster(t, 2, time.Second)
+	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
+	defer single.Close()
+
+	objs, _ := denseScene(60, 0)
+	objs[1000] = geom.Point{X: math.NaN(), Y: 0.5}
+	objs[1001] = geom.Point{X: 0.5, Y: math.Inf(-1)}
+	coord.Bootstrap(objs)
+	single.Bootstrap(objs)
+	if got, want := coord.ObjectCount(), single.ObjectCount(); got != want || want != 60 {
+		t.Errorf("ObjectCount: coordinator %d, monitor %d, want 60 each", got, want)
+	}
+	if got, want := coord.InvalidUpdates(), single.InvalidUpdates(); got != want || want != 2 {
+		t.Errorf("InvalidUpdates: coordinator %d, monitor %d, want 2 each", got, want)
+	}
+	q := geom.Point{X: 0.5, Y: 0.5}
+	if err := coord.RegisterQuery(1, q, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.RegisterQuery(1, q, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := coord.Result(1), single.Result(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("result: cluster %v, monitor %v", got, want)
 	}
 }

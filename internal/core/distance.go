@@ -35,7 +35,9 @@ func AggQuery(points []geom.Point, k int, agg geom.Agg) Def {
 	return Def{Points: points, K: k, Agg: agg}
 }
 
-// Validate reports whether the definition is usable.
+// Validate is the register-time rule of a k-NN query (ValidateRange is a
+// range query's): Engine.Register and internal/cluster's definition
+// mirror both apply it.
 func (d Def) Validate() error {
 	if len(d.Points) == 0 {
 		return errors.New("core: query has no points")

@@ -28,11 +28,8 @@ import (
 // RegisterRange installs a continuous range query: it continuously reports
 // every object within radius of center.
 func (e *Engine) RegisterRange(id model.QueryID, center geom.Point, radius float64) error {
-	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
-		return fmt.Errorf("core: invalid range radius %v", radius)
-	}
-	if !center.Finite() {
-		return fmt.Errorf("core: non-finite range center %v", center)
+	if err := ValidateRange(center, radius); err != nil {
+		return err
 	}
 	if _, exists := e.ids[id]; exists {
 		return fmt.Errorf("core: query %d already installed", id)
@@ -43,6 +40,20 @@ func (e *Engine) RegisterRange(id model.QueryID, center geom.Point, radius float
 		qu.members = make(map[model.ObjectID]float64)
 	}
 	e.install(qu)
+	return nil
+}
+
+// ValidateRange is the register-time rule of a range query, as
+// Def.Validate is of a k-NN query: a finite center and a finite,
+// non-negative radius. internal/cluster's definition mirror applies both,
+// so a coordinator refuses exactly the registrations a worker refuses.
+func ValidateRange(center geom.Point, radius float64) error {
+	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
+		return fmt.Errorf("core: invalid range radius %v", radius)
+	}
+	if !center.Finite() {
+		return fmt.Errorf("core: non-finite range center %v", center)
+	}
 	return nil
 }
 

@@ -29,9 +29,8 @@
 // overload announce shed events) clear the probe's in-flight queue rather
 // than mis-pairing toggles with later events.
 //
-// cmd/cpmload is the command-line front end; Result.Report emits the
-// bench.Report shape, so cmd/benchdiff gates the percentiles like any
-// other trajectory metric.
+// cmd/cpmload is the command-line front end: it prints each operation
+// type's count, mean and p50/p99/p999 from Result.Ops.
 package load
 
 import (
@@ -44,7 +43,6 @@ import (
 
 	"cpm"
 	"cpm/client"
-	"cpm/internal/bench"
 	"cpm/internal/metrics"
 	"cpm/internal/tracing"
 )
@@ -177,40 +175,15 @@ type TracedOp struct {
 	DurNs   int64
 }
 
-// Report renders the run as a bench.Report: one method row per operation
-// type with the latency-percentile columns set, so cmd/benchdiff can diff
-// and gate it against a baseline.
-func (r *Result) Report() bench.Report {
-	rep := bench.Report{
-		Seed:       r.Opts.Seed,
-		Timestamps: int(r.Opts.Duration / time.Second),
-	}
-	rows := []struct {
-		name string
-		h    *metrics.Histogram
-	}{
-		{"load-ingest", &r.Ingest},
-		{"load-tick", &r.Tick},
-		{"load-register", &r.Register},
-		{"load-deliver", &r.Deliver},
-	}
-	for _, row := range rows {
-		n := row.h.Count()
-		m := bench.MethodResult{
-			Method:  row.name,
-			TotalNs: row.h.SumNs(),
-			Ops:     n,
-			P50Ns:   row.h.Quantile(0.50),
-			P99Ns:   row.h.Quantile(0.99),
-			P999Ns:  row.h.Quantile(0.999),
-			Queries: r.Opts.Queries,
-		}
-		if n > 0 {
-			m.NsPerCycle = m.TotalNs / n
-		}
-		rep.Methods = append(rep.Methods, m)
-	}
-	return rep
+// OpLatency is the latency histogram of one operation type.
+type OpLatency struct {
+	Name string
+	Hist *metrics.Histogram
+}
+
+// Ops lists the run's per-operation histograms in report order.
+func (r *Result) Ops() []OpLatency {
+	return []OpLatency{{"ingest", &r.Ingest}, {"tick", &r.Tick}, {"register", &r.Register}, {"deliver", &r.Deliver}}
 }
 
 // op is one scheduled operation.

@@ -153,8 +153,10 @@ func (m *Monitor) shardOf(id model.QueryID) int { return model.Owner(id, len(m.s
 func (m *Monitor) owner(id model.QueryID) *core.Engine { return m.shards[m.shardOf(id)] }
 
 // Bootstrap loads the initial object population into the shared grid —
-// once, not once per shard. Call before registering queries or processing
-// updates; it panics on a non-empty monitor.
+// once, not once per shard. A non-finite position is dropped and counted
+// in InvalidUpdates, as the update stream's inserts are. Call before
+// registering queries or processing updates; it panics on a non-empty
+// monitor.
 func (m *Monitor) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	if m.g.Count() > 0 {
 		panic("shard: Bootstrap on a non-empty monitor")
@@ -162,6 +164,10 @@ func (m *Monitor) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	m.g.BeginWrites()
 	defer m.g.EndWrites()
 	for id, p := range objs {
+		if !p.Finite() {
+			m.invalidObjects++
+			continue
+		}
 		if err := m.g.Insert(id, p); err != nil {
 			panic(fmt.Sprintf("shard: bootstrap insert of object %d: %v", id, err))
 		}
