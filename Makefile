@@ -173,11 +173,12 @@ trace-smoke:
 
 # Short fuzz runs, each target for FUZZTIME (the seed corpora are checked
 # in); CI runs them with a shorter bound. FuzzMonitorOps drives the public
-# Monitor API at one and three shards against each other and the
-# brute-force oracle; the others fuzz the wire codec.
+# Monitor API at one and 2–8 shards against each other and the brute-force
+# oracle, with the cpmassert guards compiled in; the others fuzz the wire
+# codec.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzMonitorOps$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -tags cpmassert -run='^$$' -fuzz='^FuzzMonitorOps$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDiffsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/

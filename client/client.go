@@ -102,9 +102,9 @@ type Options struct {
 	SocketReadBuffer int
 	// SyncDiffs requests sync-diffs mode in the handshake: the server
 	// answers every successful mutating request with the result diffs it
-	// produced, surfaced through the *Diffs method variants (TickDiffs,
-	// RegisterDefDiffs, …). The cluster coordinator runs its worker
-	// connections in this mode.
+	// produced, surfaced through the *Diffs method variants
+	// (TickDiffsPhases, RegisterDefDiffs, …). The cluster coordinator runs
+	// its worker connections in this mode.
 	SyncDiffs bool
 	// Checksum negotiates CRC32-C frame trailers in the handshake: every
 	// post-handshake frame in both directions carries a checksum the
@@ -778,12 +778,9 @@ func (c *Client) RemoveQuery(id cpm.QueryID) error {
 }
 
 // QueryDef is a query registration in its wire form — the generic
-// definition RegisterDef accepts, covering all four query kinds. The
+// definition RegisterDefDiffs accepts, covering all four query kinds. The
 // cluster coordinator stores these to replay registrations onto workers.
 type QueryDef = wire.Register
-
-// RegisterDef installs a query from its generic wire definition.
-func (c *Client) RegisterDef(r QueryDef) error { return c.register(r) }
 
 // diffsCall performs a round trip whose response carries the operation's
 // result diffs (requires Options.SyncDiffs; on a plain connection the
@@ -794,14 +791,6 @@ func (c *Client) diffsCall(build func(dst []byte, reqID uint64) []byte) ([]cpm.R
 		return nil, err
 	}
 	return cl.diffs, nil
-}
-
-// TickDiffs is Tick returning the result diffs the cycle produced, in
-// query-id order (requires Options.SyncDiffs).
-func (c *Client) TickDiffs(b cpm.Batch) ([]cpm.ResultDiff, error) {
-	return c.diffsCall(func(dst []byte, reqID uint64) []byte {
-		return wire.AppendTick(dst, reqID, b)
-	})
 }
 
 // SetTrace stamps the next request this client sends with distributed-
@@ -820,9 +809,10 @@ func (c *Client) SetTrace(traceID, spanID uint64) {
 	c.mu.Unlock()
 }
 
-// TickDiffsPhases is TickDiffs additionally returning the server engine's
-// tick-phase decomposition (requires Options.SyncDiffs and Options.Trace;
-// zero phases against a server without the tracing extension).
+// TickDiffsPhases is Tick returning the result diffs the cycle produced, in
+// query-id order (requires Options.SyncDiffs), and the server engine's
+// tick-phase decomposition (requires Options.Trace as well; zero phases
+// against a server without the tracing extension).
 func (c *Client) TickDiffsPhases(b cpm.Batch) ([]cpm.ResultDiff, cpm.PhaseNanos, error) {
 	cl, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendTick(dst, reqID, b)
@@ -847,8 +837,8 @@ func (c *Client) ServerTraces() ([]byte, error) {
 	return cl.traces, nil
 }
 
-// RegisterDefDiffs is RegisterDef returning the installation diff
-// (requires Options.SyncDiffs).
+// RegisterDefDiffs installs a query from its generic wire definition and
+// returns the installation diff (requires Options.SyncDiffs).
 func (c *Client) RegisterDefDiffs(r QueryDef) ([]cpm.ResultDiff, error) {
 	return c.diffsCall(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendRegister(dst, reqID, r)

@@ -192,14 +192,6 @@ type Options struct {
 	// goroutine. More shards pay from a few hundred queries up on a
 	// multi-core machine; see internal/shard's BenchmarkTick.
 	Shards int
-	// ScanWorkers additionally parallelizes each shard's influence-scan
-	// phase WITHIN the shard: queries are partitioned into ScanWorkers
-	// groups by home cell and the write log is scanned by a small
-	// persistent worker pool, one goroutine per group. Useful for
-	// update-heavy workloads whose scan phase dominates even after
-	// sharding (or with one shard on a multi-core machine). Values < 2
-	// keep the serial scan. Results are unaffected.
-	ScanWorkers int
 
 	// AutoRebalance resizes the grid online as the object density drifts,
 	// instead of freezing the cell side δ at construction: at every
@@ -269,7 +261,6 @@ func newShards(opts Options) *shard.Monitor {
 	s := shard.New(opts.Shards, opts.GridSize, opts.Workspace, core.Options{
 		PerUpdate:       opts.PerUpdate,
 		DropBookkeeping: opts.DropBookkeeping,
-		ScanWorkers:     opts.ScanWorkers,
 	})
 	s.SetAutoRebalance(shard.AutoRebalance{
 		Enabled:              opts.AutoRebalance,
@@ -541,8 +532,8 @@ func (m *Monitor) SubscribeWith(opts SubscribeOptions, ids ...QueryID) *Subscrip
 
 // Close releases the monitor's background resources: streaming delivery
 // shuts down (every subscription's buffered events drain and its Events
-// channel closes, and diff collection stops), and the persistent shard and
-// scan worker goroutines stop. The monitor itself stays usable for
+// channel closes, and diff collection stops), and the persistent shard
+// worker goroutines stop. The monitor itself stays usable for
 // polling — Result and ChangedQueries continue to work, and a later Tick
 // restarts the shard workers — but streaming is over for good: a Subscribe
 // after Close returns an already-closed subscription (its Events channel

@@ -18,13 +18,13 @@ import (
 // unknown, negative and duplicate ids included), Ticks mixing object and
 // query updates, registration, moves and removal of all four query kinds
 // with k up to above the population, removal plus re-registration under
-// another id and kind, and Rebalance — and runs it on a one-shard and a
-// three-shard monitor, each subscribed to every query. After every
-// operation the two must agree exactly on results, ChangedQueries,
-// InvalidUpdates, Stats and the operation's diffs, and every result must be
-// the brute-force oracle's; at the end their event streams must be
-// identical. Distance ties at the k-th neighbour are compared by distance,
-// not id.
+// another id and kind, and Rebalance — and runs it on a one-shard monitor
+// and one of 2–8 shards (drawn from the input), each subscribed to every
+// query. After every operation the two must agree exactly on results,
+// ChangedQueries, InvalidUpdates, Stats and the operation's diffs, and every
+// result must be the brute-force oracle's; at the end their event streams
+// must be identical. Distance ties at the k-th neighbour are compared by
+// distance, not id.
 func FuzzMonitorOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x07\x08\x10\x20\x30\x40\x50\x60\x04\x00\x00\x20\x20\x05\x04\x01\x01\x30\x30\x07" +
@@ -101,11 +101,13 @@ type fuzzRig struct {
 	oracle  *grid.Grid
 	queries map[QueryID]fuzzQuery
 	label   string
+	shards  int // the second monitor's shard count
 }
 
 func newFuzzRig(t *testing.T, r *opReader) *fuzzRig {
 	rig := &fuzzRig{t: t, oracle: grid.NewUnit(8), queries: map[QueryID]fuzzQuery{}}
-	opts := Options{GridSize: 1 + int(r.byte()%16), ScanWorkers: int(r.byte() % 4)}
+	opts := Options{GridSize: 1 + int(r.byte()%16)}
+	rig.shards = 2 + int(r.byte()%7)
 	objs := map[ObjectID]Point{}
 	for n := int(r.byte() % 16); len(objs) < n; {
 		id := ObjectID(len(objs) * 2)
@@ -114,7 +116,7 @@ func newFuzzRig(t *testing.T, r *opReader) *fuzzRig {
 			t.Fatal(err)
 		}
 	}
-	for i, shards := range []int{1, 3} {
+	for i, shards := range []int{1, rig.shards} {
 		opts.Shards = shards
 		m := NewMonitor(opts)
 		m.Bootstrap(objs)
@@ -139,7 +141,7 @@ func (rig *fuzzRig) close() {
 		<-rig.drained[i]
 	}
 	if !reflect.DeepEqual(rig.events[0], rig.events[1]) {
-		rig.t.Fatalf("event streams differ\nshards=1 %v\nshards=3 %v", rig.events[0], rig.events[1])
+		rig.t.Fatalf("event streams differ\nshards=1 %v\nshards=%d %v", rig.events[0], rig.shards, rig.events[1])
 	}
 }
 
@@ -147,7 +149,7 @@ func (rig *fuzzRig) close() {
 func (rig *fuzzRig) both(op func(m *Monitor) error) error {
 	errs := [2]error{op(rig.mons[0]), op(rig.mons[1])}
 	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-		rig.t.Fatalf("%s: errors differ: shards=1 %v, shards=3 %v", rig.label, errs[0], errs[1])
+		rig.t.Fatalf("%s: errors differ: shards=1 %v, shards=%d %v", rig.label, errs[0], rig.shards, errs[1])
 	}
 	return errs[0]
 }
@@ -332,7 +334,7 @@ func (rig *fuzzRig) check() {
 		t.Fatalf("%s: ChangedQueries %v vs %v", rig.label, x, y)
 	}
 	if x, y := a.TakeDiffs(), b.TakeDiffs(); !reflect.DeepEqual(x, y) {
-		t.Fatalf("%s: diffs\nshards=1 %v\nshards=3 %v", rig.label, x, y)
+		t.Fatalf("%s: diffs\nshards=1 %v\nshards=%d %v", rig.label, x, rig.shards, y)
 	}
 	if x, y := a.InvalidUpdates(), b.InvalidUpdates(); x != y {
 		t.Fatalf("%s: InvalidUpdates %d vs %d", rig.label, x, y)

@@ -328,14 +328,16 @@ func TestMonitorShardedAgreesWithSingle(t *testing.T) {
 }
 
 // TestBootstrapDropsNonFinite holds Bootstrap to the update stream's rule:
-// an object at a non-finite position is dropped and counted in
-// InvalidUpdates, never stored, so no result carries a NaN distance.
+// an object at a non-finite position or under a negative id is dropped and
+// counted in InvalidUpdates, never stored, so no result carries a NaN
+// distance and Bootstrap does not panic halfway through the population.
 func TestBootstrapDropsNonFinite(t *testing.T) {
 	objs := map[ObjectID]Point{
-		1: {X: math.NaN(), Y: 0.5},
-		2: {X: 0.9, Y: 0.9},
-		3: {X: math.Inf(1), Y: 0.1},
-		4: {X: 0.2, Y: 0.3},
+		1:  {X: math.NaN(), Y: 0.5},
+		2:  {X: 0.9, Y: 0.9},
+		3:  {X: math.Inf(1), Y: 0.1},
+		4:  {X: 0.2, Y: 0.3},
+		-3: {X: 0.4, Y: 0.4},
 	}
 	oracle := grid.NewUnit(8)
 	for _, id := range []ObjectID{2, 4} {
@@ -351,8 +353,8 @@ func TestBootstrapDropsNonFinite(t *testing.T) {
 		if got := m.ObjectCount(); got != 2 {
 			t.Errorf("%d shards: ObjectCount = %d, want 2", shards, got)
 		}
-		if got := m.InvalidUpdates(); got != 2 {
-			t.Errorf("%d shards: InvalidUpdates = %d, want 2", shards, got)
+		if got := m.InvalidUpdates(); got != 3 {
+			t.Errorf("%d shards: InvalidUpdates = %d, want 3", shards, got)
 		}
 		if err := m.RegisterQuery(7, q, 3); err != nil {
 			t.Fatal(err)

@@ -84,7 +84,6 @@ func All() []Experiment {
 		ablationRecompute.experiment(),
 		ablationBatch.experiment(),
 		{"ablation.rebalance", "online grid rebalancing vs a frozen grid under hotspot drift", runAblationRebalance},
-		updateHeavy.experiment(),
 	}
 }
 
@@ -453,41 +452,4 @@ var ablationRecompute = sweep{
 var ablationBatch = sweep{
 	id: "ablation.batch", title: "batched vs per-update handling", xLabel: "f_obj",
 	methods: []Method{CPM, CPMPerUpdate}, points: agilityPoints(false, 0.1, 0.3, 0.5),
-}
-
-// updateHeavy sweeps the intra-shard scan-worker count over an
-// update-heavy/query-light preset — nearly every object moves fast every
-// timestamp while a small static query set watches, so the tick is
-// dominated by the influence-scan phase ScanWorkers splits by cell range —
-// for the single engine and the sharded monitor: the x-axis is where the
-// scan-phase parallelism pays (or stops paying) once sharding alone has
-// run out of independent queries.
-var updateHeavy = sweep{
-	id: "updateheavy", title: "update-heavy/query-light: intra-shard scan parallelism", xLabel: "scan workers",
-	methods: []Method{CPM, CPMSharded},
-	config: func(o Options) Config {
-		cfg := baseConfig(o)
-		cfg.Gen.ObjectAgility = 0.9
-		cfg.Gen.ObjectSpeed = generator.Fast
-		cfg.Gen.QueryAgility = 0
-		cfg.Gen.NumQueries = max(1, cfg.Gen.NumQueries/5)
-		return cfg
-	},
-	points: func(base Config) []sweepPoint {
-		var points []sweepPoint
-		for _, workers := range []int{1, 2, 4} {
-			cfg := base
-			cfg.ScanWorkers = workers
-			points = append(points, sweepPoint{fmt.Sprintf("%d", workers), cfg})
-		}
-		return points
-	},
-	note: "; f_obj=90% fast objects, static queries at n/5; ScanWorkers sweeps the per-shard scan pool",
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -90,22 +90,6 @@ func (m Method) NewMonitor(gridSize, shards int) model.Monitor {
 	}
 }
 
-// newMonitorFor constructs the method's monitor for cfg, threading the
-// intra-shard scan-worker count through to the CPM variants (the baselines
-// have no scan phase to parallelize).
-func newMonitorFor(method Method, cfg Config) model.Monitor {
-	if cfg.ScanWorkers > 1 {
-		switch method {
-		case CPM:
-			return shard.NewUnit(1, cfg.GridSize, core.Options{ScanWorkers: cfg.ScanWorkers})
-		case CPMSharded:
-			return shard.NewUnit(ResolveShards(cfg.Shards), cfg.GridSize,
-				core.Options{ScanWorkers: cfg.ScanWorkers})
-		}
-	}
-	return method.NewMonitor(cfg.GridSize, cfg.Shards)
-}
-
 // ResolveShards applies the "0 means all usable cores" default.
 func ResolveShards(shards int) int {
 	if shards > 0 {
@@ -122,12 +106,8 @@ type Config struct {
 	// Shards is the CPMSharded worker count (0 = all usable cores); the
 	// other methods ignore it.
 	Shards int
-	// ScanWorkers is the intra-shard influence-scan worker count for the
-	// CPM and CPMSharded methods (values < 2 keep the serial scan); the
-	// baselines ignore it.
-	ScanWorkers int
-	Net         network.GenOptions
-	Gen         generator.Params
+	Net    network.GenOptions
+	Gen    generator.Params
 }
 
 // Validate reports whether the configuration is runnable.
@@ -192,7 +172,7 @@ func RunMethod(method Method, cfg Config) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	mon := newMonitorFor(method, cfg)
+	mon := method.NewMonitor(cfg.GridSize, cfg.Shards)
 	// A CPM monitor owns persistent worker goroutines; release them when
 	// the measurement is done so table sweeps don't accumulate idle workers
 	// across dozens of discarded monitors.

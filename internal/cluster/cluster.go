@@ -81,6 +81,7 @@ import (
 	"cpm/client"
 	"cpm/internal/core"
 	"cpm/internal/geom"
+	"cpm/internal/grid"
 	"cpm/internal/metrics"
 	"cpm/internal/model"
 	"cpm/internal/notify"
@@ -150,7 +151,8 @@ type Coordinator struct {
 	// operation before its fan-out: the object and query ids it touches
 	// (opFull for Bootstrap/Reset, which touch everything). desync
 	// charges it to a worker's dirty sets so an incremental re-sync can
-	// replay exactly what was missed or half-applied.
+	// replay exactly what was missed or half-applied. beginOp empties the
+	// two lists and keeps their buffers.
 	opObjIDs   []model.ObjectID
 	opQueryIDs []model.QueryID
 	opFull     bool
@@ -317,7 +319,7 @@ func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 		c.objs = make(map[model.ObjectID]geom.Point)
 	}
 	for id, p := range c.objs {
-		if !p.Finite() {
+		if !grid.Admits(model.InsertUpdate(id, p), false) {
 			delete(c.objs, id)
 			c.invalid++
 		}
@@ -418,7 +420,7 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 	if err := validateDef(def); err != nil {
 		return fmt.Errorf("cluster: query %d: %w", def.ID, err)
 	}
-	c.opQueryIDs = []model.QueryID{def.ID}
+	c.opQueryIDs = append(c.opQueryIDs, def.ID)
 	w := c.workers[c.owner(def.ID)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -474,7 +476,7 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 	if !core.ValidMove(def.Points, to) {
 		return fmt.Errorf("cluster: invalid move of query %d (%d points) to %v", id, len(def.Points), to)
 	}
-	c.opQueryIDs = []model.QueryID{id}
+	c.opQueryIDs = append(c.opQueryIDs, id)
 	w := c.workers[c.owner(id)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -505,7 +507,7 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 	if _, ok := c.defs[id]; !ok {
 		return
 	}
-	c.opQueryIDs = []model.QueryID{id}
+	c.opQueryIDs = append(c.opQueryIDs, id)
 	w := c.workers[c.owner(id)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -690,40 +692,19 @@ func (c *Coordinator) stampBatch(b model.Batch) {
 }
 
 // applyBatchToMirror applies one tick's updates to the object mirror and
-// the definition mirror, with the engine's invalid-update semantics
-// (internal/core/update.go): a re-sync later rebuilds a worker from this
-// state, so it must track what the workers actually stored.
+// the definition mirror, with the workers' invalid-update rules
+// (grid.Admits, core.ValidMove): a re-sync later rebuilds a worker from
+// this state, so it must track what the workers actually stored.
 func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 	for _, u := range b.Objects {
-		switch u.Kind {
-		case model.Move:
-			if !u.New.Finite() {
-				c.invalid++
-				continue
-			}
-			if _, ok := c.objs[u.ID]; !ok {
-				c.invalid++
-				continue
-			}
-			c.objs[u.ID] = u.New
-		case model.Insert:
-			if !u.New.Finite() {
-				c.invalid++
-				continue
-			}
-			if _, ok := c.objs[u.ID]; ok {
-				c.invalid++
-				continue
-			}
-			c.objs[u.ID] = u.New
-		case model.Delete:
-			if _, ok := c.objs[u.ID]; !ok {
-				c.invalid++
-				continue
-			}
+		_, live := c.objs[u.ID]
+		switch {
+		case !grid.Admits(u, live):
+			c.invalid++
+		case u.Kind == model.Delete:
 			delete(c.objs, u.ID)
 		default:
-			c.invalid++
+			c.objs[u.ID] = u.New
 		}
 	}
 	for _, qu := range b.Queries {

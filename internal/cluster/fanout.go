@@ -137,7 +137,7 @@ drain:
 		}
 	}
 	c.gen++
-	c.opObjIDs, c.opQueryIDs, c.opFull = nil, nil, false
+	c.opObjIDs, c.opQueryIDs, c.opFull = c.opObjIDs[:0], c.opQueryIDs[:0], false
 }
 
 // chargeDesynced charges the current operation's footprint to every

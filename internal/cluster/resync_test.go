@@ -287,6 +287,59 @@ func TestFleetStatsFanIn(t *testing.T) {
 	}
 }
 
+// resyncScene starts a coordinator over two loopback workers and a
+// one-shard monitor beside it, and loads both with denseScene(60, 4) and
+// its queries at k = 3.
+func resyncScene(t *testing.T) (*cluster.Coordinator, []*workerProc, *cpm.Monitor, map[model.QueryID]geom.Point) {
+	t.Helper()
+	coord, procs := startCluster(t, 2, 300*time.Millisecond)
+	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
+	t.Cleanup(single.Close)
+	objs, queries := denseScene(60, 4)
+	coord.Bootstrap(objs)
+	single.Bootstrap(objs)
+	for id, q := range queries {
+		if err := coord.RegisterQuery(id, q, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.RegisterQuery(id, q, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return coord, procs, single, queries
+}
+
+// awaitResync ticks the coordinator and the monitor alike until both
+// workers are synced (the first tick finds any restart), failing after
+// 15 s, and then requires the cluster to answer every query in ids as the
+// monitor does.
+func awaitResync(t *testing.T, coord *cluster.Coordinator, single *cpm.Monitor, ids []model.QueryID) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for round := 1; round == 1 || coord.SyncedWorkers() < 2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 workers synced after the restart", coord.SyncedWorkers())
+		}
+		coord.Tick(nudge(round, 7, 8))
+		single.Tick(nudge(round, 7, 8))
+		time.Sleep(20 * time.Millisecond)
+	}
+	for _, id := range ids {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
+		}
+	}
+}
+
+// restartWorkers kills every worker and starts a fresh one on its address.
+func restartWorkers(t *testing.T, procs []*workerProc) {
+	t.Helper()
+	for i := range procs {
+		procs[i].kill()
+		procs[i] = startWorker(t, procs[i].addr)
+	}
+}
+
 // TestResyncAfterInvalidQueryMove: a query move the engines refuse — here
 // a NaN point — must not reach the coordinator's definition mirror either.
 // A mirror that stored it would re-register the poisoned definition on
@@ -294,22 +347,7 @@ func TestFleetStatsFanIn(t *testing.T) {
 // come back after a restart. The mirror counts the refused updates as the
 // monitor does.
 func TestResyncAfterInvalidQueryMove(t *testing.T) {
-	const k = 3
-	coord, procs := startCluster(t, 2, 300*time.Millisecond)
-	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
-	defer single.Close()
-
-	objs, queries := denseScene(60, 4)
-	coord.Bootstrap(objs)
-	single.Bootstrap(objs)
-	for id, q := range queries {
-		if err := coord.RegisterQuery(id, q, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := single.RegisterQuery(id, q, k); err != nil {
-			t.Fatal(err)
-		}
-	}
+	coord, procs, single, queries := resyncScene(t)
 	nan := geom.Point{X: math.NaN(), Y: 0.5}
 	if err := coord.MoveQuery(2, nan); err == nil {
 		t.Fatal("coordinator accepted a non-finite query move")
@@ -327,26 +365,36 @@ func TestResyncAfterInvalidQueryMove(t *testing.T) {
 		t.Fatalf("InvalidUpdates: coordinator %d, monitor %d, want 3 each", got, want)
 	}
 
-	for i := range procs {
-		procs[i].kill()
-		procs[i] = startWorker(t, procs[i].addr)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for round := 1; round == 1 || coord.SyncedWorkers() < 2; round++ {
-		if time.Now().After(deadline) {
-			t.Fatal("the cluster never re-synced after the restart")
-		}
-		coord.Tick(nudge(round, 7, 8)) // the first detects the restarts
-		single.Tick(nudge(round, 7, 8))
-		time.Sleep(20 * time.Millisecond)
-	}
+	restartWorkers(t, procs)
+	awaitResync(t, coord, single, slices.Collect(maps.Keys(queries)))
 	if got := metric(t, coord, "cpm_coord_resync_full_total"); got < 2 {
 		t.Fatalf("%d full re-syncs, want one per restarted worker", got)
 	}
-	for id := range queries {
-		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
-		}
+}
+
+// TestResyncAfterNegativeObjectInsert: an object update every worker
+// refuses — here an insert under a negative id — must not reach the
+// coordinator's object mirror. A mirror that stored it would ship the object
+// in every full re-sync's Bootstrap, each worker would drop it, and the
+// mirror would disagree with the workers it rebuilt. The mirror counts the
+// refused update as the monitor does.
+func TestResyncAfterNegativeObjectInsert(t *testing.T) {
+	coord, procs, single, queries := resyncScene(t)
+	b := nudge(0, 1, 2)
+	b.Objects = append(b.Objects, model.InsertUpdate(-5, geom.Point{X: 0.5, Y: 0.5}))
+	coord.Tick(b)
+	single.Tick(b)
+	if got, want := coord.InvalidUpdates(), single.InvalidUpdates(); got != want || want != 1 {
+		t.Fatalf("InvalidUpdates: coordinator %d, monitor %d, want 1 each", got, want)
+	}
+	if got, want := coord.ObjectCount(), single.ObjectCount(); got != want {
+		t.Fatalf("ObjectCount: coordinator %d, monitor %d", got, want)
+	}
+
+	restartWorkers(t, procs)
+	awaitResync(t, coord, single, slices.Collect(maps.Keys(queries)))
+	if got, want := coord.ObjectCount(), single.ObjectCount(); got != want {
+		t.Fatalf("ObjectCount after re-sync: coordinator %d, monitor %d", got, want)
 	}
 }
 
@@ -356,21 +404,7 @@ func TestResyncAfterInvalidQueryMove(t *testing.T) {
 // that tried to install it, and the restarted workers would never sync.
 func TestResyncAfterInvalidRegistration(t *testing.T) {
 	const k = 3
-	coord, procs := startCluster(t, 2, 300*time.Millisecond)
-	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
-	defer single.Close()
-
-	objs, queries := denseScene(60, 4)
-	coord.Bootstrap(objs)
-	single.Bootstrap(objs)
-	for id, q := range queries {
-		if err := coord.RegisterQuery(id, q, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := single.RegisterQuery(id, q, k); err != nil {
-			t.Fatal(err)
-		}
-	}
+	coord, procs, single, queries := resyncScene(t)
 	for _, p := range procs {
 		p.kill()
 	}
@@ -406,25 +440,12 @@ func TestResyncAfterInvalidRegistration(t *testing.T) {
 	for i := range procs {
 		procs[i] = startWorker(t, procs[i].addr)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for round := 1; coord.SyncedWorkers() < 2; round++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 2 workers synced after the restart", coord.SyncedWorkers())
-		}
-		coord.Tick(nudge(round, 7, 8))
-		single.Tick(nudge(round, 7, 8))
-		time.Sleep(20 * time.Millisecond)
-	}
-	for _, id := range append(slices.Collect(maps.Keys(queries)), 500) {
-		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
-		}
-	}
+	awaitResync(t, coord, single, append(slices.Collect(maps.Keys(queries)), 500))
 }
 
 // TestBootstrapDropsNonFinite: the coordinator's mirror drops and counts a
-// non-finite bootstrap position as a monitor does, so ObjectCount,
-// InvalidUpdates and the results agree.
+// non-finite bootstrap position and a negative id as a monitor does, so
+// ObjectCount, InvalidUpdates and the results agree.
 func TestBootstrapDropsNonFinite(t *testing.T) {
 	coord, _ := startCluster(t, 2, time.Second)
 	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
@@ -433,13 +454,14 @@ func TestBootstrapDropsNonFinite(t *testing.T) {
 	objs, _ := denseScene(60, 0)
 	objs[1000] = geom.Point{X: math.NaN(), Y: 0.5}
 	objs[1001] = geom.Point{X: 0.5, Y: math.Inf(-1)}
+	objs[-3] = geom.Point{X: 0.4, Y: 0.4}
 	coord.Bootstrap(objs)
 	single.Bootstrap(objs)
 	if got, want := coord.ObjectCount(), single.ObjectCount(); got != want || want != 60 {
 		t.Errorf("ObjectCount: coordinator %d, monitor %d, want 60 each", got, want)
 	}
-	if got, want := coord.InvalidUpdates(), single.InvalidUpdates(); got != want || want != 2 {
-		t.Errorf("InvalidUpdates: coordinator %d, monitor %d, want 2 each", got, want)
+	if got, want := coord.InvalidUpdates(), single.InvalidUpdates(); got != want || want != 3 {
+		t.Errorf("InvalidUpdates: coordinator %d, monitor %d, want 3 each", got, want)
 	}
 	q := geom.Point{X: 0.5, Y: 0.5}
 	if err := coord.RegisterQuery(1, q, 4); err != nil {

@@ -89,7 +89,6 @@ func TestDiffResultMatchesMapReference(t *testing.T) {
 func TestDiffEventsHeldAcrossTicks(t *testing.T) {
 	w := newWorld(7)
 	e := newTestEngine(16, Options{})
-	defer e.Close()
 	e.EnableDiffs(true)
 	e.Bootstrap(w.populate(400))
 	for q := model.QueryID(0); q < 24; q++ {

@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"cpm/internal/arena"
 	"cpm/internal/conc"
@@ -47,16 +46,6 @@ type Options struct {
 	// 3.3). Result maintenance then falls back to NN computation from
 	// scratch whenever re-computation would have run.
 	DropBookkeeping bool
-
-	// ScanWorkers splits the engine's influence-scan work across a small
-	// pool of persistent workers for update-heavy/query-light workloads.
-	// Queries are partitioned into ScanWorkers groups by the cell range of
-	// their home cell; each group owns a private influence index and dirty
-	// set, so the parallel scan phase shares only read-only state (the
-	// grid and the write log). Resolution stays serial, which keeps
-	// results, diffs and statistics byte-identical to the serial engine.
-	// Values below 2 mean serial scanning.
-	ScanWorkers int
 }
 
 // Engine is the CPM monitor of one set of queries over a grid it reads but
@@ -76,30 +65,19 @@ type Engine struct {
 	free  []*query
 	ids   map[model.QueryID]*query
 
-	// infls holds the influence-list index for this engine's queries — one
-	// index per scan group (exactly one unless Options.ScanWorkers splits
-	// the scan work). Influence lists are per-query book-keeping, so they
-	// live with the engine, not in the (possibly shared) grid cells.
-	infls  []*grid.Influence
-	groups int
-	// watch is the reused union of the groups' occupancy sets (Watched)
-	// when there is more than one group.
-	watch grid.CellSet
-
-	// Persistent scan workers (ScanWorkers ≥ 2): group w scans the tick's
-	// write log against infls[w]. Started lazily, stopped by Close.
-	scanFeed []chan []grid.Applied
-	scanWG   sync.WaitGroup
+	// infl is the influence-list index for this engine's queries. Influence
+	// lists are per-query book-keeping, so they live with the engine, not in
+	// the (possibly shared) grid cells.
+	infl *grid.Influence
 
 	stats model.Stats
 	// invalidQueries counts the query-stream elements this engine dropped;
 	// the object stream is validated by the grid's owner, once.
 	invalidQueries int64
 	cycle          int64
-	// dirty holds the queries touched by the current cycle, per group;
-	// group w is only appended to by the worker scanning infls[w], and all
-	// groups are drained serially in order.
-	dirty [][]*query
+	// touched holds the queries touched by the current cycle, in the order
+	// the scans first reached them.
+	touched []*query
 
 	// changedIDs collects the queries whose results changed since the last
 	// BeginCycle — the notification set of Figure 3.9 line 10.
@@ -180,11 +158,6 @@ type query struct {
 	radius  float64
 	members map[model.ObjectID]float64
 
-	// group is the scan group holding this query's influence entries —
-	// derived from the home cell's position in the cell range (groupOf),
-	// always 0 on a serial engine, recomputed on rebalance.
-	group int32
-
 	best resultList // best_NN; kthDist() is best_dist
 
 	// visit is the visit list: every cell processed by search or
@@ -242,80 +215,21 @@ type visitEntry struct {
 
 // NewSharedEngine creates a CPM engine over an injected grid owned by the
 // caller (the sharded monitor). The engine keeps only per-query state and
-// its influence indexes; it never mutates the grid. Object updates must be
+// its influence index; it never mutates the grid. Object updates must be
 // applied to the grid by the owner (grid.ApplyWatched, filtered by Watched,
 // or unfiltered) and fed to the engine as a write log via
 // BeginCycle/ScanApplied/ApplyQueryUpdates.
 func NewSharedEngine(g *grid.Grid, opts Options) *Engine {
-	groups := opts.ScanWorkers
-	if groups < 2 {
-		groups = 1
-	}
-	e := &Engine{
-		g:      g,
-		opts:   opts,
-		ids:    make(map[model.QueryID]*query),
-		infls:  make([]*grid.Influence, groups),
-		groups: groups,
-		dirty:  make([][]*query, groups),
+	return &Engine{
+		g:    g,
+		opts: opts,
+		ids:  make(map[model.QueryID]*query),
+		infl: grid.NewInfluence(g.Size() * g.Size()),
 		// Generations start at 1 so the zero-valued marks of a freshly armed
 		// slot never collide with the current generation.
 		changeGen: 1,
 		batchGen:  1,
 		diffWin:   1,
-	}
-	for w := range e.infls {
-		e.infls[w] = grid.NewInfluence(g.Size() * g.Size())
-	}
-	return e
-}
-
-// groupOf maps a cell to the scan group owning queries homed there: groups
-// partition the cell range [0, size²) into contiguous, equally sized
-// stripes. With one group everything maps to 0.
-func (e *Engine) groupOf(c grid.CellIndex) int32 {
-	if e.groups == 1 {
-		return 0
-	}
-	return int32(int(c) * e.groups / (e.g.Size() * e.g.Size()))
-}
-
-// homeGroup returns the scan group for a query definition — the group of
-// the cell holding its (first) query point. Any deterministic cell works;
-// the home cell keeps neighboring queries in the same group.
-func (e *Engine) homeGroup(points []geom.Point) int32 {
-	return e.groupOf(e.g.CellOf(points[0]))
-}
-
-// Close stops the persistent scan workers (if ScanWorkers started any).
-// The engine stays usable: a later batch restarts them. Safe to call twice.
-func (e *Engine) Close() {
-	if e.scanFeed == nil {
-		return
-	}
-	for _, ch := range e.scanFeed {
-		close(ch)
-	}
-	e.scanFeed = nil
-}
-
-// ensureScanWorkers lazily starts one persistent goroutine per scan group,
-// fed a write-log slice per tick over an unbuffered channel — the same
-// zero-allocation fan-out shape as the sharded monitor's per-shard workers.
-func (e *Engine) ensureScanWorkers() {
-	if e.scanFeed != nil {
-		return
-	}
-	e.scanFeed = make([]chan []grid.Applied, e.groups)
-	for w := range e.scanFeed {
-		ch := make(chan []grid.Applied)
-		e.scanFeed[w] = ch
-		go func(w int, ch chan []grid.Applied) {
-			for log := range ch {
-				e.scanGroup(w, log)
-				e.scanWG.Done()
-			}
-		}(w, ch)
 	}
 }
 
@@ -382,11 +296,9 @@ func (e *Engine) install(qu *query) {
 }
 
 // evaluate computes the query's result from scratch at its current
-// definition, in the scan group of its home cell.
+// definition.
 func (e *Engine) evaluate(qu *query) {
-	// While qu.group still names the index that holds the old entries.
 	e.clearInfluence(qu)
-	qu.group = e.homeGroup(qu.def.Points)
 	if qu.h&rangeBit != 0 {
 		e.evaluateRange(qu)
 	} else {
@@ -564,10 +476,7 @@ func (e *Engine) MemoryFootprint() int64 {
 // sharded monitor sums this over its engines and adds the shared grid term
 // once.
 func (e *Engine) QueryMemoryUnits() int64 {
-	var units int64
-	for _, infl := range e.infls {
-		units += infl.Entries()
-	}
+	units := e.infl.Entries()
 	for _, qu := range e.ids {
 		if qu.h&rangeBit != 0 {
 			continue
@@ -581,27 +490,17 @@ func (e *Engine) QueryMemoryUnits() int64 {
 // Watched returns the cells on which some influence list of the engine is
 // non-empty: an object update touching none of them concerns none of the
 // engine's queries, so the grid's owner may leave it out of the write log
-// (grid.ApplyWatched). With one scan group this is the index's own
-// occupancy set; otherwise the groups are ORed into a reused buffer. The
-// set is borrowed: it is current until the next influence change, and a
-// later Watched call may overwrite it.
+// (grid.ApplyWatched). The set is the influence index's own occupancy set,
+// borrowed: it is current until the next influence change.
 func (e *Engine) Watched() *grid.CellSet {
-	if e.groups == 1 {
-		return e.infls[0].Occupied()
-	}
-	e.watch.Reset(e.g.Size() * e.g.Size())
-	for _, infl := range e.infls {
-		e.watch.Or(infl.Occupied())
-	}
-	return &e.watch
+	return e.infl.Occupied()
 }
 
 // clearInfluence removes the query from the influence lists of all cells in
 // its influence prefix and resets its book-keeping.
 func (e *Engine) clearInfluence(qu *query) {
-	infl := e.infls[qu.group]
 	for _, ve := range qu.visit[:qu.influenceEnd] {
-		infl.Remove(ve.cell, qu.h)
+		e.infl.Remove(ve.cell, qu.h)
 	}
 	qu.visit, qu.ordered = qu.visit[:0], 0
 	qu.influenceEnd = 0

@@ -16,18 +16,16 @@ import (
 // the slot RemoveQuery is about to park: the next tenant would receive the
 // old one's updates.
 func (e *Engine) assertUnnamed(qu *query) {
-	for w, infl := range e.infls {
-		for c := range grid.CellIndex(e.g.Size() * e.g.Size()) {
-			for _, h := range infl.List(c) {
-				if h>>1 == qu.h>>1 {
-					panic(fmt.Sprintf("core: freed slot %d of query %d still on the influence list of cell %d (group %d)", h>>1, qu.id, c, w))
-				}
+	for c := range grid.CellIndex(e.g.Size() * e.g.Size()) {
+		for _, h := range e.infl.List(c) {
+			if h>>1 == qu.h>>1 {
+				panic(fmt.Sprintf("core: freed slot %d of query %d still on the influence list of cell %d", h>>1, qu.id, c))
 			}
 		}
-		for _, d := range e.dirty[w] {
-			if d == qu {
-				panic(fmt.Sprintf("core: freed slot %d of query %d still on the touched list of group %d", qu.h>>1, qu.id, w))
-			}
+	}
+	for _, d := range e.touched {
+		if d == qu {
+			panic(fmt.Sprintf("core: freed slot %d of query %d still on the touched list", qu.h>>1, qu.id))
 		}
 	}
 }

@@ -47,14 +47,14 @@ func TestGuardTripsOnStaleInfluenceEntry(t *testing.T) {
 	for e.HasInfluence(stale, 1) {
 		stale++
 	}
-	e.infls[qu.group].AddUnchecked(stale, qu.h)
+	e.infl.AddUnchecked(stale, qu.h)
 	mustPanic(t, "parking a slot an influence list still names", func() { e.RemoveQuery(1) })
 }
 
 func TestGuardTripsOnStaleTouchedEntry(t *testing.T) {
 	e := guardedEngine(t)
 	qu := e.ids[2]
-	e.dirty[qu.group] = append(e.dirty[qu.group], qu)
+	e.touched = append(e.touched, qu)
 	mustPanic(t, "parking a slot the touched list still names", func() { e.RemoveQuery(2) })
 }
 

@@ -81,9 +81,8 @@ func (e *Engine) evaluateRange(qu *query) {
 // entries on entry (evaluate cleared them, Reindex reset the index) and
 // CellsInCircle enumerates distinct cells.
 func (e *Engine) coverRange(qu *query) {
-	infl := e.infls[qu.group]
 	e.g.CellsInCircle(qu.def.Points[0], qu.radius, func(c grid.CellIndex) {
-		infl.AddUnchecked(c, qu.h)
+		e.infl.AddUnchecked(c, qu.h)
 		qu.visit = append(qu.visit, visitEntry{cell: c})
 	})
 	qu.influenceEnd = len(qu.visit)

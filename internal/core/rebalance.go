@@ -32,16 +32,10 @@ package core
 // Reindex rebuilds every installed query's book-keeping against the grid's
 // current geometry — the engine half of a resize, runnable in parallel
 // across the engines of a shared grid (all reindex work is per-query and
-// scans no objects). The influence indexes are reset wholesale first; scan
-// groups are re-derived because the home-cell → group mapping depends on
-// the cell count.
+// scans no objects). The influence index is reset wholesale first.
 func (e *Engine) Reindex() {
-	cellCount := e.g.Size() * e.g.Size()
-	for _, infl := range e.infls {
-		infl.Reset(cellCount)
-	}
+	e.infl.Reset(e.g.Size() * e.g.Size())
 	for _, qu := range e.ids {
-		qu.group = e.homeGroup(qu.def.Points)
 		qu.visit, qu.ordered = qu.visit[:0], 0
 		if qu.h&rangeBit != 0 {
 			// A range query just re-enumerates its disk cover on the new

@@ -33,7 +33,6 @@ func (e *Engine) recompute(qu *query) {
 	// earlier shrinks but needed again by the necessarily larger new
 	// best_dist) get an unchecked O(1) append.
 	processed := 0
-	infl := e.infls[qu.group]
 	for processed < len(qu.visit) {
 		ve := qu.visit[processed]
 		if ve.key >= qu.best.kthDist() {
@@ -41,7 +40,7 @@ func (e *Engine) recompute(qu *query) {
 		}
 		e.scanCellObjects(qu, ve.cell)
 		if processed >= oldInfluenceEnd {
-			infl.AddUnchecked(ve.cell, qu.h)
+			e.infl.AddUnchecked(ve.cell, qu.h)
 		}
 		processed++
 	}
@@ -66,9 +65,8 @@ func (e *Engine) shrinkInfluence(qu *query) {
 	e.orderVisit(qu)
 	oldEnd := qu.influenceEnd
 	newEnd := min(firstGreater(qu.visit, qu.best.kthDist()), oldEnd)
-	infl := e.infls[qu.group]
 	for i := newEnd; i < oldEnd; i++ {
-		infl.Remove(qu.visit[i].cell, qu.h)
+		e.infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 	e.assertSearchState(qu, oldEnd)

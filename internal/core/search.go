@@ -257,7 +257,6 @@ func beyond(key, bound float64, scan bool) bool {
 // orderVisit sorts the tail when a reader first needs it.
 func (e *Engine) unpark(qu *query, from int, scan bool) {
 	bound := qu.best.kthDist()
-	infl := e.infls[qu.group]
 	joined := len(qu.visit)
 	for _, pc := range e.parked {
 		if beyond(pc.key, bound, scan) {
@@ -265,7 +264,7 @@ func (e *Engine) unpark(qu *query, from int, scan bool) {
 			e.stats.HeapOps++
 			continue
 		}
-		infl.AddUnchecked(pc.cell, qu.h)
+		e.infl.AddUnchecked(pc.cell, qu.h)
 		qu.visit = append(qu.visit, pc)
 	}
 	e.parked = e.parked[:0]
@@ -291,7 +290,7 @@ func (e *Engine) unpark(qu *query, from int, scan bool) {
 // prefix of that list, so the query cannot already be present.
 func (e *Engine) scanCell(qu *query, c grid.CellIndex) {
 	e.scanCellObjects(qu, c)
-	e.infls[qu.group].AddUnchecked(c, qu.h)
+	e.infl.AddUnchecked(c, qu.h)
 }
 
 // scanCellObjects is scanCell without the influence bookkeeping, for the
@@ -333,9 +332,8 @@ func (e *Engine) finishSearch(qu *query, processedEnd, curInfluenceEnd int) {
 	if curInfluenceEnd > cur {
 		cur = curInfluenceEnd
 	}
-	infl := e.infls[qu.group]
 	for i := newEnd; i < cur; i++ {
-		infl.Remove(qu.visit[i].cell, qu.h)
+		e.infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 	e.assertSearchState(qu, processedEnd)

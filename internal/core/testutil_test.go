@@ -83,18 +83,10 @@ func (e *testEngine) ObjectPosition(id model.ObjectID) (geom.Point, bool) {
 }
 
 // HasInfluence reports whether query id currently holds an influence entry
-// on cell c, in any scan group.
+// on cell c.
 func (e *testEngine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
 	qu := e.ids[id]
-	if qu == nil {
-		return false
-	}
-	for _, infl := range e.infls {
-		if infl.Has(c, qu.h) {
-			return true
-		}
-	}
-	return false
+	return qu != nil && e.infl.Has(c, qu.h)
 }
 
 // world mirrors the engine's object population so tests can generate

@@ -99,9 +99,8 @@ func (e *Engine) refRunSearch(qu *query, part *conc.Partition) {
 
 func (e *Engine) refFinishSearch(qu *query, processedEnd, curInfluenceEnd int) {
 	newEnd := min(firstGreater(qu.visit, qu.best.kthDist()), processedEnd)
-	infl := e.infls[qu.group]
 	for i := newEnd; i < max(processedEnd, curInfluenceEnd); i++ {
-		infl.Remove(qu.visit[i].cell, qu.h)
+		e.infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 }
@@ -110,7 +109,6 @@ func (e *Engine) refRecompute(qu *query) {
 	oldInfluenceEnd := qu.influenceEnd
 	qu.best.reset()
 	processed := 0
-	infl := e.infls[qu.group]
 	for processed < len(qu.visit) {
 		ve := qu.visit[processed]
 		if ve.key >= qu.best.kthDist() {
@@ -118,7 +116,7 @@ func (e *Engine) refRecompute(qu *query) {
 		}
 		e.scanCellObjects(qu, ve.cell)
 		if processed >= oldInfluenceEnd {
-			infl.AddUnchecked(ve.cell, qu.h)
+			e.infl.AddUnchecked(ve.cell, qu.h)
 		}
 		processed++
 	}
@@ -132,25 +130,20 @@ func (e *Engine) refRecompute(qu *query) {
 
 func (e *Engine) refShrinkInfluence(qu *query) {
 	newEnd := min(firstGreater(qu.visit, qu.best.kthDist()), qu.influenceEnd)
-	infl := e.infls[qu.group]
 	for i := newEnd; i < qu.influenceEnd; i++ {
-		infl.Remove(qu.visit[i].cell, qu.h)
+		e.infl.Remove(qu.visit[i].cell, qu.h)
 	}
 	qu.influenceEnd = newEnd
 }
 
 func (e *Engine) refReindex() {
-	for _, infl := range e.infls {
-		infl.Reset(e.g.Size() * e.g.Size())
-	}
+	e.infl.Reset(e.g.Size() * e.g.Size())
 	for _, qu := range e.ids {
-		qu.group = e.homeGroup(qu.def.Points)
 		qu.visit = qu.visit[:0]
 		qu.resetSearch()
 		part := e.partitionFor(qu.def)
 		e.refSeedHeap(qu, &part)
 		bound := qu.best.kthDist()
-		infl := e.infls[qu.group]
 		for {
 			top, ok := qu.heap.Min()
 			if !ok || top.Key > bound {
@@ -159,7 +152,7 @@ func (e *Engine) refReindex() {
 			qu.heap.Pop()
 			if !isStrip(top.Payload) {
 				c := payloadCell(top.Payload)
-				infl.AddUnchecked(c, qu.h)
+				e.infl.AddUnchecked(c, qu.h)
 				qu.visit = append(qu.visit, visitEntry{cell: c, key: top.Key})
 				continue
 			}
@@ -241,10 +234,8 @@ func TestTraversalEquivalence(t *testing.T) {
 				for i := range defs {
 					sameSearchState(t, fmt.Sprintf("%s q%d", label, i), e, e.ids[model.QueryID(i)], r.ids[model.QueryID(i)])
 				}
-				for gi := range e.infls {
-					if a, b := e.infls[gi].Entries(), r.infls[gi].Entries(); a != b {
-						t.Fatalf("%s: %d influence entries, reference %d", label, a, b)
-					}
+				if a, b := e.infl.Entries(), r.infl.Entries(); a != b {
+					t.Fatalf("%s: %d influence entries, reference %d", label, a, b)
 				}
 			}
 			for i, def := range defs {
@@ -362,7 +353,7 @@ func sameSearchState(t *testing.T, label string, e *Engine, qe, qr *query) {
 		t.Fatalf("%s: visit list not ascending once ordered", label)
 	}
 	for i := range qe.visit[:qe.influenceEnd] {
-		if c := qe.visit[i].cell; !e.infls[qe.group].Has(c, qe.h) {
+		if c := qe.visit[i].cell; !e.infl.Has(c, qe.h) {
 			t.Fatalf("%s: influence prefix cell %d lacks its entry", label, c)
 		}
 	}

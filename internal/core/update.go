@@ -21,8 +21,8 @@ import (
 // classify objects by their logged position and cell transition and never
 // read the grid's object data, so scanning after all writes observes exactly
 // what interleaved scanning did. The log need hold only the updates touching
-// a Watched cell: any other one would meet empty influence lists in every
-// group, so it costs its index maintenance and nothing else (the paper's
+// a Watched cell: any other one would meet empty influence lists, so it
+// costs its index maintenance and nothing else (the paper's
 // Time_ind). The Section 3.2 ablation (Options.PerUpdate) is the same calls
 // with a one-update log per ScanApplied.
 //
@@ -53,24 +53,14 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 
 // ScanApplied routes one write log — the grid mutations of a tick (or of a
 // single update in per-update mode), already applied by the grid's owner —
-// through the engine's influence indexes (Figure 3.8 scans) and resolves
+// through the engine's influence index (Figure 3.8 scans) and resolves
 // every touched query. The grid must be at a stable epoch: the scans read
-// only the log and per-query state, and resolution (which does read the
-// grid) runs after the fan-out barrier on a serial path. Phase times
-// accumulate so per-update rounds compose.
+// only the log and per-query state, and resolution reads the grid. Phase
+// times accumulate so per-update rounds compose.
 func (e *Engine) ScanApplied(log []grid.Applied) {
 	e.cycle++
 	t0 := time.Now()
-	if e.groups == 1 {
-		e.scanGroup(0, log)
-	} else if len(log) > 0 {
-		e.ensureScanWorkers()
-		e.scanWG.Add(e.groups)
-		for _, ch := range e.scanFeed {
-			ch <- log
-		}
-		e.scanWG.Wait()
-	}
+	e.scan(log)
 	t1 := time.Now()
 	e.resolveDirty()
 	t2 := time.Now()
@@ -93,16 +83,16 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 				continue
 			}
 			// A move of this query earlier in the batch is noted before
-			// the query goes: the touched lists never hold a removed one.
+			// the query goes: the touched list never holds a removed one.
 			e.noteTouched()
 			e.RemoveQuery(u.ID)
 		case model.QueryMove:
-			// Moved queries go on the touched lists (empty here: every
-			// scan round drains them) and are noted in one pass below.
+			// Moved queries go on the touched list (empty here: every
+			// scan round drains it) and are noted in one pass below.
 			if qu := e.ids[u.ID]; qu == nil || e.move(qu, u.NewPoints) != nil {
 				e.invalidQueries++
 			} else {
-				e.dirty[qu.group] = append(e.dirty[qu.group], qu)
+				e.touched = append(e.touched, qu)
 			}
 		case model.QueryInstall:
 			// Installations happen through Register, which computes the
@@ -116,7 +106,7 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 	e.phases.QueryUpd += time.Since(qStart).Nanoseconds()
 }
 
-// touch records a query in its group's dirty set the first time one of a
+// touch records a query in the touched list the first time one of a
 // cycle's updates concerns it, and lazily initializes a k-NN query's
 // per-cycle update-handling state (Figure 3.8 lines 1–3). refDist freezes
 // best_dist at its start-of-cycle value: incomer/outgoer classification must
@@ -127,7 +117,7 @@ func (e *Engine) touch(qu *query) {
 		return
 	}
 	qu.cycleMark = e.cycle
-	e.dirty[qu.group] = append(e.dirty[qu.group], qu)
+	e.touched = append(e.touched, qu)
 	if qu.h&rangeBit != 0 {
 		return
 	}
@@ -138,27 +128,25 @@ func (e *Engine) touch(qu *query) {
 	qu.forceRecompute = false
 }
 
-// scanGroup performs the influence-list scans of Figure 3.8 (lines 4–16) for
-// one scan group over a tick's write log, extended with insert and delete
-// events: a deleted NN is an outgoing NN ("CPM trivially deals with off-line
-// NNs by treating them as outgoing ones", Section 4.2). Group w reads only
-// infls[w] and the per-query state of the queries homed there, so all groups
-// can scan the same log concurrently. Each influence list is walked once:
+// scan performs the influence-list scans of Figure 3.8 (lines 4–16) over a
+// tick's write log, extended with insert and delete events: a deleted NN is
+// an outgoing NN ("CPM trivially deals with off-line NNs by treating them as
+// outgoing ones", Section 4.2). Each influence list is walked once:
 // the handle says whether the entry is a k-NN query or a range query, which
 // folds the event into its member set (foldRange) — once per event, so the
 // new cell's walk skips the range queries when the object stayed in its cell.
-func (e *Engine) scanGroup(w int, log []grid.Applied) {
-	infl := e.infls[w]
+func (e *Engine) scan(log []grid.Applied) {
+	infl := e.infl
 	occupied := infl.Occupied()
 	for i := range log {
 		a := &log[i]
 		switch a.Kind {
 		case model.Move:
 			// Affected-cell pre-filter: with both cells outside every
-			// influence region of this group the Figure 3.8 scans would
+			// influence region of this engine the Figure 3.8 scans would
 			// iterate empty influence lists. The log only holds updates
-			// touching some group's (some shard's) region; this is the
-			// per-group routing filter on top.
+			// touching some shard's region; this is the per-engine
+			// routing filter on top.
 			if !occupied.Has(a.Old) && !occupied.Has(a.New) {
 				continue
 			}
@@ -276,37 +264,31 @@ func (e *Engine) active(h grid.Handle) *query {
 // NNs, the new result is the k best of best_NN ∪ in_list — the circle of
 // radius refDist provably still holds k objects, so no grid access is
 // needed. Otherwise the NN Re-Computation module runs. Either way the
-// influence region is re-tightened to the new best_dist. Groups are drained
-// serially in group order; the effect per query is order-independent, and
-// the change/diff stream is canonicalized downstream (ChangedQueries sorts,
-// TakeDiffs consumers sort by query id), so grouping does not alter
-// observable output.
+// influence region is re-tightened to the new best_dist.
 func (e *Engine) resolveDirty() {
-	for w := range e.dirty {
-		for _, qu := range e.dirty[w] {
-			if qu.h&rangeBit != 0 {
-				continue // membership was settled by the scan itself
-			}
-			if !qu.forceRecompute && qu.inList.len() >= qu.outCount {
-				e.stats.ShortCircuits++
-				for _, n := range qu.inList.items {
-					qu.best.offer(n.ID, n.Dist)
-				}
-				e.shrinkInfluence(qu)
-			} else {
-				e.recompute(qu)
-			}
-			qu.outCount = 0
-			qu.inList.reset()
+	for _, qu := range e.touched {
+		if qu.h&rangeBit != 0 {
+			continue // membership was settled by the scan itself
 		}
+		if !qu.forceRecompute && qu.inList.len() >= qu.outCount {
+			e.stats.ShortCircuits++
+			for _, n := range qu.inList.items {
+				qu.best.offer(n.ID, n.Dist)
+			}
+			e.shrinkInfluence(qu)
+		} else {
+			e.recompute(qu)
+		}
+		qu.outCount = 0
+		qu.inList.reset()
 	}
 	e.noteTouched()
 }
 
 // noteTouched is the notification step (Figure 3.9 line 10) for every
-// query on the touched lists: each is compared with its reported result
+// query on the touched list: each is compared with its reported result
 // and, if it changed, recorded (with its delta while diffs are on); the
-// lists are drained. It runs as a pass of its own — after every touched
+// list is drained. It runs as a pass of its own — after every touched
 // query is resolved, or after every query update of a batch is applied —
 // because the notes read only per-query state, so their order is
 // unobservable, and one pass costs one PhaseNanos.Diff bracket instead of
@@ -314,12 +296,10 @@ func (e *Engine) resolveDirty() {
 // against the result it had before the batch.
 func (e *Engine) noteTouched() {
 	start := time.Now()
-	for w := range e.dirty {
-		for _, qu := range e.dirty[w] {
-			e.noteIfChanged(qu)
-		}
-		e.dirty[w] = e.dirty[w][:0]
+	for _, qu := range e.touched {
+		e.noteIfChanged(qu)
 	}
+	e.touched = e.touched[:0]
 	if e.diffsOn {
 		e.phases.Diff += time.Since(start).Nanoseconds()
 	}

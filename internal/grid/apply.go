@@ -24,17 +24,33 @@ type Applied struct {
 // ApplyBatch applies an object-update stream to the grid in order,
 // appending one Applied entry per accepted update to log (normally
 // log[:0] of a buffer reused across ticks) and returning the extended log
-// plus the number of invalid updates dropped. Validation — non-finite
-// coordinates, inserts of live objects, moves/deletes of unknown ones —
-// matches what the engines previously enforced update-by-update, so
-// invalid-update accounting is unchanged and charged once per stream, not
-// once per shard.
+// plus the number of invalid updates dropped: those Admits refuses, charged
+// once per stream, not once per shard.
 //
 // The whole batch runs inside one write window (BeginWrites/EndWrites), so
 // the epoch advances by one per call and, on a shared grid, the race-build
 // assertions catch any reader overlapping the application.
 func (g *Grid) ApplyBatch(updates []model.Update, log []Applied) ([]Applied, int64) {
 	return g.ApplyWatched(updates, log, nil)
+}
+
+// Admits is the rule for one object update, given whether u.ID names a live
+// object: a move needs a live object and a finite position, an insert a
+// non-negative id that is not live and a finite position, a delete a live
+// object; any other kind is refused. ApplyBatch applies exactly the updates
+// it admits, so a store that keeps its own copy of the population (the
+// cluster coordinator's mirror, the Bootstraps) calls it to drop and count
+// what the grid does.
+func Admits(u model.Update, live bool) bool {
+	switch u.Kind {
+	case model.Move:
+		return live && u.New.Finite()
+	case model.Insert:
+		return !live && u.ID >= 0 && u.New.Finite()
+	case model.Delete:
+		return live
+	}
+	return false
 }
 
 // ApplyWatched is ApplyBatch with a filtered log: it appends an entry only

@@ -2,12 +2,12 @@ package grid
 
 // Influence is an influence-list index (paper Figure 3.3b): for every cell,
 // the queries whose influence (or answer) region contains it. Every method
-// keeps its lists here — each CPM engine (one index per scan group) and the
-// SEA-CNN baseline — never in the grid cells, which hold objects only. With
-// a shared grid the object index is one structure read by all shards, while
-// influence lists are query book-keeping — exactly the state that stays
-// partitioned — so a shard only ever writes its own Influence and the
-// parallel monitoring fan-out performs no writes against the shared grid.
+// keeps its lists here — each CPM engine and the SEA-CNN baseline — never in
+// the grid cells, which hold objects only. With a shared grid the object
+// index is one structure read by all shards, while influence lists are query
+// book-keeping — exactly the state that stays partitioned — so a shard only
+// ever writes its own Influence and the parallel monitoring fan-out performs
+// no writes against the shared grid.
 //
 // The lists are short dense swap-delete slices, nil until first use, plus an
 // O(1) running entry count that backs MemoryFootprint without a scan over

@@ -189,32 +189,22 @@ func (g *Grid) Len(c CellIndex) int {
 	return len(g.cells[c].objects)
 }
 
-// CellObjects returns cell c's object list as a borrowed slice and counts
-// one cell access — the unit reported in Figure 6.3b ("a cell visit
-// corresponds to a complete scan over the object list in the cell"). The
-// slice is owned by the grid: callers must not mutate or retain it, and any
-// grid mutation invalidates it. Iterating it allocates nothing.
-func (g *Grid) CellObjects(c CellIndex) []model.ObjectID {
-	g.assertStable()
-	g.cellAccesses++
-	return g.cells[c].objects
-}
-
 // Objects returns cell c's object list as a borrowed slice WITHOUT touching
 // the grid's cell-access counter. Engines reading a shared grid use this and
 // count the access in their own Stats instead: the grid counter is not
 // synchronized, so concurrent shards bumping it would race (and the merged
-// count would double-charge a cell both shards scanned). Same ownership
-// contract as CellObjects.
+// count would double-charge a cell both shards scanned). The slice is owned
+// by the grid: callers must not mutate or retain it, and any grid mutation
+// invalidates it. Iterating it allocates nothing.
 func (g *Grid) Objects(c CellIndex) []model.ObjectID {
 	g.assertStable()
 	return g.cells[c].objects
 }
 
 // ScanObjects invokes fn for every object in cell c and counts one cell
-// access. All monitoring methods must read cell contents through this
-// method or CellObjects so access counts compare fairly. fn must not mutate
-// the cell's object set.
+// access. Monitoring methods read cell contents through this method, or
+// through Objects while counting the access themselves (core's engines), so
+// access counts compare fairly. fn must not mutate the cell's object set.
 func (g *Grid) ScanObjects(c CellIndex, fn func(id model.ObjectID, p geom.Point)) {
 	g.assertStable()
 	g.cellAccesses++

@@ -101,16 +101,22 @@ func TestSubscriptionMetrics(t *testing.T) {
 		t.Fatalf("subscribes_total = %d, want 1", got)
 	}
 
-	// A register publishes a DiffInstall event to the subscriber.
+	// A register publishes a DiffInstall event to the subscriber; the event
+	// may reach the connection before or after the register's ack.
 	tc.write(wire.AppendRegister(nil, 3, wire.Register{ID: 9, Kind: wire.KindRange, Points: []geom.Point{{X: 0.5, Y: 0.5}}, Radius: 0.2}))
-	tc.expectAck(3, false)
-	for {
-		typ, _, err := tc.next()
+	for acked, evented := false, false; !acked || !evented; {
+		typ, payload, err := tc.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ == wire.FrameEvent {
-			break
+		switch typ {
+		case wire.FrameEvent:
+			evented = true
+		case wire.FrameAck:
+			if id, msg, err := wire.DecodeAck(payload); err != nil || id != 3 || msg != "" {
+				t.Fatalf("ack %d %q (%v), want a clean ack 3", id, msg, err)
+			}
+			acked = true
 		}
 	}
 	if got := s.met.eventsOut.Load(); got < 1 {

@@ -153,10 +153,10 @@ func (m *Monitor) shardOf(id model.QueryID) int { return model.Owner(id, len(m.s
 func (m *Monitor) owner(id model.QueryID) *core.Engine { return m.shards[m.shardOf(id)] }
 
 // Bootstrap loads the initial object population into the shared grid —
-// once, not once per shard. A non-finite position is dropped and counted
-// in InvalidUpdates, as the update stream's inserts are. Call before
-// registering queries or processing updates; it panics on a non-empty
-// monitor.
+// once, not once per shard. An object the update stream's insert would
+// refuse (grid.Admits: a negative id or a non-finite position) is dropped
+// and counted in InvalidUpdates. Call before registering queries or
+// processing updates; it panics on a non-empty monitor.
 func (m *Monitor) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	if m.g.Count() > 0 {
 		panic("shard: Bootstrap on a non-empty monitor")
@@ -164,7 +164,7 @@ func (m *Monitor) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	m.g.BeginWrites()
 	defer m.g.EndWrites()
 	for id, p := range objs {
-		if !p.Finite() {
+		if !grid.Admits(model.InsertUpdate(id, p), false) {
 			m.invalidObjects++
 			continue
 		}
@@ -333,14 +333,10 @@ func (m *Monitor) start() {
 	}
 }
 
-// Close stops the persistent worker goroutines, including any intra-shard
-// scan workers the engines started. It is idempotent, and the monitor stays
-// usable: a later ProcessBatch restarts the workers. Call it when
-// discarding a monitor so its goroutines do not outlive it.
+// Close stops the persistent per-shard worker goroutines. It is idempotent,
+// and the monitor stays usable: a later ProcessBatch restarts the workers.
+// Call it when discarding a monitor so its goroutines do not outlive it.
 func (m *Monitor) Close() {
-	for _, e := range m.shards {
-		e.Close()
-	}
 	if m.feed == nil {
 		return
 	}

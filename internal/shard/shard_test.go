@@ -20,12 +20,6 @@ import (
 // shardCounts is the sweep of the equivalence property test.
 var shardCounts = []int{1, 2, 4, 8}
 
-// workersFor adds intra-shard scan parallelism to the sweep: each shard
-// count runs with a different ScanWorkers setting (including the serial
-// default) so the equivalence property also covers the per-shard worker
-// pool. The one-shard reference always stays serial.
-var workersFor = map[int]int{1: 4, 2: 3, 4: 1, 8: 2}
-
 // qKind enumerates the query shapes the property test mixes.
 type qKind uint8
 
@@ -320,7 +314,7 @@ func TestShardEquivalenceRandomWorkload(t *testing.T) {
 		monitors := []monitor{single}
 		sharded := make([]*shard.Monitor, 0, len(shardCounts))
 		for _, n := range shardCounts {
-			s := shard.NewUnit(n, gridSize, core.Options{ScanWorkers: workersFor[n]})
+			s := shard.NewUnit(n, gridSize, core.Options{})
 			defer s.Close()
 			sharded = append(sharded, s)
 			monitors = append(monitors, s)

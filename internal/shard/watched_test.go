@@ -138,15 +138,10 @@ func TestWatchedLogMatchesOracle(t *testing.T) {
 		names = append(names, name)
 	}
 	add("shards=1/PerUpdate", shard.NewUnit(1, gridSize, core.Options{PerUpdate: true}))
-	for workers := 2; workers <= 4; workers++ {
-		e := shard.NewUnit(1, gridSize, core.Options{ScanWorkers: workers})
-		defer e.Close()
-		add(fmt.Sprintf("shards=1/ScanWorkers=%d", workers), e)
-	}
 	for n := 2; n <= 8; n++ {
-		s := shard.NewUnit(n, gridSize, core.Options{ScanWorkers: 1 + n%4})
+		s := shard.NewUnit(n, gridSize, core.Options{})
 		defer s.Close()
-		add(fmt.Sprintf("shards=%d/ScanWorkers=%d", n, 1+n%4), s)
+		add(fmt.Sprintf("shards=%d", n), s)
 	}
 	s := shard.NewUnit(3, gridSize, core.Options{PerUpdate: true})
 	defer s.Close()
