@@ -198,8 +198,8 @@ bench-test:
 # The paper's result as a gate: Figures 6.1, 6.2a, 6.3a and 6.6a at the
 # paper's scale over three seeds, every sweep point held to CPM < YPK-CNN <
 # SEA-CNN in CPU time and in cell accesses (internal/bench/repro_test.go,
-# with its allow-list). 11 to 14 minutes on two cores, so ci
-# leaves it out; CI runs it in its own job.
+# with its allow-list). About 2 minutes on two cores (2m04s on a 2.1 GHz
+# Xeon with go1.24); ci leaves it out and CI runs it in its own job.
 repro-gate:
 	$(GO) test -tags repro -run '^TestReproGate$$' -count=1 -timeout 60m -v ./internal/bench/
 

@@ -33,8 +33,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -44,7 +42,6 @@ import (
 	"cpm/internal/cluster"
 	"cpm/internal/cmdutil"
 	"cpm/internal/server"
-	"cpm/internal/tracing"
 )
 
 func main() {
@@ -99,7 +96,7 @@ func main() {
 		"trace_sample", *traceSample, "slow_op", *slowOp, "pprof", *pprofOn)
 
 	if *metricsAddr != "" {
-		go serveMetrics(logger, srv, coord, tracer, *metricsAddr, *pprofOn)
+		go cmdutil.ServeMetrics(logger, *metricsAddr, tracer, *pprofOn, srv.Metrics().WriteText, coord.Metrics().WriteText)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -133,23 +130,4 @@ func orOff(addr string) string {
 		return "off"
 	}
 	return addr
-}
-
-// serveMetrics exposes both registries — the serving layer's and the
-// coordinator's own — as one plain-text page on /metrics (and /), plus
-// the debug surfaces: /debug/traces always, /debug/pprof/ behind -pprof.
-func serveMetrics(logger *slog.Logger, srv *server.Server, coord *cluster.Coordinator, tracer *tracing.Tracer, addr string, pprofOn bool) {
-	mux := http.NewServeMux()
-	handler := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		srv.Metrics().WriteText(w)
-		coord.Metrics().WriteText(w)
-	}
-	mux.HandleFunc("/metrics", handler)
-	mux.HandleFunc("/", handler)
-	cmdutil.MountDebug(mux, tracer, pprofOn)
-	logger.Info("metrics endpoint up", "url", "http://"+addr+"/metrics")
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Error("metrics endpoint failed", "err", err)
-	}
 }

@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -49,7 +48,6 @@ import (
 	"cpm/internal/model"
 	"cpm/internal/network"
 	"cpm/internal/server"
-	"cpm/internal/tracing"
 )
 
 func main() {
@@ -112,7 +110,7 @@ func main() {
 		"drive", *drive)
 
 	if *metricsAddr != "" {
-		go serveMetrics(logger, srv, tracer, *metricsAddr, *pprofOn)
+		go cmdutil.ServeMetrics(logger, *metricsAddr, tracer, *pprofOn, srv.Metrics().WriteText)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -146,24 +144,6 @@ func orOff(addr string) string {
 		return "off"
 	}
 	return addr
-}
-
-// serveMetrics exposes the server's registry as a plain-text HTTP page on
-// /metrics (and on /, for curl convenience), plus the debug surfaces:
-// /debug/traces always, /debug/pprof/ behind -pprof.
-func serveMetrics(logger *slog.Logger, srv *server.Server, tracer *tracing.Tracer, addr string, pprofOn bool) {
-	mux := http.NewServeMux()
-	handler := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		srv.Metrics().WriteText(w)
-	}
-	mux.HandleFunc("/metrics", handler)
-	mux.HandleFunc("/", handler)
-	cmdutil.MountDebug(mux, tracer, pprofOn)
-	logger.Info("metrics endpoint up", "url", "http://"+addr+"/metrics")
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Error("metrics endpoint failed", "err", err)
-	}
 }
 
 // driveWorkload bootstraps a generated workload into the served monitor

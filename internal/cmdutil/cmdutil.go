@@ -1,8 +1,8 @@
 // Package cmdutil carries the observability plumbing the cmd/ binaries
 // share: structured logging behind one -log-level convention, tracer
 // construction from the -trace-sample/-slow-op/-trace-cap flag trio, and
-// the debug HTTP handlers (/debug/traces, optional /debug/pprof) mounted
-// on each binary's -metrics mux.
+// the -metrics endpoint with its debug HTTP handlers (/debug/traces,
+// optional /debug/pprof).
 //
 // Log lines use a consistent key vocabulary across binaries — worker,
 // conn, trace_id, addr, op — so one grep (or one log pipeline) reads a
@@ -12,6 +12,7 @@ package cmdutil
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -113,5 +114,27 @@ func MountDebug(mux *http.ServeMux, t *tracing.Tracer, pprofOn bool) {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+}
+
+// ServeMetrics serves a binary's -metrics endpoint on addr until the
+// listener fails: the pages, written in order as one plain-text page on
+// /metrics (and on /, for curl convenience), plus the debug surfaces of
+// MountDebug. A listen failure is logged, not fatal: the binary keeps
+// serving its protocol without the endpoint.
+func ServeMetrics(l *slog.Logger, addr string, t *tracing.Tracer, pprofOn bool, pages ...func(io.Writer) error) {
+	mux := http.NewServeMux()
+	handler := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, page := range pages {
+			page(w)
+		}
+	}
+	mux.HandleFunc("/metrics", handler)
+	mux.HandleFunc("/", handler)
+	MountDebug(mux, t, pprofOn)
+	l.Info("metrics endpoint up", "url", "http://"+addr+"/metrics")
+	if err := http.ListenAndServe(addr, mux); err != nil {
+		l.Error("metrics endpoint failed", "err", err)
 	}
 }

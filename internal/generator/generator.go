@@ -123,23 +123,23 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// mover is an entity walking a shortest path across the network.
+// mover is an entity walking a shortest path across the network: it is
+// offset along the edge from node at to the table's next hop toward dst.
 type mover struct {
-	id     model.ObjectID
-	pos    geom.Point
-	path   []network.NodeID
-	seg    int     // index of the segment start node within path
-	offset float64 // distance covered along the current segment
+	id      model.ObjectID
+	pos     geom.Point
+	at, dst network.NodeID
+	offset  float64
 }
 
 // Workload generates one update batch per timestamp.
 type Workload struct {
 	rng     *rand.Rand
 	g       *network.Graph
-	router  *network.Router
+	routes  *network.Routes
 	params  Params
-	objects []*mover // slice-ordered for determinism
-	queries []*mover // query ids are 0..NumQueries-1 in model.QueryID space
+	objects []mover // slice-ordered for determinism
+	queries []mover // query ids are 0..NumQueries-1 in model.QueryID space
 	nextID  model.ObjectID
 	booted  bool
 }
@@ -158,7 +158,7 @@ func New(g *network.Graph, params Params) (*Workload, error) {
 	return &Workload{
 		rng:    rand.New(rand.NewSource(params.Seed)),
 		g:      g,
-		router: network.NewRouter(g),
+		routes: network.NewRoutes(g),
 		params: params,
 	}, nil
 }
@@ -175,6 +175,7 @@ func (w *Workload) InitialObjects() map[model.ObjectID]geom.Point {
 	}
 	w.booted = true
 	out := make(map[model.ObjectID]geom.Point, w.params.N)
+	w.objects = make([]mover, 0, w.params.N)
 	for i := 0; i < w.params.N; i++ {
 		m := w.spawn(w.nextID)
 		w.nextID++
@@ -211,29 +212,30 @@ func (w *Workload) Advance() model.Batch {
 	}
 	var b model.Batch
 	objStep := w.params.ObjectSpeed.PerTimestamp()
-	for i, m := range w.objects {
+	for i := range w.objects {
 		if w.rng.Float64() >= w.params.ObjectAgility {
 			continue
 		}
+		m := &w.objects[i]
 		old := m.pos
-		if arrived := m.advance(w.g, objStep); arrived {
+		if arrived := w.advance(m, objStep); arrived {
 			// The object disappears at its destination and a fresh one
 			// spawns to keep the population constant.
 			b.Objects = append(b.Objects, model.DeleteUpdate(m.id, old))
-			repl := w.spawn(w.nextID)
+			*m = w.spawn(w.nextID)
 			w.nextID++
-			w.objects[i] = repl
-			b.Objects = append(b.Objects, model.InsertUpdate(repl.id, repl.pos))
+			b.Objects = append(b.Objects, model.InsertUpdate(m.id, m.pos))
 			continue
 		}
 		b.Objects = append(b.Objects, model.MoveUpdate(m.id, old, m.pos))
 	}
 	qryStep := w.params.QuerySpeed.PerTimestamp()
-	for i, m := range w.queries {
+	for i := range w.queries {
 		if w.rng.Float64() >= w.params.QueryAgility {
 			continue
 		}
-		if arrived := m.advance(w.g, qryStep); arrived {
+		m := &w.queries[i]
+		if arrived := w.advance(m, qryStep); arrived {
 			w.retarget(m) // queries persist: pick a new destination
 		}
 		b.Queries = append(b.Queries, model.QueryUpdate{
@@ -246,52 +248,37 @@ func (w *Workload) Advance() model.Batch {
 }
 
 // spawn creates a mover at a random node heading to a random destination.
-func (w *Workload) spawn(id model.ObjectID) *mover {
-	src := network.NodeID(w.rng.Intn(w.g.NumNodes()))
-	m := &mover{id: id, pos: w.g.Node(src), path: []network.NodeID{src}}
-	w.retarget(m)
+func (w *Workload) spawn(id model.ObjectID) mover {
+	m := mover{id: id, at: network.NodeID(w.rng.Intn(w.g.NumNodes()))}
+	w.retarget(&m)
 	return m
 }
 
-// retarget routes m from its current path node to a fresh random
-// destination.
+// retarget sends m, standing on node m.at, to a fresh random destination.
 func (w *Workload) retarget(m *mover) {
-	at := m.path[len(m.path)-1]
-	if m.seg < len(m.path)-1 {
-		at = m.path[m.seg] // mid-path retarget (not used by arrivals)
+	dst := m.at
+	for dst == m.at {
+		dst = network.NodeID(w.rng.Intn(w.g.NumNodes()))
 	}
-	for {
-		dst := network.NodeID(w.rng.Intn(w.g.NumNodes()))
-		if dst == at {
-			continue
-		}
-		path, _, ok := w.router.ShortestPath(at, dst)
-		if !ok {
-			// Unreachable destinations cannot happen on a connected
-			// network, but a defensive retry keeps the generator total.
-			continue
-		}
-		m.path = path
-		m.seg = 0
-		m.offset = 0
-		m.pos = w.g.Node(path[0])
-		return
-	}
+	m.dst = dst
+	m.offset = 0
+	m.pos = w.g.Node(m.at)
 }
 
-// advance walks the mover dist units along its path, updating its position.
-// It reports whether the destination was reached (position = destination).
-func (m *mover) advance(g *network.Graph, dist float64) bool {
+// advance walks m dist units along its route, updating its position. It
+// reports whether the destination was reached (position = destination).
+func (w *Workload) advance(m *mover, dist float64) bool {
 	for {
-		if m.seg >= len(m.path)-1 {
-			m.pos = g.Node(m.path[len(m.path)-1])
+		if m.at == m.dst {
+			m.pos = w.g.Node(m.dst)
 			return true
 		}
-		a := g.Node(m.path[m.seg])
-		b := g.Node(m.path[m.seg+1])
+		next := w.routes.Next(m.at, m.dst)
+		a := w.g.Node(m.at)
+		b := w.g.Node(next)
 		segLen := geom.Dist(a, b)
 		if segLen <= 0 {
-			m.seg++
+			m.at = next
 			m.offset = 0
 			continue
 		}
@@ -302,7 +289,7 @@ func (m *mover) advance(g *network.Graph, dist float64) bool {
 			return false
 		}
 		dist -= remain
-		m.seg++
+		m.at = next
 		m.offset = 0
 		m.pos = b
 	}

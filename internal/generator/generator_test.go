@@ -1,7 +1,10 @@
 package generator
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 
 	"cpm/internal/geom"
@@ -262,5 +265,58 @@ func TestZeroAgilityProducesEmptyBatches(t *testing.T) {
 		if len(b.Objects) != 0 || len(b.Queries) != 0 {
 			t.Fatalf("zero agility produced updates: %+v", b)
 		}
+	}
+}
+
+// TestGoldenStream pins the generated stream across versions: a hash of the
+// initial objects (in id order), the initial queries and 200 Advance
+// batches of a 12×12-city workload. TestDeterminism compares two runs of
+// the same code; this catches a change of routing or float arithmetic that
+// shifts every run alike.
+func TestGoldenStream(t *testing.T) {
+	const want = uint64(0x73465c9236851bb7)
+	p := Params{N: 500, NumQueries: 40, ObjectSpeed: Fast, QuerySpeed: Medium,
+		ObjectAgility: 0.5, QueryAgility: 0.3, Seed: 3}
+	w := testWorkload(t, p)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	putPoint := func(q geom.Point) {
+		put(math.Float64bits(q.X))
+		put(math.Float64bits(q.Y))
+	}
+	objs := w.InitialObjects()
+	ids := make([]model.ObjectID, 0, len(objs))
+	for id := range objs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		put(uint64(id))
+		putPoint(objs[id])
+	}
+	for _, q := range w.InitialQueries() {
+		putPoint(q)
+	}
+	for ts := 0; ts < 200; ts++ {
+		b := w.Advance()
+		for _, u := range b.Objects {
+			put(uint64(u.ID))
+			put(uint64(u.Kind))
+			putPoint(u.Old)
+			putPoint(u.New)
+		}
+		for _, qu := range b.Queries {
+			put(uint64(qu.ID))
+			for _, q := range qu.NewPoints {
+				putPoint(q)
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("stream hash = %#x, want %#x", got, want)
 	}
 }

@@ -7,10 +7,15 @@ import (
 	"cpm/internal/geom"
 )
 
+// MaxNodes caps a generated city's node count (Width×Height).
+const MaxNodes = 4096
+
 // GenOptions configure the synthetic city generator.
 type GenOptions struct {
 	// Width and Height give the lattice dimensions in intersections. The
-	// generated city has Width×Height nodes in the unit square.
+	// generated city has Width×Height nodes in the unit square, at most
+	// MaxNodes: a workload's route table holds one NodeID per pair of
+	// nodes, 64 MB at the cap. Default 32×32.
 	Width, Height int
 	// Jitter displaces each intersection from its lattice position by up
 	// to ±Jitter/2 lattice cells per axis, breaking the regular look.
@@ -45,6 +50,12 @@ func Generate(opts GenOptions) (*Graph, error) {
 	opts.defaults()
 	if opts.Width < 2 || opts.Height < 2 {
 		return nil, fmt.Errorf("network: lattice %dx%d too small", opts.Width, opts.Height)
+	}
+	// With the other side at least 2, no side of a city within the cap
+	// exceeds MaxNodes/2; checking the sides first keeps the product from
+	// overflowing.
+	if opts.Width > MaxNodes/2 || opts.Height > MaxNodes/2 || opts.Width*opts.Height > MaxNodes {
+		return nil, fmt.Errorf("network: lattice %dx%d exceeds %d nodes", opts.Width, opts.Height, MaxNodes)
 	}
 	if opts.Jitter < 0 || opts.Jitter >= 1 {
 		return nil, fmt.Errorf("network: jitter %v outside [0,1)", opts.Jitter)

@@ -5,9 +5,10 @@
 // network (DESIGN.md §5 documents the substitution): a jittered lattice of
 // intersections connected by a random spanning tree plus a tunable fraction
 // of extra streets, yielding an irregular but connected planar-ish graph in
-// the unit square. Shortest paths (Dijkstra) give objects the piecewise
-// linear, network-constrained trajectories that the monitoring algorithms
-// observe through the update stream.
+// the unit square. Shortest paths, walked through an all-pairs next-hop
+// table (Routes), give objects the piecewise linear, network-constrained
+// trajectories that the monitoring algorithms observe through the update
+// stream.
 package network
 
 import (

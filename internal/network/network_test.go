@@ -65,7 +65,7 @@ func TestConnectedDetectsSplit(t *testing.T) {
 	}
 }
 
-// floydWarshall is the independent oracle for Dijkstra.
+// floydWarshall is the independent oracle for the route table.
 func floydWarshall(g *Graph) [][]float64 {
 	n := g.NumNodes()
 	d := make([][]float64, n)
@@ -113,60 +113,59 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 			}
 		}
 		want := floydWarshall(g)
-		r := NewRouter(g)
+		r := NewRoutes(g)
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				path, length, ok := r.ShortestPath(NodeID(src), NodeID(dst))
-				reachable := !math.IsInf(want[src][dst], 1)
-				if ok != reachable {
-					t.Fatalf("seed %d: (%d→%d) ok=%v, reachable=%v", seed, src, dst, ok, reachable)
-				}
-				if !ok {
+				if math.IsInf(want[src][dst], 1) {
+					if next := r.Next(NodeID(src), NodeID(dst)); next != -1 {
+						t.Fatalf("seed %d: unreachable (%d→%d) has next hop %d", seed, src, dst, next)
+					}
 					continue
 				}
-				if math.Abs(length-want[src][dst]) > 1e-9 {
+				if length := walk(t, g, r, NodeID(src), NodeID(dst)); math.Abs(length-want[src][dst]) > 1e-9 {
 					t.Fatalf("seed %d: (%d→%d) length %v, want %v", seed, src, dst, length, want[src][dst])
 				}
-				validatePath(t, g, path, NodeID(src), NodeID(dst), length)
 			}
 		}
 	}
 }
 
-func validatePath(t *testing.T, g *Graph, path []NodeID, src, dst NodeID, length float64) {
+// walk follows the table from src to dst, checks that every hop is an edge
+// and returns the summed edge length.
+func walk(t *testing.T, g *Graph, r *Routes, src, dst NodeID) float64 {
 	t.Helper()
-	if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
-		t.Fatalf("path %v does not run %d→%d", path, src, dst)
-	}
 	total := 0.0
-	for i := 1; i < len(path); i++ {
+	for at, hops := src, 0; at != dst; hops++ {
+		if hops == g.NumNodes() {
+			t.Fatalf("walk %d→%d does not arrive in %d hops", src, dst, hops)
+		}
+		next := r.Next(at, dst)
 		found := false
-		for _, e := range g.Neighbors(path[i-1]) {
-			if e.To == path[i] {
+		for _, e := range g.Neighbors(at) {
+			if e.To == next {
 				total += e.Length
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("path step %d→%d is not an edge", path[i-1], path[i])
+			t.Fatalf("walk %d→%d: hop %d→%d is not an edge", src, dst, at, next)
 		}
+		at = next
 	}
-	if math.Abs(total-length) > 1e-9 {
-		t.Fatalf("path edge sum %v != reported length %v", total, length)
-	}
+	return total
 }
 
-func TestShortestPathTrivial(t *testing.T) {
+func TestRoutesTrivial(t *testing.T) {
 	g := NewGraph(2)
 	a := g.AddNode(geom.Point{X: 0, Y: 0})
-	r := NewRouter(g)
-	path, length, ok := r.ShortestPath(a, a)
-	if !ok || length != 0 || len(path) != 1 {
-		t.Fatalf("self path = %v,%v,%v", path, length, ok)
+	b := g.AddNode(geom.Point{X: 1, Y: 1})
+	r := NewRoutes(g)
+	if next := r.Next(a, a); next != a {
+		t.Fatalf("Next(a, a) = %d, want %d", next, a)
 	}
-	if _, _, ok := r.ShortestPath(a, 5); ok {
-		t.Error("path to invalid node reported ok")
+	if next := r.Next(a, b); next != -1 {
+		t.Errorf("Next to an isolated node = %d, want -1", next)
 	}
 }
 
@@ -236,6 +235,8 @@ func TestGenerateRejectsBadOptions(t *testing.T) {
 		"tiny":       {Width: 1, Height: 5},
 		"bad jitter": {Width: 4, Height: 4, Jitter: 1.5},
 		"bad extras": {Width: 4, Height: 4, ExtraStreets: 2},
+		"too large":  {Width: 65, Height: 64},
+		"overflow":   {Width: 1 << 32, Height: 1 << 32},
 	} {
 		if _, err := Generate(opts); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -243,21 +244,21 @@ func TestGenerateRejectsBadOptions(t *testing.T) {
 	}
 }
 
-func TestRouterOnGeneratedCity(t *testing.T) {
+func TestRoutesOnGeneratedCity(t *testing.T) {
 	g, err := Generate(GenOptions{Width: 12, Height: 12, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g)
+	r := NewRoutes(g)
+	want := floydWarshall(g)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
 		src := NodeID(rng.Intn(g.NumNodes()))
 		dst := NodeID(rng.Intn(g.NumNodes()))
-		path, length, ok := r.ShortestPath(src, dst)
-		if !ok {
-			t.Fatalf("connected city has unreachable pair %d→%d", src, dst)
+		length := walk(t, g, r, src, dst)
+		if math.Abs(length-want[src][dst]) > 1e-9 {
+			t.Fatalf("(%d→%d) length %v, want %v", src, dst, length, want[src][dst])
 		}
-		validatePath(t, g, path, src, dst, length)
 		// Shortest path length is at least the straight-line distance.
 		if length < geom.Dist(g.Node(src), g.Node(dst))-1e-9 {
 			t.Fatalf("path shorter than Euclidean distance")

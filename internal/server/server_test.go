@@ -261,20 +261,30 @@ func TestServerSubscribeStream(t *testing.T) {
 	tc.write(wire.AppendTick(nil, 4, cpm.Batch{Objects: []cpm.Update{
 		cpm.MoveUpdate(3, cpm.Point{X: 0.9, Y: 0.9}, cpm.Point{X: 0.14, Y: 0.15}),
 	}}))
+	// The tick's ack and its event may arrive in either order; read until
+	// both are in.
 	var ev wire.Event
-	gotEvent := false
-	for !gotEvent {
+	gotEvent, gotAck := false, false
+	for !gotEvent || !gotAck {
 		typ, payload, err := tc.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch typ {
-		case wire.FrameEvent:
+		switch {
+		case typ == wire.FrameEvent && !gotEvent:
 			if ev, err = wire.DecodeEvent(payload); err != nil {
 				t.Fatal(err)
 			}
 			gotEvent = true
-		case wire.FrameAck: // the tick's ack may arrive first or last
+		case typ == wire.FrameAck && !gotAck:
+			id, msg, err := wire.DecodeAck(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != 4 || msg != "" {
+				t.Fatalf("ack (%d, %q), want a clean ack for 4", id, msg)
+			}
+			gotAck = true
 		default:
 			t.Fatalf("unexpected %v frame", typ)
 		}

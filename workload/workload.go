@@ -39,7 +39,8 @@ const (
 )
 
 // CityOptions configure the synthetic road network. The zero value yields
-// a 32×32-intersection city.
+// a 32×32-intersection city; at most 4096 intersections are accepted,
+// since a workload keeps a next-hop table over every pair of them.
 type CityOptions = network.GenOptions
 
 // Params configure the moving-object stream: population, query count,
