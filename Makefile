@@ -211,10 +211,13 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-# The repro gate's file compiles only under its build tag, so vet it
-# under that tag too.
+# Files behind a build tag are vetted under that tag: the repro gate's
+# file under repro, the guard_on.go assertion files under cpmassert. The
+# benchmark is a module of its own, which ./... does not reach.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags repro ./internal/bench/
+	$(GO) vet -tags cpmassert ./...
+	$(GO) vet -C benchmark ./...
 
 ci: fmt-check vet build test assert race bench bench-test

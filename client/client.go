@@ -903,13 +903,16 @@ func (c *Client) ServerStats() ([]Stat, error) {
 // Redial drops the current connection, letting the automatic reconnect
 // re-establish it — a failover drill: in-flight requests fail with
 // ErrDisconnected and every subscription resumes with its last-seen
-// sequence numbers, exactly as after a real network failure.
+// sequence numbers, exactly as after a real network failure. The
+// connection is retired before Redial returns, so a request issued next
+// waits for the reconnect (up to ReconnectWait) rather than writing to
+// the closed socket; the read loop's own connLost is then a no-op.
 func (c *Client) Redial() {
 	c.mu.Lock()
 	nc := c.nc
 	c.mu.Unlock()
 	if nc != nil {
-		nc.Close()
+		c.connLost(nc, errors.New("redial requested"))
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package integration cross-validates the three monitoring methods — CPM,
+// The integration tests cross-validate the three monitoring methods — CPM,
 // YPK-CNN and SEA-CNN — against each other and against the brute-force
 // oracle, over full network-workload simulations with object churn and
 // moving queries. This is the repository's strongest end-to-end check: the
 // paper's experimental claim is about cost, but only because all methods
-// maintain exactly the same answers.
-package integration
+// maintain exactly the same answers. They sit outside package baseline so
+// they reach the baselines only through the API CPM shares with them.
+package baseline_test
 
 import (
 	"fmt"

@@ -147,16 +147,6 @@ type Coordinator struct {
 	// production paths.
 	skipGenCheck bool
 
-	// The current operation's footprint, stamped by each mutating
-	// operation before its fan-out: the object and query ids it touches
-	// (opFull for Bootstrap/Reset, which touch everything). desync
-	// charges it to a worker's dirty sets so an incremental re-sync can
-	// replay exactly what was missed or half-applied. beginOp empties the
-	// two lists and keeps their buffers.
-	opObjIDs   []model.ObjectID
-	opQueryIDs []model.QueryID
-	opFull     bool
-
 	// The state mirror.
 	objs    map[model.ObjectID]geom.Point
 	defs    map[model.QueryID]wire.Register
@@ -312,8 +302,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 // InvalidUpdates, as each worker drops it.
 func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 	c.beginOp()
-	c.opFull = true
-	c.chargeDesynced()
 	c.objs = maps.Clone(objs)
 	if c.objs == nil {
 		c.objs = make(map[model.ObjectID]geom.Point)
@@ -338,8 +326,6 @@ func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 func (c *Coordinator) Tick(b model.Batch) {
 	start := time.Now()
 	c.beginOp()
-	c.stampBatch(b)
-	c.chargeDesynced()
 	c.applyBatchToMirror(b)
 	per := c.partition(b)
 	sp := c.opSpan
@@ -420,7 +406,6 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 	if err := validateDef(def); err != nil {
 		return fmt.Errorf("cluster: query %d: %w", def.ID, err)
 	}
-	c.opQueryIDs = append(c.opQueryIDs, def.ID)
 	w := c.workers[c.owner(def.ID)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -434,7 +419,6 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 			return appErr
 		}
 	} else {
-		c.markDirty(w)
 		c.gapQueries(def.ID)
 	}
 	c.defs[def.ID] = cloneDef(def)
@@ -476,7 +460,6 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 	if !core.ValidMove(def.Points, to) {
 		return fmt.Errorf("cluster: invalid move of query %d (%d points) to %v", id, len(def.Points), to)
 	}
-	c.opQueryIDs = append(c.opQueryIDs, id)
 	w := c.workers[c.owner(id)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -490,7 +473,6 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 			return appErr
 		}
 	} else {
-		c.markDirty(w)
 		c.gapQueries(id)
 	}
 	copy(def.Points, to) // in place: the mirror owns its buffers
@@ -507,7 +489,6 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 	if _, ok := c.defs[id]; !ok {
 		return
 	}
-	c.opQueryIDs = append(c.opQueryIDs, id)
 	w := c.workers[c.owner(id)]
 	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
@@ -516,8 +497,6 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 			stampTrace(ctx, w)
 			return w.cl.RemoveQueryDiffs(id)
 		})
-	} else {
-		c.markDirty(w)
 	}
 	if len(diffs) == 0 {
 		diffs = []model.ResultDiff{{Query: id, Kind: model.DiffRemove, Exited: resultIDs(c.results[id])}}
@@ -531,8 +510,6 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 // every installed query, matching cpm.Monitor.Reset.
 func (c *Coordinator) Reset() {
 	c.beginOp()
-	c.opFull = true
-	c.chargeDesynced()
 	ctx := c.opSpan.Context()
 	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, error) {
 		stampTrace(ctx, w)
@@ -679,17 +656,6 @@ func (c *Coordinator) publish(diffs []model.ResultDiff) {
 }
 
 // ---- Mirror maintenance ---------------------------------------------------
-
-// stampBatch records one tick's footprint — every object and query id it
-// touches — for dirty tracking (see markDirty).
-func (c *Coordinator) stampBatch(b model.Batch) {
-	for _, u := range b.Objects {
-		c.opObjIDs = append(c.opObjIDs, u.ID)
-	}
-	for _, qu := range b.Queries {
-		c.opQueryIDs = append(c.opQueryIDs, qu.ID)
-	}
-}
 
 // applyBatchToMirror applies one tick's updates to the object mirror and
 // the definition mirror, with the workers' invalid-update rules

@@ -85,16 +85,6 @@ type worker struct {
 	health   Health
 	cleanOps int
 
-	// Dirty tracking for incremental re-sync, maintained only while the
-	// worker is out of sync (nil when synced): every object and owned
-	// query the worker may have missed or half-applied since it left the
-	// fleet. needFull forces the Reset+Bootstrap path (set when a
-	// fleet-wide Bootstrap/Reset ran while away, or tracking is
-	// otherwise insufficient).
-	dirtyObjs    map[model.ObjectID]bool
-	dirtyQueries map[model.QueryID]bool
-	needFull     bool
-
 	rtt        *metrics.Histogram
 	reconnects *metrics.Counter
 	healthG    *metrics.Gauge
@@ -120,7 +110,7 @@ func (c *Coordinator) synced() []*worker {
 // background re-syncs that finished since the last operation (the mirror
 // is unchanged in between, so their snapshots are still exact), demote
 // workers whose server instance changed underneath a healthy connection,
-// and stamp the operation.
+// and advance the operation generation.
 func (c *Coordinator) beginOp() {
 	for _, w := range c.workers {
 		if w.synced && w.seen.Load() != w.instance {
@@ -137,18 +127,6 @@ drain:
 		}
 	}
 	c.gen++
-	c.opObjIDs, c.opQueryIDs, c.opFull = c.opObjIDs[:0], c.opQueryIDs[:0], false
-}
-
-// chargeDesynced charges the current operation's footprint to every
-// worker already out of sync (desync charges workers lost during this
-// very operation) — they are missing this operation too.
-func (c *Coordinator) chargeDesynced() {
-	for _, w := range c.workers {
-		if !w.synced {
-			c.markDirty(w)
-		}
-	}
 }
 
 // fanOut runs f concurrently against the given workers, bounded by
@@ -169,7 +147,7 @@ func (c *Coordinator) chargeDesynced() {
 // repeat cannot double-apply — are retried in place with jittered backoff
 // until the deadline, instead of desyncing immediately: a worker caught
 // mid-reconnect (restart, transient partition) rejoins without paying a
-// full re-sync. Retries are counted (cpm_coord_op_retries_total) and
+// re-sync. Retries are counted (cpm_coord_op_retries_total) and
 // demote the worker to Degraded; healthyStreak clean operations promote
 // it back.
 func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*worker) ([]model.ResultDiff, error)) ([]model.ResultDiff, error) {
@@ -328,10 +306,9 @@ func isTransportErr(err error) bool {
 
 // desync marks a worker's state unknown: it stops receiving operations,
 // its owned queries' subscribers get an explicit sequence gap, and the
-// next operation boundary starts a background re-sync. Dirty tracking
-// begins here, seeded with the in-flight operation's footprint — the
-// worker may have half-applied it, so those ids must be replayed even if
-// nothing else changes while it is away.
+// next operation boundary starts a background re-sync. Nothing about what
+// the worker missed is recorded: the re-sync rebuilds it whole from the
+// mirror, which also covers an operation it half-applied.
 func (c *Coordinator) desync(w *worker, err error) {
 	if !w.synced {
 		return
@@ -339,34 +316,12 @@ func (c *Coordinator) desync(w *worker, err error) {
 	w.synced = false
 	w.cleanOps = 0
 	c.setHealth(w, Desynced)
-	w.dirtyObjs = make(map[model.ObjectID]bool)
-	w.dirtyQueries = make(map[model.QueryID]bool)
-	w.needFull = false
-	c.markDirty(w)
 	c.met.desyncs.Inc()
 	c.met.workersSynced.Set(int64(c.SyncedWorkers()))
 	c.logf("cluster: worker %d (%s) out of sync: %v", w.idx, w.addr, err)
 	owned := c.ownedIDs(w.idx)
 	if len(owned) > 0 {
 		c.gapQueries(owned...)
-	}
-}
-
-// markDirty charges the current operation's footprint (c.opObjIDs,
-// c.opQueryIDs, c.opFull — stamped by each mutating operation before its
-// fan-out) to one out-of-sync worker's dirty sets.
-func (c *Coordinator) markDirty(w *worker) {
-	if c.opFull || w.dirtyObjs == nil {
-		w.needFull = true
-		return
-	}
-	for _, id := range c.opObjIDs {
-		w.dirtyObjs[id] = true
-	}
-	for _, id := range c.opQueryIDs {
-		if c.owner(id) == w.idx {
-			w.dirtyQueries[id] = true
-		}
 	}
 }
 
@@ -394,31 +349,19 @@ func (c *Coordinator) ownedIDs(idx int) []model.QueryID {
 // ---- Background re-sync ---------------------------------------------------
 
 // resyncSnap is everything a re-sync goroutine may touch: an immutable
-// copy of the relevant mirror state, stamped with the operation
-// generation it reflects. full selects Reset+Bootstrap; otherwise the
-// snapshot carries only the delta the worker missed.
+// copy of the mirror — the whole object population and every query the
+// worker owns — stamped with the operation generation it reflects.
 type resyncSnap struct {
 	gen  uint64
-	full bool
-
-	// Full rebuild: the whole object mirror + every owned def.
 	objs map[model.ObjectID]geom.Point
-	defs []wire.Register // owned queries to (re-)register, ascending id
-
-	// Incremental replay (full == false):
-	expect    uint64      // the instance the worker's retained state lives on
-	delta     model.Batch // delete/insert pairs correcting the dirty objects
-	removed   []model.QueryID
-	untouched []model.QueryID // owned queries the worker keeps installed
+	defs []wire.Register // owned queries to re-register, ascending id
 }
 
 // resyncResult reports one finished re-sync back to the coordinator loop.
 type resyncResult struct {
 	idx      int
 	gen      uint64
-	full     bool
 	instance uint64
-	objsSent int                                // objects shipped (Bootstrap or delta)
 	results  map[model.QueryID][]model.Neighbor // fresh owned results
 	err      error
 }
@@ -426,12 +369,6 @@ type resyncResult struct {
 // spawnResyncs starts a background rebuild for every out-of-sync worker
 // that does not have one in flight. It runs at the end of each mutating
 // operation, so the snapshot reflects everything the worker missed.
-//
-// The rebuild is incremental — a delta replay of just the dirty objects
-// and queries — whenever the worker's retained state is still usable:
-// the same server instance holds it, no fleet-wide Bootstrap/Reset ran
-// while it was away, and the dirty set is smaller than re-shipping the
-// world. Otherwise the full Reset+Bootstrap path runs.
 func (c *Coordinator) spawnResyncs() {
 	for _, w := range c.workers {
 		if w.synced || w.resyncing.Load() {
@@ -447,79 +384,29 @@ func (c *Coordinator) spawnResyncs() {
 	}
 }
 
-// snapshotFor builds the re-sync snapshot for one out-of-sync worker,
-// choosing the incremental or full mode.
+// snapshotFor builds the re-sync snapshot for one out-of-sync worker. It
+// copies every buffer it takes from the mirror, which later operations
+// rewrite in place while the rebuild runs.
 func (c *Coordinator) snapshotFor(w *worker) resyncSnap {
-	full := w.needFull ||
-		w.dirtyObjs == nil ||
-		w.seen.Load() != w.instance ||
-		2*len(w.dirtyObjs) > len(c.objs)
-	snap := resyncSnap{gen: c.gen, full: full}
-	if full {
-		snap.objs = maps.Clone(c.objs)
-		for _, id := range c.ownedIDs(w.idx) {
-			snap.defs = append(snap.defs, cloneDef(c.defs[id]))
-		}
-		return snap
-	}
-	snap.expect = w.instance
-	for _, id := range sortedObjIDs(w.dirtyObjs) {
-		// Delete+Insert lands on the mirror position whether or not the
-		// worker saw the original update; a bare Delete covers objects
-		// that vanished while it was away.
-		snap.delta.Objects = append(snap.delta.Objects, model.Update{ID: id, Kind: model.Delete})
-		if p, ok := c.objs[id]; ok {
-			snap.delta.Objects = append(snap.delta.Objects, model.Update{ID: id, Kind: model.Insert, New: p})
-		}
-	}
-	dirtyQ := make([]model.QueryID, 0, len(w.dirtyQueries))
-	for id := range w.dirtyQueries {
-		dirtyQ = append(dirtyQ, id)
-	}
-	sort.Slice(dirtyQ, func(i, j int) bool { return dirtyQ[i] < dirtyQ[j] })
-	for _, id := range dirtyQ {
-		if def, ok := c.defs[id]; ok {
-			snap.defs = append(snap.defs, cloneDef(def))
-		} else {
-			snap.removed = append(snap.removed, id)
-		}
-	}
+	snap := resyncSnap{gen: c.gen, objs: maps.Clone(c.objs)}
 	for _, id := range c.ownedIDs(w.idx) {
-		if !w.dirtyQueries[id] {
-			snap.untouched = append(snap.untouched, id)
-		}
+		snap.defs = append(snap.defs, cloneDef(c.defs[id]))
 	}
 	return snap
 }
 
-// sortedObjIDs returns the keys of set in ascending order.
-func sortedObjIDs(set map[model.ObjectID]bool) []model.ObjectID {
-	ids := make([]model.ObjectID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// runResync rebuilds one worker from a mirror snapshot. It touches no
-// coordinator state — only the snapshot and the worker's client — so it
-// is safe off the single-threaded loop. The per-worker mutex makes it
-// wait for any abandoned in-flight call first. Both modes are idempotent
-// end to end, so a failed attempt retries from scratch safely.
+// runResync rebuilds one worker from a mirror snapshot: Reset, Bootstrap
+// of the whole object population, re-registration of every owned query.
+// A worker's state is derived from exactly these, so the rebuild is exact
+// whatever the worker missed or half-applied. It touches no coordinator
+// state — only the snapshot and the worker's client — so it is safe off
+// the single-threaded loop. The per-worker mutex makes it wait for any
+// abandoned in-flight call first. The rebuild is idempotent end to end,
+// so a failed attempt retries from scratch safely.
 func runResync(w *worker, snap resyncSnap) resyncResult {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if snap.full {
-		return runResyncFull(w, snap)
-	}
-	return runResyncIncremental(w, snap)
-}
-
-// runResyncFull is the Reset+Bootstrap path: wipe the worker, ship the
-// whole object mirror, re-register every owned query.
-func runResyncFull(w *worker, snap resyncSnap) resyncResult {
-	res := resyncResult{idx: w.idx, gen: snap.gen, full: true, results: make(map[model.QueryID][]model.Neighbor, len(snap.defs))}
+	res := resyncResult{idx: w.idx, gen: snap.gen, results: make(map[model.QueryID][]model.Neighbor, len(snap.defs))}
 	res.instance = w.cl.InstanceID()
 	if err := w.cl.Reset(); err != nil {
 		res.err = err
@@ -529,7 +416,6 @@ func runResyncFull(w *worker, snap resyncSnap) resyncResult {
 		res.err = err
 		return res
 	}
-	res.objsSent = len(snap.objs)
 	for _, def := range snap.defs {
 		diffs, err := w.cl.RegisterDefDiffs(def)
 		if err != nil {
@@ -545,75 +431,6 @@ func runResyncFull(w *worker, snap resyncSnap) resyncResult {
 	// The whole rebuild must have landed on one server instance: a
 	// restart mid-way would leave later registrations on a worker that
 	// never saw the Bootstrap.
-	if got := w.cl.InstanceID(); got != res.instance {
-		res.err = errors.New("cluster: worker restarted during re-sync")
-		return res
-	}
-	return res
-}
-
-// runResyncIncremental replays just the delta the worker missed: one tick
-// of delete/insert pairs correcting the dirty objects (the worker's own
-// engine then refreshes every affected query), removal of queries that
-// died while it was away, and remove+re-register of dirty queries. Valid
-// only while the worker's retained state survives — the instance id is
-// checked on both ends, and any restart aborts to the full path.
-//
-// The untouched queries' results are polled afterwards, not derived from
-// the replay's diffs: those are relative to the worker's own last results,
-// which an operation it applied but never answered (its Diffs frame lost
-// or late) has moved past the mirror's — and a delete+insert landing an
-// object where the worker already has it changes nothing it would report.
-func runResyncIncremental(w *worker, snap resyncSnap) resyncResult {
-	res := resyncResult{idx: w.idx, gen: snap.gen, results: make(map[model.QueryID][]model.Neighbor, len(snap.untouched)+len(snap.defs))}
-	res.instance = w.cl.InstanceID()
-	if res.instance != snap.expect {
-		res.err = errors.New("cluster: worker restarted; incremental re-sync impossible")
-		return res
-	}
-	if len(snap.delta.Objects) > 0 {
-		if err := w.cl.Tick(snap.delta); err != nil {
-			res.err = err
-			return res
-		}
-		for _, u := range snap.delta.Objects {
-			if u.Kind == model.Insert {
-				res.objsSent++
-			}
-		}
-	}
-	for _, id := range snap.removed {
-		if _, err := w.cl.RemoveQueryDiffs(id); err != nil {
-			res.err = err
-			return res
-		}
-	}
-	for _, def := range snap.defs {
-		// Remove-then-register covers moved and newly-registered queries
-		// alike (removing an uninstalled query is a no-op).
-		if _, err := w.cl.RemoveQueryDiffs(def.ID); err != nil {
-			res.err = err
-			return res
-		}
-		diffs, err := w.cl.RegisterDefDiffs(def)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		for _, d := range diffs {
-			if d.Query == def.ID && d.Kind != model.DiffRemove {
-				res.results[d.Query] = d.Result
-			}
-		}
-	}
-	for _, id := range snap.untouched {
-		r, err := w.cl.Result(id)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		res.results[id] = r
-	}
 	if got := w.cl.InstanceID(); got != res.instance {
 		res.err = errors.New("cluster: worker restarted during re-sync")
 		return res
@@ -640,23 +457,11 @@ func (c *Coordinator) acceptResync(r resyncResult) {
 	}
 	w.synced = true
 	w.instance = r.instance
-	w.dirtyObjs, w.dirtyQueries = nil, nil
-	w.needFull = false
 	w.cleanOps = 0
 	c.setHealth(w, Degraded) // probation: healthyStreak clean ops promote
 	c.met.resyncs.Inc()
-	if r.full {
-		c.met.resyncFull.Inc()
-	} else {
-		c.met.resyncIncr.Inc()
-	}
-	c.met.resyncObjects.Add(int64(r.objsSent))
 	c.met.workersSynced.Set(int64(c.SyncedWorkers()))
-	mode := "incremental"
-	if r.full {
-		mode = "full"
-	}
-	c.logf("cluster: worker %d (%s) re-synced (%s, %d objects, %d queries)", w.idx, w.addr, mode, r.objsSent, len(r.results))
+	c.logf("cluster: worker %d (%s) re-synced (%d queries)", w.idx, w.addr, len(r.results))
 	// Reconciliation: subscribers saw a gap while the worker was away;
 	// one synthetic full-result diff per drifted query re-converges them
 	// from the very next event.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestFanOutRejectsAnswerFromRestartedWorker is the minimised reproducer of
-// the TestIncrementalResync flake: a worker restarts and the client
+// a flake in the stall-then-restart re-sync test: a worker restarts and the client
 // reconnects after beginOp's instance check but before the operation is
 // sent, so the operation succeeds — on an empty server. The answer must be
 // dropped and the worker desynced within that very operation; accepting it
@@ -43,8 +43,5 @@ func TestFanOutRejectsAnswerFromRestartedWorker(t *testing.T) {
 	}
 	if w.synced || w.health != Desynced {
 		t.Fatalf("worker synced=%v health=%v after answering from a new instance, want desynced", w.synced, w.health)
-	}
-	if snap := c.snapshotFor(w); !snap.full {
-		t.Fatal("re-sync of a restarted worker must take the full path")
 	}
 }

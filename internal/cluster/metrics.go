@@ -18,9 +18,6 @@ type coordMetrics struct {
 	desyncs       *metrics.Counter   // cpm_coord_worker_desyncs_total
 	resyncs       *metrics.Counter   // cpm_coord_resyncs_total
 	resyncFails   *metrics.Counter   // cpm_coord_resync_failures_total
-	resyncFull    *metrics.Counter   // cpm_coord_resync_full_total
-	resyncIncr    *metrics.Counter   // cpm_coord_resync_incremental_total
-	resyncObjects *metrics.Counter   // cpm_coord_resync_objects_sent_total
 	gapQueries    *metrics.Counter   // cpm_coord_gap_queries_total
 }
 
@@ -36,9 +33,6 @@ func newCoordMetrics(nWorkers int) *coordMetrics {
 		desyncs:       reg.Counter("cpm_coord_worker_desyncs_total"),
 		resyncs:       reg.Counter("cpm_coord_resyncs_total"),
 		resyncFails:   reg.Counter("cpm_coord_resync_failures_total"),
-		resyncFull:    reg.Counter("cpm_coord_resync_full_total"),
-		resyncIncr:    reg.Counter("cpm_coord_resync_incremental_total"),
-		resyncObjects: reg.Counter("cpm_coord_resync_objects_sent_total"),
 		gapQueries:    reg.Counter("cpm_coord_gap_queries_total"),
 	}
 }

@@ -19,7 +19,7 @@ func mirrorCoordinator() *Coordinator {
 		defs:    map[model.QueryID]wire.Register{5: {ID: 5, Kind: wire.KindAgg, K: 2, Points: []geom.Point{{X: 0.5, Y: 0.5}, {X: 0.6, Y: 0.6}}}},
 		results: map[model.QueryID][]model.Neighbor{},
 	}
-	w := &worker{dirtyObjs: map[model.ObjectID]bool{}, dirtyQueries: map[model.QueryID]bool{}}
+	w := &worker{}
 	w.healthG = c.met.reg.Gauge("cpm_coord_worker0_health")
 	c.workers = []*worker{w}
 	return c
@@ -55,28 +55,28 @@ func TestMirrorOwnsItsBuffers(t *testing.T) {
 
 // TestResyncSnapshotStableDuringOps: operations keep running while a
 // re-sync does, and the mirror rewrites its buffers in place, so a re-sync
-// snapshot — incremental or full — must share none of them: it still holds
-// the definitions as they were when it was taken.
+// snapshot must share none of them: it still holds the objects and the
+// definitions as they were when it was taken.
 func TestResyncSnapshotStableDuringOps(t *testing.T) {
 	c := mirrorCoordinator()
-	w := c.workers[0]
-	w.dirtyQueries[5] = true
-	incr := c.snapshotFor(w)
-	w.needFull = true
-	full := c.snapshotFor(w)
-	if incr.full || !full.full || len(incr.defs) != 1 || len(full.defs) != 1 {
-		t.Fatalf("want one incremental and one full snapshot carrying query 5: %+v, %+v", incr, full)
+	snap := c.snapshotFor(c.workers[0])
+	if len(snap.defs) != 1 || len(snap.objs) != 2 {
+		t.Fatalf("want a snapshot carrying query 5 and both objects: %+v", snap)
 	}
 	want := slices.Clone(c.defs[5].Points)
 
-	c.applyBatchToMirror(model.Batch{Queries: []model.QueryUpdate{{ID: 5, Kind: model.QueryMove,
-		NewPoints: []geom.Point{{X: 0.1, Y: 0.9}, {X: 0.9, Y: 0.1}}}}})
-	if c.defs[5].Points[0] != (geom.Point{X: 0.1, Y: 0.9}) {
-		t.Fatalf("the move did not reach the mirror: %v", c.defs[5].Points)
+	c.applyBatchToMirror(model.Batch{
+		Objects: []model.Update{{ID: 1, Kind: model.Move, New: geom.Point{X: 0.9, Y: 0.9}}},
+		Queries: []model.QueryUpdate{{ID: 5, Kind: model.QueryMove,
+			NewPoints: []geom.Point{{X: 0.1, Y: 0.9}, {X: 0.9, Y: 0.1}}}},
+	})
+	if c.defs[5].Points[0] != (geom.Point{X: 0.1, Y: 0.9}) || c.objs[1] != (geom.Point{X: 0.9, Y: 0.9}) {
+		t.Fatalf("the move did not reach the mirror: %v, %v", c.defs[5].Points, c.objs[1])
 	}
-	for _, snap := range []resyncSnap{incr, full} {
-		if got := snap.defs[0].Points; !slices.Equal(got, want) {
-			t.Fatalf("snapshot (full %v) changed under a later move: %v, want %v", snap.full, got, want)
-		}
+	if got := snap.defs[0].Points; !slices.Equal(got, want) {
+		t.Fatalf("snapshot definition changed under a later move: %v, want %v", got, want)
+	}
+	if got := snap.objs[1]; got != (geom.Point{X: 0.1, Y: 0.1}) {
+		t.Fatalf("snapshot object changed under a later move: %v", got)
 	}
 }

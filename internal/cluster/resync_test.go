@@ -46,9 +46,7 @@ func denseScene(n, q int) (map[model.ObjectID]geom.Point, map[model.QueryID]geom
 	return objs, queries
 }
 
-// nudge builds a small batch moving a handful of known objects — a tick
-// whose footprint (and therefore a desynced worker's dirty set) stays far
-// below the population size.
+// nudge builds a small batch moving a handful of known objects.
 func nudge(round int, ids ...model.ObjectID) model.Batch {
 	var b model.Batch
 	for i, id := range ids {
@@ -64,13 +62,13 @@ func nudge(round int, ids ...model.ObjectID) model.Batch {
 	return b
 }
 
-// TestIncrementalResync pins the delta-replay rebuild path and its cost
-// accounting: a worker that desyncs without restarting is repaired by
-// replaying only its dirty objects — demonstrably cheaper than
-// Reset+Bootstrap on the objects-sent counter — while a worker whose
-// server instance changed takes the full path. Results must match a
-// single in-process monitor either way.
-func TestIncrementalResync(t *testing.T) {
+// TestResyncAfterStallAndRestart: a worker that stalls past the operation
+// deadline without restarting, and later one that restarts and loses its
+// state, are each rebuilt from the mirror while ticks keep running. After
+// each rebuild the results must match a single in-process monitor, and
+// the rebuilt worker serves on probation until a streak of clean
+// operations promotes it.
+func TestResyncAfterStallAndRestart(t *testing.T) {
 	const nObjs, nQueries, k = 120, 8, 4
 	coord, procs := startCluster(t, 2, 300*time.Millisecond)
 	single := cpm.NewMonitor(cpm.Options{GridSize: 16})
@@ -118,8 +116,8 @@ func TestIncrementalResync(t *testing.T) {
 	tickBoth(nudge(0, 1, 2, 3))
 	checkResults("baseline")
 
-	// Phase 1 — incremental: wedge a worker past the op deadline. The
-	// server instance survives, so the rebuild must be the delta replay.
+	// Phase 1 — stall: wedge a worker past the op deadline. The server
+	// instance survives, with state the rebuild must overwrite.
 	release := wedge(procs[0])
 	tickBoth(nudge(1, 4, 5, 6))
 	if coord.SyncedWorkers() != 1 {
@@ -128,26 +126,10 @@ func TestIncrementalResync(t *testing.T) {
 	if h := coord.WorkerHealth(0); h != cluster.Desynced {
 		t.Fatalf("wedged worker health %v, want desynced", h)
 	}
-	// A tick while the worker is away grows its dirty set.
+	// A tick the worker misses while it is away.
 	tickBoth(nudge(2, 10, 11))
 	release()
-	repairAndVerify("after incremental repair")
-
-	incr := metric(t, coord, "cpm_coord_resync_incremental_total")
-	full := metric(t, coord, "cpm_coord_resync_full_total")
-	sent := metric(t, coord, "cpm_coord_resync_objects_sent_total")
-	if incr == 0 {
-		t.Fatalf("no incremental re-sync ran (incremental=%d full=%d)", incr, full)
-	}
-	if full != 0 {
-		t.Fatalf("full re-sync ran where incremental sufficed (full=%d)", full)
-	}
-	// The cost bar: the delta must be far below re-shipping the world.
-	// Every accepted incremental replayed only dirty objects (≤ the
-	// handful the nudges touched), never the nObjs a Bootstrap ships.
-	if sent >= nObjs/2 {
-		t.Fatalf("incremental re-sync shipped %d objects, want far fewer than population %d", sent, nObjs)
-	}
+	repairAndVerify("after the stall")
 
 	// The health machine: probation after re-sync, promoted after a
 	// streak of clean operations.
@@ -162,29 +144,19 @@ func TestIncrementalResync(t *testing.T) {
 	}
 	checkResults("after promotion")
 
-	// Phase 2 — full: kill and restart the worker on its old address. The
-	// instance id changes, so retained state is gone and the rebuild must
-	// take (and be charged as) the full Reset+Bootstrap path.
+	// Phase 2 — restart: kill and restart the worker on its old address.
+	// The instance id changes and the worker's state is gone.
 	procs[0].kill()
 	procs[0] = startWorker(t, procs[0].addr)
 	tickBoth(nudge(300, 30, 31)) // detect the restart, desync, spawn
-	repairAndVerify("after full repair")
-
-	if got := metric(t, coord, "cpm_coord_resync_full_total"); got == 0 {
-		t.Fatal("restart repaired without a full re-sync")
-	}
-	if grew := metric(t, coord, "cpm_coord_resync_objects_sent_total") - sent; grew < nObjs {
-		t.Fatalf("full re-sync shipped %d objects, want the whole population (%d)", grew, nObjs)
-	}
+	repairAndVerify("after the restart")
 }
 
-// TestIncrementalResyncAfterLostAnswer: a worker that applied a tick whose
-// answer the coordinator gave up on holds results the mirror never saw.
-// The incremental re-sync replays the tick's object as a delete+insert
-// landing where the worker already has it — which changes nothing the
-// worker would report — so it must ask the worker for its untouched
-// queries' results instead of keeping the mirror's.
-func TestIncrementalResyncAfterLostAnswer(t *testing.T) {
+// TestResyncAfterLostAnswer: a worker that applied a tick whose answer the
+// coordinator gave up on holds results the mirror never saw. The re-sync
+// must take its owned queries' results from the rebuilt worker instead of
+// keeping the mirror's.
+func TestResyncAfterLostAnswer(t *testing.T) {
 	const q = 0 // owned by worker 0
 	coord, procs := startCluster(t, 2, 300*time.Millisecond)
 	if model.Owner(q, 2) != 0 {
@@ -226,9 +198,6 @@ func TestIncrementalResyncAfterLostAnswer(t *testing.T) {
 		coord.Tick(b)
 		single.Tick(b)
 		time.Sleep(20 * time.Millisecond)
-	}
-	if metric(t, coord, "cpm_coord_resync_incremental_total") == 0 {
-		t.Fatal("the repair was not the incremental re-sync")
 	}
 	for id := range queries {
 		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
@@ -367,15 +336,15 @@ func TestResyncAfterInvalidQueryMove(t *testing.T) {
 
 	restartWorkers(t, procs)
 	awaitResync(t, coord, single, slices.Collect(maps.Keys(queries)))
-	if got := metric(t, coord, "cpm_coord_resync_full_total"); got < 2 {
-		t.Fatalf("%d full re-syncs, want one per restarted worker", got)
+	if got := metric(t, coord, "cpm_coord_resyncs_total"); got < 2 {
+		t.Fatalf("%d re-syncs, want one per restarted worker", got)
 	}
 }
 
 // TestResyncAfterNegativeObjectInsert: an object update every worker
 // refuses — here an insert under a negative id — must not reach the
 // coordinator's object mirror. A mirror that stored it would ship the object
-// in every full re-sync's Bootstrap, each worker would drop it, and the
+// in every re-sync's Bootstrap, each worker would drop it, and the
 // mirror would disagree with the workers it rebuilt. The mirror counts the
 // refused update as the monitor does.
 func TestResyncAfterNegativeObjectInsert(t *testing.T) {
