@@ -175,13 +175,15 @@ trace-smoke:
 # in); CI runs them with a shorter bound. FuzzMonitorOps drives the public
 # Monitor API at one and 2–8 shards against each other and the brute-force
 # oracle, with the cpmassert guards compiled in; the others fuzz the wire
-# codec.
+# codec. -fuzzminimizetime bounds the minimization of each new input: at
+# go's default of 60 s a worker stalls for seconds after every input the
+# fuzzer keeps, which in a run this short is most of the time.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -tags cpmassert -run='^$$' -fuzz='^FuzzMonitorOps$$' -fuzztime=$(FUZZTIME) .
-	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
-	$(GO) test -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
-	$(GO) test -run='^$$' -fuzz='^FuzzDiffsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -tags cpmassert -run='^$$' -fuzz='^FuzzMonitorOps$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x .
+	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDiffsRoundTrip$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/wire/
 
 # One iteration of every benchmark — keeps benchmark code compiling and
 # running without paying for a full measurement. -benchmem mirrors the CI
@@ -198,8 +200,9 @@ bench-test:
 # The paper's result as a gate: Figures 6.1, 6.2a, 6.3a and 6.6a at the
 # paper's scale over three seeds, every sweep point held to CPM < YPK-CNN <
 # SEA-CNN in CPU time and in cell accesses (internal/bench/repro_test.go,
-# with its allow-list). About 2 minutes on two cores (2m04s on a 2.1 GHz
-# Xeon with go1.24); ci leaves it out and CI runs it in its own job.
+# with its allow-list). About 3 minutes on two cores (2m22s and 2m41s in
+# two runs on a quiet 2.1 GHz Xeon with go1.24); ci leaves it out and CI
+# runs it in its own job.
 repro-gate:
 	$(GO) test -tags repro -run '^TestReproGate$$' -count=1 -timeout 60m -v ./internal/bench/
 

@@ -1,7 +1,9 @@
 // Package arena is the chunked slice allocator behind the allocation-free
 // hand-off of result diffs: the engine carves the slices of the events it
 // emits from it (internal/core), and the wire decoders carve the slices of
-// decoded frames from it (internal/wire).
+// decoded frames from it (internal/wire). The influence index carves its
+// lists' runs from it too (internal/grid); each run has one holder, the
+// index, which alone writes it.
 //
 // Ownership: a slice is cut from the unused tail of the current chunk, with
 // cap == len, so an append by its holder reallocates instead of writing into

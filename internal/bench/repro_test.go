@@ -30,7 +30,7 @@ var reproAllow = map[gateLoss]string{
 // 1, 2 and 3, and holds every sweep point to CPM < YPK-CNN < SEA-CNN in
 // CPU time and in cell accesses per query per tick, on the median of the
 // seeds. The CPM-shard column is not part of the paper's ordering and is
-// not run. `make repro-gate` runs it (about 2 minutes on two cores).
+// not run. `make repro-gate` runs it (about 3 minutes on two cores).
 func TestReproGate(t *testing.T) {
 	start := time.Now()
 	seeds := []int64{1, 2, 3}

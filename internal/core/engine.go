@@ -7,13 +7,14 @@
 // (NewSharedEngine) and may share with sibling engines: the owner —
 // internal/shard's monitor, the one driver — applies each tick's object
 // stream to the grid once and feeds every engine the resulting write log
-// through BeginCycle/ScanApplied/ApplyQueryUpdates. The engine owns a query
-// table holding, per query: its definition, the best_NN result list,
-// best_dist, the visit list and the leftover search heap (paper Figure
-// 3.3a), plus the influence-list index for its queries (grid.Influence),
-// whose lists point into the table by slot handle. Searches traverse the
-// conceptual partitioning of internal/conc. The three paper modules map to
-// three files:
+// through BeginCycle/ScanApplied/ApplyQueryUpdates (update.go). The engine
+// owns a query table holding, per query: its definition, the best_NN result
+// list, best_dist, the visit list and the leftover search heap (paper
+// Figure 3.3a), plus the influence-list index for its queries
+// (grid.Influence, written only for queries a cycle will read: see
+// Engine.infl), whose lists point into the table by slot handle. Searches
+// traverse the conceptual partitioning of internal/conc. The three paper
+// modules map to three files:
 //
 //	search.go     — NN Computation        (Figure 3.4)
 //	recompute.go  — NN Re-Computation     (Figure 3.6)
@@ -68,7 +69,19 @@ type Engine struct {
 	// infl is the influence-list index for this engine's queries. Influence
 	// lists are per-query book-keeping, so they live with the engine, not in
 	// the (possibly shared) grid cells.
-	infl *grid.Influence
+	//
+	// Each query is installed or pending. An installed query's entries in
+	// infl are exactly its visit[:influenceEnd]. A search from scratch
+	// (compute, evaluateRange, Reindex) builds that prefix without writing
+	// infl and leaves the query pending: queued on pending, once, with no
+	// entries. installPending writes the entries of every pending query the
+	// open cycle does not rebuild or remove, and the readers of infl run it
+	// first. The paper's moving query is a termination plus a fresh search
+	// (Section 3.3), and the cycle's ignore set skips it while it has an
+	// update in the batch, so a query that moves every cycle never writes
+	// entries that nobody reads.
+	infl    *grid.Influence
+	pending []*query
 
 	stats model.Stats
 	// invalidQueries counts the query-stream elements this engine dropped;
@@ -90,7 +103,8 @@ type Engine struct {
 	// batchGen stamps the queries that a query update of the current batch
 	// rebuilds or removes — the per-cycle "ignore" set of Figure 3.9 (the
 	// object updates cannot change what the query update replaces),
-	// without a per-cycle map.
+	// without a per-cycle map. BeginCycle bumps it to open a cycle and
+	// ApplyQueryUpdates to close one, so between cycles nothing is ignored.
 	batchGen int64
 	// rangeScratch is the pooled buffer current builds a range query's
 	// sorted result into, so per-cycle range-change checks allocate nothing.
@@ -168,10 +182,15 @@ type query struct {
 	// order until orderVisit sorts it.
 	visit   []visitEntry
 	ordered int
-	// influenceEnd is one past the last visit entry whose cell currently
-	// carries this query in its influence list. Influence cells are always
-	// a prefix of the visit list (keys ≤ best_dist).
+	// influenceEnd is one past the last visit entry of the influence
+	// region. Influence cells are always a prefix of the visit list (keys ≤
+	// best_dist); they carry the query in their influence lists while it
+	// is installed. pending says the query is not (see Engine.infl): the
+	// slot is on the engine's pending list. The flag outlives the query, so
+	// a parked slot that is still on the list stays there only once when it
+	// is re-armed.
 	influenceEnd int
+	pending      bool
 	// heap and fronts are the leftover search state of the last search:
 	// heap the cells en-heaped but not de-heaped, fronts the strip each
 	// direction reaches next (search.go) — the entries with key ≥
@@ -277,7 +296,7 @@ func (e *Engine) arm(id model.QueryID, kind grid.Handle, def Def) *query {
 		id: id, h: qu.h&^rangeBit | kind,
 		def:  Def{Points: append(qu.def.Points[:0], def.Points...), K: def.K, Agg: def.Agg},
 		best: qu.best, inList: qu.inList, visit: qu.visit[:0], heap: qu.heap,
-		reported: qu.reported[:0], members: qu.members,
+		reported: qu.reported[:0], members: qu.members, pending: qu.pending,
 	}
 	if def.Constraint != nil {
 		qu.region = *def.Constraint
@@ -296,9 +315,10 @@ func (e *Engine) install(qu *query) {
 }
 
 // evaluate computes the query's result from scratch at its current
-// definition.
+// definition and leaves the query pending.
 func (e *Engine) evaluate(qu *query) {
 	e.clearInfluence(qu)
+	e.queue(qu)
 	if qu.h&rangeBit != 0 {
 		e.evaluateRange(qu)
 	} else {
@@ -469,15 +489,16 @@ func (e *Engine) MemoryFootprint() int64 {
 }
 
 // QueryMemoryUnits returns the engine's own share of the Section 4.1 memory
-// model, excluding the grid term: Σ influence entries plus, per query, 3
-// units for id and coordinates, 2·k for the result and 3 per visit-list or
-// heap entry (+4 boundary boxes live in the heap itself); a range query
-// counts for its influence entries alone, a parked slot for nothing. A
-// sharded monitor sums this over its engines and adds the shared grid term
-// once.
+// model, excluding the grid term: Σ influence prefixes (the entries an
+// installed query holds and a pending one will) plus, per query, 3 units
+// for id and coordinates, 2·k for the result and 3 per visit-list or heap
+// entry (+4 boundary boxes live in the heap itself); a range query counts
+// for its disk cover alone, a parked slot for nothing. A sharded monitor
+// sums this over its engines and adds the shared grid term once.
 func (e *Engine) QueryMemoryUnits() int64 {
-	units := e.infl.Entries()
+	var units int64
 	for _, qu := range e.ids {
+		units += int64(qu.influenceEnd)
 		if qu.h&rangeBit != 0 {
 			continue
 		}
@@ -488,22 +509,69 @@ func (e *Engine) QueryMemoryUnits() int64 {
 }
 
 // Watched returns the cells on which some influence list of the engine is
-// non-empty: an object update touching none of them concerns none of the
+// non-empty, once installPending has installed the queries the open cycle
+// keeps: an object update touching none of them concerns none of the
 // engine's queries, so the grid's owner may leave it out of the write log
-// (grid.ApplyWatched). The set is the influence index's own occupancy set,
-// borrowed: it is current until the next influence change.
+// (grid.ApplyWatched). Read after BeginCycle, the set leaves out the cells
+// only the cycle's moved and removed queries watch. The set is the
+// influence index's own occupancy set, borrowed: it is current until the
+// next influence change.
 func (e *Engine) Watched() *grid.CellSet {
+	e.installPending()
 	return e.infl.Occupied()
 }
 
-// clearInfluence removes the query from the influence lists of all cells in
-// its influence prefix and resets its book-keeping.
-func (e *Engine) clearInfluence(qu *query) {
-	for _, ve := range qu.visit[:qu.influenceEnd] {
-		e.infl.Remove(ve.cell, qu.h)
+// installPending writes the influence prefix of every pending query into
+// the index, except the queries the open cycle rebuilds or removes
+// (ignoreMark), which stay pending. It is the one place where a pending
+// query enters the index; BeginCycle, Watched, ScanApplied and Reindex run
+// it, so the index is complete wherever it is read.
+func (e *Engine) installPending() {
+	keep := e.pending[:0]
+	for _, qu := range e.pending {
+		if qu.ignoreMark == e.batchGen {
+			keep = append(keep, qu)
+			continue
+		}
+		for _, ve := range qu.visit[:qu.influenceEnd] {
+			e.infl.AddUnchecked(ve.cell, qu.h)
+		}
+		qu.pending = false
 	}
+	e.pending = keep
+	e.assertInstalled()
+}
+
+// queue makes a query that holds no influence entries pending. The pending
+// list holds a slot at most once, however often its query is rebuilt or
+// its slot re-armed before installPending runs.
+func (e *Engine) queue(qu *query) {
+	if !qu.pending {
+		qu.pending = true
+		e.pending = append(e.pending, qu)
+	}
+}
+
+// setInfluenceEnd moves the query's influence prefix to end visit entries
+// and, if the query is installed, writes the difference through to the
+// index.
+func (e *Engine) setInfluenceEnd(qu *query, end int) {
+	if !qu.pending {
+		for i := qu.influenceEnd; i < end; i++ {
+			e.infl.AddUnchecked(qu.visit[i].cell, qu.h)
+		}
+		for i := end; i < qu.influenceEnd; i++ {
+			e.infl.Remove(qu.visit[i].cell, qu.h)
+		}
+	}
+	qu.influenceEnd = end
+}
+
+// clearInfluence drops the query's influence prefix, from the index too if
+// the query is installed, and resets its book-keeping.
+func (e *Engine) clearInfluence(qu *query) {
+	e.setInfluenceEnd(qu, 0)
 	qu.visit, qu.ordered = qu.visit[:0], 0
-	qu.influenceEnd = 0
 	qu.resetSearch()
 }
 

@@ -5,3 +5,5 @@ package core
 func (e *Engine) assertUnnamed(*query) {}
 
 func (e *Engine) assertSearchState(*query, int) {}
+
+func (e *Engine) assertInstalled() {}

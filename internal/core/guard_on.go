@@ -8,9 +8,9 @@ import (
 	"cpm/internal/grid"
 )
 
-// Freed-slot and search-state guards, compiled in under -race and the
-// cpmassert tag like the grid's epoch guards; the release build pays
-// nothing (guard_off.go).
+// Freed-slot, search-state and installed-index guards, compiled in under
+// -race and the cpmassert tag like the grid's epoch guards; the release
+// build pays nothing (guard_off.go).
 
 // assertUnnamed panics if any influence list or touched list still names
 // the slot RemoveQuery is about to park: the next tenant would receive the
@@ -35,7 +35,7 @@ func (e *Engine) assertUnnamed(qu *query) {
 // prefix ascending by key, the unordered tail's keys no smaller
 // than the prefix's and within best_dist, and influenceEnd the number of
 // entries with key ≤ best_dist — firstGreater over the list once ordered —
-// capped by processedEnd, the entries that carry an influence entry.
+// capped by processedEnd, the entries the search scanned.
 func (e *Engine) assertSearchState(qu *query, processedEnd int) {
 	bound := qu.best.kthDist()
 	within := 0
@@ -57,5 +57,31 @@ func (e *Engine) assertSearchState(qu *query, processedEnd int) {
 	if want := min(within, processedEnd); qu.influenceEnd != want {
 		panic(fmt.Sprintf("core: query %d influence prefix ends at %d, want %d (%d entries within best_dist %v, %d processed)",
 			qu.id, qu.influenceEnd, want, within, bound, processedEnd))
+	}
+}
+
+// assertInstalled panics unless the index is what installPending must
+// leave: every installed query's influence prefix cells carry its entry,
+// the index holds no other entry — Σ installed prefixes equals
+// Influence.Entries, so no pending or parked slot is named — and a query
+// is still pending only if the open cycle rebuilds or removes it.
+func (e *Engine) assertInstalled() {
+	var installed int64
+	for _, qu := range e.ids {
+		if qu.pending {
+			if qu.ignoreMark != e.batchGen {
+				panic(fmt.Sprintf("core: query %d still pending after the install step of a cycle that keeps it", qu.id))
+			}
+			continue
+		}
+		for _, ve := range qu.visit[:qu.influenceEnd] {
+			if !e.infl.Has(ve.cell, qu.h) {
+				panic(fmt.Sprintf("core: installed query %d lacks its influence entry on cell %d", qu.id, ve.cell))
+			}
+		}
+		installed += int64(qu.influenceEnd)
+	}
+	if n := e.infl.Entries(); n != installed {
+		panic(fmt.Sprintf("core: influence index holds %d entries, the installed prefixes %d", n, installed))
 	}
 }

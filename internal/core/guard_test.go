@@ -92,7 +92,7 @@ func TestGuardTripsOnTailBeyondBestDist(t *testing.T) {
 	qu.visit = append(qu.visit, far)
 	qu.ordered = min(qu.ordered, len(qu.visit)-1)
 	mustPanic(t, "finishing a search whose tail holds a key beyond best_dist", func() {
-		e.finishSearch(qu, len(qu.visit), qu.influenceEnd)
+		e.finishSearch(qu, len(qu.visit))
 	})
 }
 
@@ -110,4 +110,45 @@ func TestGuardQuietOnSearches(t *testing.T) {
 	}
 	e.Rebalance(6)
 	e.ProcessBatch(w.randomBatch(40, false))
+}
+
+// The negative controls of the installed-index guard: after an install
+// step, a pending query the open cycle keeps, or an index entry that no
+// installed prefix accounts for, must trip it.
+
+func TestGuardTripsOnUnlistedPendingQuery(t *testing.T) {
+	e := guardedEngine(t)
+	e.ProcessBatch(model.Batch{})
+	qu := e.ids[1]
+	// Flagged pending with its entries gone, but not on the pending list:
+	// no install step reaches it.
+	e.setInfluenceEnd(qu, 0)
+	qu.pending = true
+	mustPanic(t, "an install step that leaves a kept query pending", func() { e.BeginCycle(nil) })
+}
+
+func TestGuardTripsOnNamedPendingSlot(t *testing.T) {
+	e := guardedEngine(t)
+	// Query 1 moves and is pending; an entry naming its slot is left behind.
+	pts := []geom.Point{{X: 0.3, Y: 0.7}}
+	e.ProcessBatch(model.Batch{Queries: []model.QueryUpdate{{ID: 1, Kind: model.QueryMove, NewPoints: pts}}})
+	qu := e.ids[1]
+	if !qu.pending {
+		t.Fatal("moved query 1 is not pending")
+	}
+	e.infl.AddUnchecked(qu.visit[0].cell, qu.h)
+	mustPanic(t, "an install step with a pending slot named in the index", func() {
+		e.BeginCycle([]model.QueryUpdate{{ID: 1, Kind: model.QueryMove, NewPoints: pts}})
+	})
+}
+
+func TestGuardQuietOnInstalls(t *testing.T) {
+	e := guardedEngine(t)
+	pts := []geom.Point{{X: 0.3, Y: 0.7}}
+	move := model.Batch{Queries: []model.QueryUpdate{{ID: 1, Kind: model.QueryMove, NewPoints: pts}}}
+	e.ProcessBatch(move)
+	e.ProcessBatch(move)
+	e.Watched()
+	e.ProcessBatch(model.Batch{})
+	e.Rebalance(5)
 }

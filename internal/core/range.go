@@ -57,8 +57,8 @@ func ValidateRange(center geom.Point, radius float64) error {
 	return nil
 }
 
-// evaluateRange computes the result from scratch and installs the
-// influence entries for the disk cover.
+// evaluateRange computes the result from scratch and makes the disk cover
+// the influence prefix.
 func (e *Engine) evaluateRange(qu *query) {
 	e.stats.FullSearches++
 	clear(qu.members)
@@ -77,12 +77,10 @@ func (e *Engine) evaluateRange(qu *query) {
 }
 
 // coverRange makes the query's disk cover, on the grid as it is now, its
-// influence cells. The adds are unchecked: the query holds no influence
-// entries on entry (evaluate cleared them, Reindex reset the index) and
-// CellsInCircle enumerates distinct cells.
+// visit list and influence prefix. The query is pending (evaluate and
+// Reindex queue it), so installPending writes the entries.
 func (e *Engine) coverRange(qu *query) {
 	e.g.CellsInCircle(qu.def.Points[0], qu.radius, func(c grid.CellIndex) {
-		e.infl.AddUnchecked(c, qu.h)
 		qu.visit = append(qu.visit, visitEntry{cell: c})
 	})
 	qu.influenceEnd = len(qu.visit)

@@ -32,11 +32,14 @@ package core
 // Reindex rebuilds every installed query's book-keeping against the grid's
 // current geometry — the engine half of a resize, runnable in parallel
 // across the engines of a shared grid (all reindex work is per-query and
-// scans no objects). The influence index is reset wholesale first.
+// scans no objects). The influence index is reset wholesale first, which
+// leaves every query pending until the rebuilt prefixes are installed at
+// the end.
 func (e *Engine) Reindex() {
 	e.infl.Reset(e.g.Size() * e.g.Size())
 	for _, qu := range e.ids {
 		qu.visit, qu.ordered = qu.visit[:0], 0
+		e.queue(qu)
 		if qu.h&rangeBit != 0 {
 			// A range query just re-enumerates its disk cover on the new
 			// grid: membership is δ-independent.
@@ -45,10 +48,11 @@ func (e *Engine) Reindex() {
 			e.reindexQuery(qu)
 		}
 	}
+	e.installPending()
 }
 
 // reindexQuery rebuilds a k-NN query's search book-keeping (visit list,
-// influence entries, leftover heap) on the freshly rebuilt grid without
+// influence prefix, leftover heap) on the freshly rebuilt grid without
 // touching its result. It runs the same conceptual-partitioning traversal
 // as a search, bounded by the query's current best_dist, but never scans a
 // cell's objects: the result is already exact.

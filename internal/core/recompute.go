@@ -14,34 +14,28 @@ package core
 // ablation benchmark X1 (DESIGN.md).
 //
 // In DropBookkeeping mode the stored state does not exist, so the paper's
-// fallback applies: compute from scratch.
+// fallback applies: compute from scratch, which leaves the query pending
+// like a moved one.
 func (e *Engine) recompute(qu *query) {
 	if e.opts.DropBookkeeping {
-		e.compute(qu)
+		e.evaluate(qu)
 		return
 	}
 	e.stats.Recomputations++
 	e.orderVisit(qu)
-
-	oldInfluenceEnd := qu.influenceEnd
 	qu.best.reset()
 
-	// Replay the visit list (Figure 3.6 lines 2–6). Influence entries are
-	// exactly the visit prefix [0, influenceEnd) — finishSearch and
-	// shrinkInfluence maintain that invariant — so replayed cells inside
-	// the prefix already carry their entry, and cells beyond it (trimmed by
-	// earlier shrinks but needed again by the necessarily larger new
-	// best_dist) get an unchecked O(1) append.
+	// Replay the visit list (Figure 3.6 lines 2–6). The query keeps its
+	// influence prefix until finishSearch moves it, so replayed cells
+	// beyond it — trimmed by earlier shrinks but needed again by the
+	// necessarily larger new best_dist — get their entries there.
 	processed := 0
 	for processed < len(qu.visit) {
 		ve := qu.visit[processed]
 		if ve.key >= qu.best.kthDist() {
 			break
 		}
-		e.scanCellObjects(qu, ve.cell)
-		if processed >= oldInfluenceEnd {
-			e.infl.AddUnchecked(ve.cell, qu.h)
-		}
+		e.scanCell(qu, ve.cell)
 		processed++
 	}
 
@@ -54,7 +48,7 @@ func (e *Engine) recompute(qu *query) {
 		processed = len(qu.visit)
 	}
 
-	e.finishSearch(qu, processed, oldInfluenceEnd)
+	e.finishSearch(qu, processed)
 }
 
 // shrinkInfluence updates the influence prefix after result maintenance
@@ -64,10 +58,6 @@ func (e *Engine) recompute(qu *query) {
 func (e *Engine) shrinkInfluence(qu *query) {
 	e.orderVisit(qu)
 	oldEnd := qu.influenceEnd
-	newEnd := min(firstGreater(qu.visit, qu.best.kthDist()), oldEnd)
-	for i := newEnd; i < oldEnd; i++ {
-		e.infl.Remove(qu.visit[i].cell, qu.h)
-	}
-	qu.influenceEnd = newEnd
+	e.setInfluenceEnd(qu, min(firstGreater(qu.visit, qu.best.kthDist()), oldEnd))
 	e.assertSearchState(qu, oldEnd)
 }

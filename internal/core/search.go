@@ -12,7 +12,10 @@ import (
 // compute is the NN Computation module (paper Figure 3.4), extended to
 // aggregate and constrained queries (Section 5). It computes the query's
 // result from scratch, rebuilding the visit list, the leftover search heap
-// and the influence-list entries.
+// and the influence prefix. It runs from evaluate, on a query whose
+// book-keeping is cleared and which is pending, so it writes no influence
+// entry: installPending does, if the query is still kept when the index is
+// next read.
 //
 // The search visits cells in ascending key order — key being mindist(c,q)
 // for point queries and amindist(c,Q) for aggregate ones — which makes the
@@ -30,15 +33,12 @@ import (
 // objects, not the area searched.
 func (e *Engine) compute(qu *query) {
 	e.stats.FullSearches++
-	// Self-contained restart: drop any previous book-keeping first so no
-	// stale influence entry can outlive the search that replaces it.
-	e.clearInfluence(qu)
 	qu.best.reset()
 
 	part := e.partitionFor(qu.def)
 	e.seedHeap(qu, &part, true)
 	e.traverse(qu, &part, true)
-	e.finishSearch(qu, len(qu.visit), 0)
+	e.finishSearch(qu, len(qu.visit))
 
 	if e.opts.DropBookkeeping {
 		// Memory-pressure mode (end of Section 3.3): discard the search
@@ -241,11 +241,12 @@ func beyond(key, bound float64, scan bool) bool {
 
 // unpark settles the cells a traversal parked, now that best_dist is
 // final. A parked cell the traversal would have de-heaped — its key not
-// beyond the bound — joins the visit list with its influence entry, so an
-// object that later enters it triggers the query exactly as before; for a
-// search it also counts as the cell access its (empty) scan would have
-// been. Every other parked cell goes onto the leftover heap, where a
-// re-computation's continuation finds it as if it had been pushed there.
+// beyond the bound — joins the visit list, and with it the influence
+// prefix, so an object that later enters it triggers the query exactly as
+// before; for a search it also counts as the cell access its (empty) scan
+// would have been. Every other parked cell goes onto the leftover heap,
+// where a re-computation's continuation finds it as if it had been pushed
+// there.
 // (A heap-only search also de-heaps an empty cell whose key equals the
 // final best_dist if it reaches the cell before best_dist falls to it;
 // such a cell stays on the leftover heap here. Only an object exactly at
@@ -264,7 +265,6 @@ func (e *Engine) unpark(qu *query, from int, scan bool) {
 			e.stats.HeapOps++
 			continue
 		}
-		e.infl.AddUnchecked(pc.cell, qu.h)
 		qu.visit = append(qu.visit, pc)
 	}
 	e.parked = e.parked[:0]
@@ -281,23 +281,13 @@ func (e *Engine) unpark(qu *query, from int, scan bool) {
 }
 
 // scanCell processes the objects of one cell against the query (Figure 3.4
-// lines 10–11): each admissible object is offered to best_NN, and the query
-// is recorded in the cell's influence list. The cell's object list is
-// iterated as a borrowed slice — offering to best_NN never mutates the
-// grid — so the scan allocates nothing. The influence add is unchecked:
-// scanCell runs only for cells freshly de-heaped by a search, each of which
-// enters the visit list exactly once while influence entries are always a
-// prefix of that list, so the query cannot already be present.
+// lines 10–11): each admissible object is offered to best_NN. The cell's
+// object list is iterated as a borrowed slice — offering to best_NN never
+// mutates the grid — so the scan allocates nothing. The cell's influence
+// entry is finishSearch's to write, once the influence prefix is known. The
+// cell access is counted in the engine's own stats (not the grid's counter,
+// which is unsynchronized on a shared grid).
 func (e *Engine) scanCell(qu *query, c grid.CellIndex) {
-	e.scanCellObjects(qu, c)
-	e.infl.AddUnchecked(c, qu.h)
-}
-
-// scanCellObjects is scanCell without the influence bookkeeping, for the
-// re-computation replay, which knows per visit entry whether the influence
-// entry already exists. The cell access is counted in the engine's own
-// stats (not the grid's counter, which is unsynchronized on a shared grid).
-func (e *Engine) scanCellObjects(qu *query, c grid.CellIndex) {
 	def := &qu.def
 	objs := e.g.Objects(c)
 	e.stats.CellAccesses++
@@ -311,31 +301,21 @@ func (e *Engine) scanCellObjects(qu *query, c grid.CellIndex) {
 	}
 }
 
-// finishSearch trims influence-list entries down to the influence region:
-// the prefix of the visit list with key ≤ best_dist. processedEnd is how
-// many visit entries were scanned (and therefore carry influence entries)
-// by the search that just ran; curInfluenceEnd is the previous influence
-// prefix (entries that may still carry influence from before). An
-// unordered tail is the one the search just built, whose keys all lie
-// within best_dist (unpark), so it needs no sorting here.
-func (e *Engine) finishSearch(qu *query, processedEnd, curInfluenceEnd int) {
+// finishSearch sets the influence prefix to the influence region: the
+// prefix of the visit list with key ≤ best_dist, capped at processedEnd,
+// the entries the search scanned. An installed query (re-computation) gains
+// and loses the difference to its previous prefix in the index; a pending
+// one (computation from scratch) writes nothing. An unordered tail is the
+// one the search just built, whose keys all lie within best_dist (unpark),
+// so it needs no sorting here.
+func (e *Engine) finishSearch(qu *query, processedEnd int) {
 	newEnd := firstGreater(qu.visit[:qu.ordered], qu.best.kthDist())
 	if newEnd == qu.ordered {
 		newEnd = len(qu.visit)
 	}
-	if newEnd > processedEnd {
-		// Entries at exactly key == best_dist beyond the processed prefix
-		// carry no influence entry; cap to what was actually scanned.
-		newEnd = processedEnd
-	}
-	cur := processedEnd
-	if curInfluenceEnd > cur {
-		cur = curInfluenceEnd
-	}
-	for i := newEnd; i < cur; i++ {
-		e.infl.Remove(qu.visit[i].cell, qu.h)
-	}
-	qu.influenceEnd = newEnd
+	// Entries at exactly key == best_dist beyond the processed prefix were
+	// never scanned, so they stay out of the region.
+	e.setInfluenceEnd(qu, min(newEnd, processedEnd))
 	e.assertSearchState(qu, processedEnd)
 }
 

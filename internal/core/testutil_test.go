@@ -47,6 +47,11 @@ func (e *testEngine) Bootstrap(objs map[model.ObjectID]geom.Point) {
 // query stream applied.
 func (e *testEngine) ProcessBatch(b model.Batch) {
 	e.BeginCycle(b.Queries)
+	e.finishCycle(b)
+}
+
+// finishCycle is ProcessBatch after BeginCycle.
+func (e *testEngine) finishCycle(b model.Batch) {
 	if e.opts.PerUpdate {
 		for i := range b.Objects {
 			e.apply(b.Objects[i:i+1], nil)
@@ -82,9 +87,10 @@ func (e *testEngine) ObjectPosition(id model.ObjectID) (geom.Point, bool) {
 	return e.g.Position(id)
 }
 
-// HasInfluence reports whether query id currently holds an influence entry
-// on cell c.
+// HasInfluence reports whether query id holds an influence entry on cell c
+// once the pending queries are installed.
 func (e *testEngine) HasInfluence(c grid.CellIndex, id model.QueryID) bool {
+	e.installPending()
 	qu := e.ids[id]
 	return qu != nil && e.infl.Has(c, qu.h)
 }
@@ -250,7 +256,8 @@ func oracle(e *testEngine, def Def) []model.Neighbor {
 //   - the visit list's ordered prefix is sorted by key, and its
 //     unordered tail holds keys no smaller and within best_dist, which
 //     sortVisit puts in order;
-//   - influence entries exist exactly for the influence prefix;
+//   - once the pending queries are installed, influence entries exist
+//     exactly for the influence prefix;
 //   - every result member's current cell carries the query's influence.
 func checkInvariants(t *testing.T, e *testEngine, id model.QueryID) {
 	t.Helper()

@@ -17,8 +17,9 @@ import (
 
 // The reference search: compute, re-computation and Reindex as they stood
 // before empty cells were parked, every cell and every strip passing
-// through the heap. TestTraversalEquivalence holds the parking traversal,
-// with its strip fronts, to it.
+// through the heap, and every influence entry written as the search goes.
+// TestTraversalEquivalence holds the parking traversal, with its strip
+// fronts, to it.
 
 // A strip's payload sorts after every cell's, then by direction and level:
 // the shared heap's tie order.
@@ -87,6 +88,7 @@ func (e *Engine) refRunSearch(qu *query, part *conc.Partition) {
 		if !isStrip(top.Payload) {
 			c := payloadCell(top.Payload)
 			e.scanCell(qu, c)
+			e.infl.AddUnchecked(c, qu.h)
 			qu.visit = append(qu.visit, visitEntry{cell: c, key: top.Key})
 			continue
 		}
@@ -114,7 +116,7 @@ func (e *Engine) refRecompute(qu *query) {
 		if ve.key >= qu.best.kthDist() {
 			break
 		}
-		e.scanCellObjects(qu, ve.cell)
+		e.scanCell(qu, ve.cell)
 		if processed >= oldInfluenceEnd {
 			e.infl.AddUnchecked(ve.cell, qu.h)
 		}
@@ -226,6 +228,9 @@ func TestTraversalEquivalence(t *testing.T) {
 					onE(id, e.ids[id], r.ids[id])
 					onR(id, e.ids[id], r.ids[id])
 				}
+				// A search from scratch leaves its query pending; the
+				// checks below read the index.
+				e.installPending()
 				de, dr := e.Stats().Sub(se), r.Stats().Sub(sr)
 				if de.CellAccesses != dr.CellAccesses || de.ObjectsProcessed != dr.ObjectsProcessed {
 					t.Fatalf("%s: %d cell accesses and %d objects processed, reference %d and %d",
@@ -246,8 +251,11 @@ func TestTraversalEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The reference writes its index as it searches, so its queries
+			// are installed once and stay so.
+			r.installPending()
 			step("compute",
-				func(_ model.QueryID, qe, _ *query) { e.compute(qe) },
+				func(_ model.QueryID, qe, _ *query) { e.evaluate(qe) },
 				func(_ model.QueryID, _, qr *query) { r.refCompute(qr) })
 
 			// Jump a third of the objects and drop a tenth: results lose

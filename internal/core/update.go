@@ -9,13 +9,16 @@ import (
 )
 
 // The NN Monitoring loop of Figure 3.9 runs in three calls, driven by the
-// grid's owner (internal/shard's monitor), which applies the tick's object
-// stream U_P to the grid in between:
+// grid's owner (internal/shard's monitor), which reads Watched after the
+// first and then applies the tick's object stream U_P to the grid:
 //
-//	BeginCycle(U_q)          stamp the queries U_q rebuilds or removes
+//	BeginCycle(U_q)          stamp the queries U_q rebuilds or removes,
+//	                         install the other pending queries
+//	Watched()                the cells whose updates the log must hold
 //	grid.ApplyWatched(U_P)   the owner's write window, logging what matters
 //	ScanApplied(log)         Figure 3.8: influence scans, then resolution
-//	ApplyQueryUpdates(U_q)   terminations and moves (Section 3.3)
+//	ApplyQueryUpdates(U_q)   terminations and moves (Section 3.3); closes
+//	                         the cycle
 //
 // The log-then-scan split is lossless: the influence scans of Figure 3.8
 // classify objects by their logged position and cell transition and never
@@ -25,6 +28,15 @@ import (
 // costs its index maintenance and nothing else (the paper's
 // Time_ind). The Section 3.2 ablation (Options.PerUpdate) is the same calls
 // with a one-update log per ScanApplied.
+//
+// A search from scratch leaves its query pending (see Engine.infl), and the
+// install step skips the queries of the open cycle's ignore set, so a query
+// that moves every cycle never enters the index or widens Watched.
+// Correctness does not depend on the call order: between cycles nothing is
+// ignored, so a Watched read before BeginCycle is a superset, and an owner
+// that logs every update (grid.ApplyBatch) may apply before BeginCycle,
+// since ScanApplied installs whatever is still pending before it scans.
+// Only BeginCycle before Watched keeps the moved queries out of the filter.
 //
 // A steady-state cycle (moves only, warmed buffers) performs zero heap
 // allocations: the per-cycle sets are reused slices, and all influence and
@@ -36,8 +48,9 @@ import (
 // them (the per-cycle "ignore" set of Figure 3.9, kept as generation marks
 // instead of a map). A query whose only update rebuilds nothing — an
 // install, an unknown kind, an invalid move — keeps following the object
-// stream. The sharded monitor calls this on every engine before applying
-// the tick's writes.
+// stream. It then installs every other pending query (installPending). The
+// sharded monitor calls this on every engine before it reads Watched and
+// applies the tick's writes.
 func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.phases = model.PhaseNanos{}
 	e.changeGen++
@@ -49,17 +62,20 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 			qu.ignoreMark = e.batchGen
 		}
 	}
+	e.installPending()
 }
 
 // ScanApplied routes one write log — the grid mutations of a tick (or of a
 // single update in per-update mode), already applied by the grid's owner —
 // through the engine's influence index (Figure 3.8 scans) and resolves
-// every touched query. The grid must be at a stable epoch: the scans read
+// every touched query, after installing what is still pending
+// (installPending). The grid must be at a stable epoch: the scans read
 // only the log and per-query state, and resolution reads the grid. Phase
 // times accumulate so per-update rounds compose.
 func (e *Engine) ScanApplied(log []grid.Applied) {
 	e.cycle++
 	t0 := time.Now()
+	e.installPending()
 	e.scan(log)
 	t1 := time.Now()
 	e.resolveDirty()
@@ -69,10 +85,10 @@ func (e *Engine) ScanApplied(log []grid.Applied) {
 }
 
 // ApplyQueryUpdates applies the query stream U_q for the cycle opened by
-// BeginCycle — the updates passed to BeginCycle. Inconsistent elements
-// (updates for unknown queries, bad moves) are dropped and counted in
-// InvalidQueryUpdates; a monitoring server must outlive a misbehaving
-// client.
+// BeginCycle — the updates passed to BeginCycle — and closes the cycle:
+// its ignore set lapses. Inconsistent elements (updates for unknown
+// queries, bad moves) are dropped and counted in InvalidQueryUpdates; a
+// monitoring server must outlive a misbehaving client.
 func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 	qStart := time.Now()
 	for _, u := range queries {
@@ -103,6 +119,7 @@ func (e *Engine) ApplyQueryUpdates(queries []model.QueryUpdate) {
 		}
 	}
 	e.noteTouched()
+	e.batchGen++
 	e.phases.QueryUpd += time.Since(qStart).Nanoseconds()
 }
 

@@ -1,5 +1,7 @@
 package grid
 
+import "cpm/internal/arena"
+
 // Influence is an influence-list index (paper Figure 3.3b): for every cell,
 // the queries whose influence (or answer) region contains it. Every method
 // keeps its lists here — each CPM engine and the SEA-CNN baseline — never in
@@ -16,6 +18,13 @@ package grid
 // 3.3b — so a scan reaches the query's state by indexing, not by hashing an
 // id; SEA-CNN's handle is the query id itself.
 //
+// A list's storage is a run carved from the index's arena: firstRun handles
+// when its cell first gets an entry, twice the room whenever it fills. A list
+// keeps its run when it drains and across Reset, so only cells that ever
+// held an entry take space, nothing is allocated at Reset, and a list that
+// grows costs a carve, not an allocation of its own. A run it outgrew stays
+// in its chunk unused.
+//
 // Beside the lists the index keeps their occupancy: one bit per cell, set
 // exactly while the cell's list is non-empty, maintained in O(1) by every
 // add and remove. An object update that touches no occupied cell cannot
@@ -26,7 +35,13 @@ type Influence struct {
 	cells    [][]Handle
 	occupied CellSet
 	entries  int64
+	runs     arena.Slab[Handle]
 }
+
+// firstRun is the room a list starts with: influence lists hold a few
+// entries (a cell lies in the influence regions of the queries around it),
+// so most never grow past it.
+const firstRun = 4
 
 // Handle names one query of the owning monitor. The value is opaque to the
 // grid; the monitor alone decides what its bits mean.
@@ -39,14 +54,16 @@ func NewInfluence(cellCount int) *Influence {
 	return x
 }
 
-// Reset drops every list and re-sizes the index to cellCount cells — the
-// monitor-side companion of Grid.Rebuild. The backing arrays are reused when
-// they are large enough, so a rebalance of a warm engine allocates at most
-// the new cell directory.
+// Reset empties every list and re-sizes the index to cellCount cells — the
+// monitor-side companion of Grid.Rebuild. The lists keep their storage and
+// the directory is reused when it is large enough, so a rebalance of a warm
+// engine allocates at most a larger cell directory.
 func (x *Influence) Reset(cellCount int) {
 	if cellCount <= cap(x.cells) {
 		x.cells = x.cells[:cellCount]
-		clear(x.cells)
+		for c := range x.cells {
+			x.cells[c] = x.cells[c][:0]
+		}
 	} else {
 		x.cells = make([][]Handle, cellCount)
 	}
@@ -60,10 +77,14 @@ func (x *Influence) Reset(cellCount int) {
 // re-deriving it); a duplicate entry would make the scans route the same
 // update to a query twice and leave a stale entry behind after removal.
 func (x *Influence) AddUnchecked(c CellIndex, q Handle) {
-	if len(x.cells[c]) == 0 {
+	list := x.cells[c]
+	if len(list) == 0 {
 		x.occupied.add(c)
 	}
-	x.cells[c] = append(x.cells[c], q)
+	if len(list) == cap(list) {
+		list = append(x.runs.Make(max(firstRun, 2*len(list)))[:0], list...)
+	}
+	x.cells[c] = append(list, q)
 	x.entries++
 	x.assertOccupancy(c)
 }

@@ -35,6 +35,43 @@ func TestInfluenceLists(t *testing.T) {
 	}
 }
 
+// TestInfluenceListsKeepTheirStorage: lists carved side by side from the
+// arena keep their own entries when some grow past their run, and once every
+// list has held its peak, filling and draining them again — across a Reset
+// too — allocates nothing.
+func TestInfluenceListsKeepTheirStorage(t *testing.T) {
+	const cells = 300 // more than one slab chunk
+	x := NewInfluence(cells)
+	entries := func(c CellIndex) int { return int(c%7) + 1 } // up to firstRun+3
+	want := make([]Handle, 0, 8)
+	cycle := func() {
+		for c := range CellIndex(cells) {
+			for i := range entries(c) {
+				x.AddUnchecked(c, Handle(1000*int(c)+i))
+			}
+		}
+		for c := range CellIndex(cells) {
+			want = want[:0]
+			for i := range entries(c) {
+				want = append(want, Handle(1000*int(c)+i))
+			}
+			if !slices.Equal(x.List(c), want) {
+				t.Fatalf("cell %d lists %v, want %v", c, x.List(c), want)
+			}
+			if c%2 == 0 {
+				for _, h := range want {
+					x.Remove(c, h)
+				}
+			}
+		}
+		x.Reset(cells)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+		t.Fatalf("refilling warm lists allocated %v times", allocs)
+	}
+}
+
 // checkOccupancy asserts the index's bitmap is exactly {c : its list is non-empty} and
 // its entry count is the sum of the list lengths.
 func checkOccupancy(t *testing.T, x *Influence, cellCount int, step int) {

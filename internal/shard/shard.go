@@ -220,13 +220,16 @@ func (m *Monitor) QueryIDs() []model.QueryID {
 func (m *Monitor) RemoveQuery(id model.QueryID) { m.owner(id).RemoveQuery(id) }
 
 // ProcessBatch runs one processing cycle — the NN Monitoring loop of the
-// paper's Figure 3.9 — restructured around the shared grid: apply writes
-// (the coordinator thread applies the object stream to the grid exactly
-// once, logging each accepted update that touches a cell some shard
-// watches), then parallel monitoring (every shard replays the log against
-// its own influence lists at the now-stable epoch and resolves its
-// queries), then merge (the accessor methods below). Query updates are
-// routed to their owning shards.
+// paper's Figure 3.9 — restructured around the shared grid: open the cycle
+// (the coordinator thread calls BeginCycle on every engine, so the queries
+// the tick's query updates rebuild or remove stay out of every engine's
+// Watched set, and the other pending queries are installed), apply writes
+// (the coordinator applies the object stream to the grid exactly once,
+// logging each accepted update that touches a cell some shard watches),
+// then parallel monitoring (every shard replays the log against its own
+// influence lists at the now-stable epoch, resolves its queries and applies
+// its query updates), then merge (the accessor methods below). Query
+// updates are routed to their owning shards.
 //
 // Inconsistent stream elements (moves or deletes of unknown objects,
 // duplicate inserts, non-finite positions, updates for unknown queries)
@@ -240,6 +243,9 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 		s := m.shardOf(qu.ID)
 		m.perShard[s] = append(m.perShard[s], qu)
 	}
+	for i, e := range m.shards {
+		e.BeginCycle(m.perShard[i])
+	}
 	if m.perUpdate {
 		m.processPerUpdate(b)
 	} else {
@@ -250,7 +256,6 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 		m.applyNs = time.Since(t0).Nanoseconds()
 		if len(m.shards) == 1 {
 			e := m.shards[0]
-			e.BeginCycle(m.perShard[0])
 			e.ScanApplied(m.applied)
 			e.ApplyQueryUpdates(m.perShard[0])
 		} else {
@@ -274,7 +279,8 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 
 // watched returns the union of the engines' watched cells
 // (core.Engine.Watched). The engines are idle — the previous tick's fan-out
-// has joined — so their sets are stable while the coordinator reads them.
+// has joined — so the coordinator may install their pending queries and
+// read the sets.
 func (m *Monitor) watched() *grid.CellSet {
 	if len(m.shards) == 1 {
 		return m.shards[0].Watched()
@@ -292,9 +298,6 @@ func (m *Monitor) watched() *grid.CellSet {
 // The interleaving forces sequential engine rounds — the ablation measures
 // algorithmic cost, not parallel speedup — and its log stays unfiltered.
 func (m *Monitor) processPerUpdate(b model.Batch) {
-	for i, e := range m.shards {
-		e.BeginCycle(m.perShard[i])
-	}
 	m.applyNs = 0
 	for i := range b.Objects {
 		t0 := time.Now()
@@ -324,7 +327,6 @@ func (m *Monitor) start() {
 		e := m.shards[i]
 		go func() {
 			for it := range ch {
-				e.BeginCycle(it.queries)
 				e.ScanApplied(it.applied)
 				e.ApplyQueryUpdates(it.queries)
 				m.wg.Done()
