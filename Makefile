@@ -116,10 +116,14 @@ cluster-smoke:
 
 # Full-binary failure drill: a cpmcoord whose link to one worker runs
 # through a cpmchaos proxy replaying a seeded fault schedule (latency,
-# then a reset storm) while cpmload drives traffic. Asserts the drill
-# completes and the coordinator's metrics page is alive afterwards; the
-# strong never-silently-wrong assertions live in the in-process chaos
-# suite (internal/cluster/chaos_test.go), which this target runs first.
+# then a reset storm) while cpmload drives traffic. The schedule ends
+# about four seconds before the load does, so the drill closes with
+# traffic on a healed link; the target then fails unless the metrics page
+# shows every worker synced — a worker the drill desynced must have
+# rejoined. A second cpmload cannot drive that tail instead: it would
+# bootstrap and register the same standing queries again. The strong
+# never-silently-wrong assertions live in the in-process chaos suite
+# (internal/cluster/chaos_test.go), which this target runs first.
 chaos-smoke:
 	@set -e; \
 	$(GO) test -count=1 -run 'TestChaos' ./internal/cluster/; \
@@ -139,7 +143,11 @@ chaos-smoke:
 	sleep 1; \
 	/tmp/cpm-chaos-load -addr 127.0.0.1:17854 -conns 2 -rate 150 -duration 7s -n 500 -queries 20 -v; \
 	if command -v curl >/dev/null; then \
-		curl -sf 127.0.0.1:19102/metrics | grep -E '^cpm_coord_(workers|worker_desyncs_total|op_retries_total|resyncs_total) '; \
+		m=$$(curl -sf 127.0.0.1:19102/metrics); \
+		echo "$$m" | grep -E '^cpm_coord_(workers|workers_synced|worker_desyncs_total|op_retries_total|resyncs_total) '; \
+		n=$$(echo "$$m" | awk '$$1 == "cpm_coord_workers" {print $$2}'); \
+		s=$$(echo "$$m" | awk '$$1 == "cpm_coord_workers_synced" {print $$2}'); \
+		[ -n "$$n" ] && [ "$$s" = "$$n" ] || { echo "chaos-smoke: $$s of $$n workers synced after the drill" >&2; exit 1; }; \
 	fi; \
 	kill $$co $$px $$w1 $$w2; wait $$co $$px $$w1 $$w2 2>/dev/null || true; \
 	echo "chaos-smoke: ok"

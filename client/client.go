@@ -301,6 +301,14 @@ func (c *Client) InstanceID() uint64 {
 	return c.instance
 }
 
+// Connected reports whether a connection is up right now. Unlike a
+// request, it never waits for the reconnect loop.
+func (c *Client) Connected() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nc != nil
+}
+
 // install adopts a fresh connection (caller holds mu): it becomes current,
 // waiters are released and its read loop starts.
 func (c *Client) install(nc net.Conn) {

@@ -12,8 +12,9 @@
 // every worker concurrently and the per-worker result diffs merge back
 // into one id-ordered stream. A worker that fails or stalls past
 // -op-timeout is dropped from the fan-out, its subscribers see explicit
-// Gap frames, and it is rebuilt in the background from the coordinator's
-// state mirror; see docs/CLUSTER.md for the full semantics.
+// Gap frames, and the next operation that can reach it rebuilds it from
+// the coordinator's state mirror; see docs/CLUSTER.md for the full
+// semantics.
 //
 // With -metrics the coordinator serves both its own counters
 // (cpm_coord_*, per-worker RTT/reconnects) and its upstream serving-layer
@@ -52,7 +53,7 @@ func main() {
 		verbose     = flag.Bool("v", false, "shorthand for -log-level debug")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 
-		opTimeout        = flag.Duration("op-timeout", 5*time.Second, "per-operation worker answer deadline (miss = desync + background re-sync; <0 disables)")
+		opTimeout        = flag.Duration("op-timeout", 5*time.Second, "per-operation worker answer deadline (miss = desync, re-synced by a later operation; <0 disables)")
 		writeTimeout     = flag.Duration("write-timeout", 10*time.Second, "per-flush socket write deadline on client connections (<0 disables)")
 		handshakeTimeout = flag.Duration("handshake-timeout", 10*time.Second, "deadline for a client's Hello frame (<0 disables)")
 

@@ -297,15 +297,15 @@ drain:
 }
 
 // TestChaosNegativeControl proves the harness catches the bug class it
-// exists for: with the re-sync generation check disabled (the seeded
-// bug), a rebuild from a stale snapshot is accepted while ticks keep
-// moving objects, and the invariant the schedule test enforces at every
-// tick MUST now flag a divergence. If it does not, the suite is
-// asserting nothing.
+// exists for: a worker rebuilt from a mirror that disagrees with the
+// object population the workers were sent. The seeded bug moves one
+// object in the mirror only, onto a query the victim owns; the victim's
+// re-sync then installs it there, and the invariant the schedule test
+// enforces at every tick MUST flag the divergence. If it does not, the
+// suite is asserting nothing.
 func TestChaosNegativeControl(t *testing.T) {
-	const nObjs, nQueries = 120, 8
+	const nObjs, nQueries, moved = 120, 8, 119
 	cc := startChaosCluster(t, 3, 99)
-	cc.coord.DisableGenCheck()
 	cc.seedScene(t, nObjs, nQueries)
 	cc.tick(rotBatch(0, nObjs, 10))
 	if err := cc.verify("baseline"); err != nil {
@@ -319,27 +319,22 @@ func TestChaosNegativeControl(t *testing.T) {
 	if cc.coord.WorkerSynced(victim) {
 		t.Fatal("victim still synced after partitioned tick")
 	}
-	// ...then heal it into a slow link: the background re-sync crawls
-	// while ticks keep advancing the generation and moving objects, so
-	// the snapshot it rebuilds from is stale by many operations.
-	cc.links[victim].Set(chaos.Fault{Class: chaos.Latency, Delay: 150 * time.Millisecond})
-
+	// ...seed the bug, then heal the link and let the victim rebuild. The
+	// ticks leave the moved object alone, so no later update repairs it.
+	q := cc.queries[0]
+	cc.coord.MoveInMirror(moved, geom.Point{X: q.X, Y: q.Y})
+	cc.links[victim].Clear()
 	deadline := time.Now().Add(20 * time.Second)
-	round := 2
-	for !cc.coord.WorkerSynced(victim) {
+	for round := 2; !cc.coord.WorkerSynced(victim); round++ {
 		if time.Now().After(deadline) {
-			t.Fatal("stale re-sync never accepted — negative control cannot run")
+			t.Fatal("victim never re-synced — negative control cannot run")
 		}
-		cc.tick(rotBatch(round, nObjs, 10))
-		round++
+		cc.tick(rotBatch(round, moved, 10))
 		time.Sleep(20 * time.Millisecond)
 	}
-	cc.links[victim].Clear()
 
-	// The seeded bug accepted a rebuild that missed those ticks. The
-	// harness invariant must catch the silent divergence.
-	if err := cc.verify("after stale accept"); err == nil {
-		t.Fatal("generation check disabled yet no divergence detected — the chaos harness is blind")
+	if err := cc.verify("after seeded re-sync"); err == nil {
+		t.Fatal("mirror corrupted yet no divergence detected — the chaos harness is blind")
 	} else {
 		t.Logf("harness correctly flagged: %v", err)
 	}

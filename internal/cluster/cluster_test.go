@@ -242,8 +242,8 @@ func runEquivalence(t *testing.T, nWorkers int) {
 		t.Fatal("worker loss produced no subscriber gap")
 	}
 
-	// Phase 2b: restart the worker on its old address and tick until the
-	// background re-sync is accepted.
+	// Phase 2b: restart the worker on its old address and tick until an
+	// operation re-syncs it.
 	procs[victim] = startWorker(t, procs[victim].addr)
 	deadline := time.Now().Add(15 * time.Second)
 	for coord.SyncedWorkers() < nWorkers {

@@ -20,7 +20,7 @@ import (
 // Health is the coordinator's per-worker health state: Healthy workers
 // serve cleanly, Degraded ones are on probation (recent retries, or just
 // re-synced — watch them), Desynced ones hold unknown state and receive
-// no operations until a re-sync is accepted. Exposed per worker as the
+// no operations until a re-sync rebuilds them. Exposed per worker as the
 // cpm_coord_worker<N>_health gauge (0/1/2).
 type Health int
 
@@ -53,24 +53,21 @@ type worker struct {
 	idx  int
 	addr string
 	cl   *client.Client
-	// span and timeoutSpan name the fan-out's child spans for this worker,
-	// built once so an untraced operation formats nothing.
-	span, timeoutSpan string
+	// span, timeoutSpan and resyncSpan name the operation's child spans
+	// for this worker, built once so an untraced operation formats nothing.
+	span, timeoutSpan, resyncSpan string
 
 	// mu serializes every wire call to this worker. An operation the
-	// coordinator abandoned at the fan-out deadline may still be in
-	// flight; a later re-sync must wait for it to drain, or the stale
-	// request could land between the re-sync's Reset and Bootstrap and
-	// corrupt the rebuilt state.
+	// coordinator abandoned at the deadline may still be in flight; a
+	// re-sync must not start before it drains, or the stale request could
+	// land between the re-sync's Reset and Bootstrap and corrupt the
+	// rebuilt state.
 	mu sync.Mutex
 
 	// seen is the server instance id from the latest handshake, written
 	// by the client's OnConnect callback (dialing goroutine) and read by
 	// the coordinator loop.
 	seen atomic.Uint64
-	// resyncing marks a background re-sync in flight (set by the loop,
-	// cleared by the re-sync goroutine).
-	resyncing atomic.Bool
 
 	// Coordinator-loop state: synced reports whether the worker's state
 	// is exactly the mirror's; instance is the server instance that
@@ -106,27 +103,54 @@ func (c *Coordinator) synced() []*worker {
 	return out
 }
 
-// beginOp is the prologue of every mutating operation: accept any
-// background re-syncs that finished since the last operation (the mirror
-// is unchanged in between, so their snapshots are still exact), demote
-// workers whose server instance changed underneath a healthy connection,
-// and advance the operation generation.
+// beginOp is the prologue of every mutating operation: demote workers
+// whose server instance changed underneath a healthy connection, then
+// re-sync every out-of-sync worker that can be rebuilt now, so that it
+// takes part in this very operation.
 func (c *Coordinator) beginOp() {
 	for _, w := range c.workers {
 		if w.synced && w.seen.Load() != w.instance {
 			c.desync(w, errInstanceChanged)
 		}
 	}
-drain:
-	for {
+	c.resync()
+}
+
+// gather runs call against every target concurrently and hands each
+// answer to take on the calling goroutine, until every target has
+// answered or timeout (none when not positive) runs out. It returns the
+// targets still unanswered then; their calls are abandoned, not stopped.
+func gather[T any](targets []*worker, timeout time.Duration, call func(*worker) T, take func(*worker, T)) (late []*worker) {
+	type answer struct {
+		w *worker
+		v T
+	}
+	ch := make(chan answer, len(targets))
+	for _, w := range targets {
+		go func(w *worker) { ch <- answer{w, call(w)} }(w)
+	}
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		tm := time.NewTimer(timeout)
+		defer tm.Stop()
+		deadline = tm.C
+	}
+	answered := make(map[*worker]bool, len(targets))
+	for len(answered) < len(targets) {
 		select {
-		case r := <-c.resyncCh:
-			c.acceptResync(r)
-		default:
-			break drain
+		case a := <-ch:
+			answered[a.w] = true
+			take(a.w, a.v)
+		case <-deadline:
+			for _, w := range targets {
+				if !answered[w] {
+					late = append(late, w)
+				}
+			}
+			return late
 		}
 	}
-	c.gen++
+	return nil
 }
 
 // fanOut runs f concurrently against the given workers, bounded by
@@ -160,77 +184,59 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 		until = start.Add(c.opts.OpTimeout)
 	}
 	type fanResult struct {
-		w       *worker
 		diffs   []model.ResultDiff
 		err     error
 		at      time.Time // when the worker's call started (post worker mutex)
 		rtt     time.Duration
 		retries int
 	}
-	ch := make(chan fanResult, len(targets))
-	for _, w := range targets {
-		go func(w *worker) {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			t0 := time.Now()
-			var retries int
-			diffs, err := f(w)
-			for errors.Is(err, client.ErrUnsent) && retryWait(until, retries) {
-				retries++
-				diffs, err = f(w)
-			}
-			ch <- fanResult{w: w, diffs: diffs, err: err, at: t0, rtt: time.Since(t0), retries: retries}
-		}(w)
-	}
-	var deadline <-chan time.Time
-	if c.opts.OpTimeout > 0 {
-		tm := time.NewTimer(c.opts.OpTimeout)
-		defer tm.Stop()
-		deadline = tm.C
-	}
-	answered := make(map[*worker]bool, len(targets))
 	var merged []model.ResultDiff
 	var appErr error
-	for len(answered) < len(targets) {
-		select {
-		case r := <-ch:
-			answered[r.w] = true
-			r.w.rtt.Observe(r.rtt)
-			// The collector runs on the coordinator loop, so reading
-			// c.opSpan here is race-free; the span covers the whole
-			// round trip (dial/send/wait/decode) behind the worker mutex.
-			c.opSpan.ChildAt(r.w.span, r.at, r.rtt)
-			if r.retries > 0 {
-				c.met.opRetries.Add(int64(r.retries))
-			}
-			switch {
-			case r.err == nil && r.w.seen.Load() != r.w.instance:
-				// beginOp checked the instance before the send, but the
-				// client may have reconnected to a restarted — empty —
-				// server in between: the answer then describes state the
-				// mirror never had, so it is dropped like a lost one.
-				c.desync(r.w, errInstanceChanged)
-			case r.err == nil:
-				c.noteOutcome(r.w, r.retries)
-				merged = append(merged, r.diffs...)
-			case isTransportErr(r.err) || desyncOnAppErr:
-				c.desync(r.w, r.err)
-			default:
-				appErr = r.err
-			}
-		case <-deadline:
-			c.met.opTimeouts.Inc()
-			for _, w := range targets {
-				if !answered[w] {
-					c.desync(w, errOpTimeout)
-					c.opSpan.ChildAt(w.timeoutSpan, start, time.Since(start))
-				}
-			}
-			c.observeFanout(start, merged)
-			return merged, appErr
+	late := gather(targets, c.opts.OpTimeout, func(w *worker) fanResult {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		t0 := time.Now()
+		var retries int
+		diffs, err := f(w)
+		for errors.Is(err, client.ErrUnsent) && retryWait(until, retries) {
+			retries++
+			diffs, err = f(w)
+		}
+		return fanResult{diffs: diffs, err: err, at: t0, rtt: time.Since(t0), retries: retries}
+	}, func(w *worker, r fanResult) {
+		w.rtt.Observe(r.rtt)
+		// take runs on the coordinator loop, so reading c.opSpan here is
+		// race-free; the span covers the whole round trip
+		// (dial/send/wait/decode) behind the worker mutex.
+		c.opSpan.ChildAt(w.span, r.at, r.rtt)
+		if r.retries > 0 {
+			c.met.opRetries.Add(int64(r.retries))
+		}
+		switch {
+		case r.err == nil && w.seen.Load() != w.instance:
+			// beginOp checked the instance before the send, but the
+			// client may have reconnected to a restarted — empty —
+			// server in between: the answer then describes state the
+			// mirror never had, so it is dropped like a lost one.
+			c.desync(w, errInstanceChanged)
+		case r.err == nil:
+			c.noteOutcome(w, r.retries)
+			merged = append(merged, r.diffs...)
+		case isTransportErr(r.err) || desyncOnAppErr:
+			c.desync(w, r.err)
+		default:
+			appErr = r.err
+		}
+	})
+	if len(late) > 0 {
+		c.met.opTimeouts.Inc()
+		for _, w := range late {
+			c.desync(w, errOpTimeout)
+			c.opSpan.ChildAt(w.timeoutSpan, start, time.Since(start))
 		}
 	}
-	c.observeFanout(start, merged)
+	c.met.fanout.ObserveSince(start)
+	model.SortByQuery(merged)
 	return merged, appErr
 }
 
@@ -293,11 +299,6 @@ func (c *Coordinator) setHealth(w *worker, h Health) {
 	c.logf("cluster: worker %d (%s) health: %s", w.idx, w.addr, h)
 }
 
-func (c *Coordinator) observeFanout(start time.Time, merged []model.ResultDiff) {
-	c.met.fanout.ObserveSince(start)
-	model.SortByQuery(merged)
-}
-
 // isTransportErr separates "the request may not have reached the worker,
 // or its fate is unknown" from "the worker processed and rejected it".
 func isTransportErr(err error) bool {
@@ -306,9 +307,9 @@ func isTransportErr(err error) bool {
 
 // desync marks a worker's state unknown: it stops receiving operations,
 // its owned queries' subscribers get an explicit sequence gap, and the
-// next operation boundary starts a background re-sync. Nothing about what
-// the worker missed is recorded: the re-sync rebuilds it whole from the
-// mirror, which also covers an operation it half-applied.
+// next operation whose beginOp can reach it re-syncs it. Nothing about
+// what the worker missed is recorded: the re-sync rebuilds it whole from
+// the mirror, which also covers an operation it half-applied.
 func (c *Coordinator) desync(w *worker, err error) {
 	if !w.synced {
 		return
@@ -346,53 +347,71 @@ func (c *Coordinator) ownedIDs(idx int) []model.QueryID {
 	return ids
 }
 
-// ---- Background re-sync ---------------------------------------------------
+// ---- Re-sync ---------------------------------------------------------------
 
-// resyncSnap is everything a re-sync goroutine may touch: an immutable
-// copy of the mirror — the whole object population and every query the
-// worker owns — stamped with the operation generation it reflects.
+// resyncSnap is everything one rebuild reads: copies of the mirror's
+// object population and of the definitions of every query its worker
+// owns, ascending. They are copies because a rebuild abandoned at the
+// deadline may still be reading them while later operations rewrite the
+// mirror in place.
 type resyncSnap struct {
-	gen  uint64
 	objs map[model.ObjectID]geom.Point
-	defs []wire.Register // owned queries to re-register, ascending id
+	defs []wire.Register
 }
 
-// resyncResult reports one finished re-sync back to the coordinator loop.
+// resyncResult reports one finished rebuild.
 type resyncResult struct {
-	idx      int
-	gen      uint64
-	instance uint64
+	instance uint64                             // seen before the rebuild began
 	results  map[model.QueryID][]model.Neighbor // fresh owned results
 	err      error
 }
 
-// spawnResyncs starts a background rebuild for every out-of-sync worker
-// that does not have one in flight. It runs at the end of each mutating
-// operation, so the snapshot reflects everything the worker missed.
-func (c *Coordinator) spawnResyncs() {
+// resync rebuilds every out-of-sync worker that can be rebuilt now, all at
+// once and bounded by Options.OpTimeout like any fan-out. The mirror is
+// exact between two operations, and the coordinator loop waits for the
+// rebuild, so the rebuilt state is exact by construction. Two gates keep a
+// bad link from stalling the operation: the worker's connection must be up
+// now (a request on a dead link would wait out the client's ReconnectWait),
+// and no abandoned call may hold its mutex. The mutex taken here is
+// released by the rebuild's goroutine. A rebuild that misses the deadline
+// fails, drains behind the mutex, and a later operation retries.
+func (c *Coordinator) resync() {
+	var targets []*worker
 	for _, w := range c.workers {
-		if w.synced || w.resyncing.Load() {
-			continue
+		if !w.synced && w.cl.Connected() && w.mu.TryLock() {
+			targets = append(targets, w)
 		}
-		w.resyncing.Store(true)
-		snap := c.snapshotFor(w)
-		go func(w *worker) {
-			r := runResync(w, snap)
-			c.resyncCh <- r
-			w.resyncing.Store(false)
-		}(w)
+	}
+	if len(targets) == 0 {
+		return
+	}
+	start := time.Now()
+	snaps := c.snapshotFor(targets)
+	done := func(w *worker, r resyncResult) {
+		c.opSpan.ChildAt(w.resyncSpan, start, time.Since(start))
+		c.acceptResync(w, r)
+	}
+	for _, w := range gather(targets, c.opts.OpTimeout, func(w *worker) resyncResult {
+		defer w.mu.Unlock()
+		return runResync(w, snaps[w.idx])
+	}, done) {
+		done(w, resyncResult{err: errOpTimeout})
 	}
 }
 
-// snapshotFor builds the re-sync snapshot for one out-of-sync worker. It
-// copies every buffer it takes from the mirror, which later operations
-// rewrite in place while the rebuild runs.
-func (c *Coordinator) snapshotFor(w *worker) resyncSnap {
-	snap := resyncSnap{gen: c.gen, objs: maps.Clone(c.objs)}
-	for _, id := range c.ownedIDs(w.idx) {
-		snap.defs = append(snap.defs, cloneDef(c.defs[id]))
+// snapshotFor copies what the rebuilds of targets read, indexed by worker:
+// the object population once, shared by all of them, and each worker's
+// owned definitions.
+func (c *Coordinator) snapshotFor(targets []*worker) []resyncSnap {
+	objs := maps.Clone(c.objs)
+	snaps := make([]resyncSnap, len(c.workers))
+	for _, w := range targets {
+		snaps[w.idx].objs = objs
+		for _, id := range c.ownedIDs(w.idx) {
+			snaps[w.idx].defs = append(snaps[w.idx].defs, cloneDef(c.defs[id]))
+		}
 	}
-	return snap
+	return snaps
 }
 
 // runResync rebuilds one worker from a mirror snapshot: Reset, Bootstrap
@@ -400,14 +419,10 @@ func (c *Coordinator) snapshotFor(w *worker) resyncSnap {
 // A worker's state is derived from exactly these, so the rebuild is exact
 // whatever the worker missed or half-applied. It touches no coordinator
 // state — only the snapshot and the worker's client — so it is safe off
-// the single-threaded loop. The per-worker mutex makes it wait for any
-// abandoned in-flight call first. The rebuild is idempotent end to end,
-// so a failed attempt retries from scratch safely.
+// the coordinator loop. The rebuild is idempotent end to end, so a failed
+// attempt retries from scratch safely.
 func runResync(w *worker, snap resyncSnap) resyncResult {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	res := resyncResult{idx: w.idx, gen: snap.gen, results: make(map[model.QueryID][]model.Neighbor, len(snap.defs))}
-	res.instance = w.cl.InstanceID()
+	res := resyncResult{instance: w.seen.Load(), results: make(map[model.QueryID][]model.Neighbor, len(snap.defs))}
 	if err := w.cl.Reset(); err != nil {
 		res.err = err
 		return res
@@ -428,32 +443,21 @@ func runResync(w *worker, snap resyncSnap) resyncResult {
 			}
 		}
 	}
-	// The whole rebuild must have landed on one server instance: a
-	// restart mid-way would leave later registrations on a worker that
-	// never saw the Bootstrap.
-	if got := w.cl.InstanceID(); got != res.instance {
-		res.err = errors.New("cluster: worker restarted during re-sync")
-		return res
-	}
 	return res
 }
 
-// acceptResync folds a finished re-sync back in. It is only valid if no
-// operation ran since its snapshot (the worker would have missed it) and
-// the worker's instance still matches; otherwise the worker stays out of
-// sync and the next operation boundary retries with a fresh snapshot.
-func (c *Coordinator) acceptResync(r resyncResult) {
-	w := c.workers[r.idx]
+// acceptResync folds a finished rebuild in. The whole rebuild must have
+// landed on one server instance — a handshake updates seen before the
+// first request on a new connection, so an unchanged seen proves it did;
+// otherwise the worker stays out of sync and a later operation retries.
+func (c *Coordinator) acceptResync(w *worker, r resyncResult) {
+	if r.err == nil && r.instance != w.seen.Load() {
+		r.err = errInstanceChanged
+	}
 	if r.err != nil {
 		c.met.resyncFails.Inc()
 		c.logf("cluster: re-sync of worker %d (%s) failed: %v", w.idx, w.addr, r.err)
 		return
-	}
-	if !c.skipGenCheck && r.gen != c.gen {
-		return // stale snapshot — the worker missed operations: retry
-	}
-	if r.instance != w.seen.Load() {
-		return // the worker moved again mid-rebuild: retry
 	}
 	w.synced = true
 	w.instance = r.instance

@@ -39,7 +39,7 @@ func TestMirrorOwnsItsBuffers(t *testing.T) {
 	}
 
 	fresh := []model.Neighbor{{ID: 2, Dist: 0.1}, {ID: 1, Dist: 0.2}}
-	c.acceptResync(resyncResult{results: map[model.QueryID][]model.Neighbor{5: fresh}})
+	c.acceptResync(c.workers[0], resyncResult{results: map[model.QueryID][]model.Neighbor{5: fresh}})
 	fresh[0].ID = 99
 	if got := c.results[5]; got[0].ID != 2 {
 		t.Fatalf("mirror result aliases the re-sync's fresh result: %v", got)
@@ -53,13 +53,14 @@ func TestMirrorOwnsItsBuffers(t *testing.T) {
 	}
 }
 
-// TestResyncSnapshotStableDuringOps: operations keep running while a
-// re-sync does, and the mirror rewrites its buffers in place, so a re-sync
-// snapshot must share none of them: it still holds the objects and the
-// definitions as they were when it was taken.
+// TestResyncSnapshotStableDuringOps: a re-sync abandoned at the deadline
+// keeps running while later operations do, and the mirror rewrites its
+// buffers in place, so a re-sync snapshot must share none of them: it
+// still holds the objects and the definitions as they were when it was
+// taken.
 func TestResyncSnapshotStableDuringOps(t *testing.T) {
 	c := mirrorCoordinator()
-	snap := c.snapshotFor(c.workers[0])
+	snap := c.snapshotFor(c.workers)[0]
 	if len(snap.defs) != 1 || len(snap.objs) != 2 {
 		t.Fatalf("want a snapshot carrying query 5 and both objects: %+v", snap)
 	}

@@ -309,6 +309,87 @@ func restartWorkers(t *testing.T, procs []*workerProc) {
 	}
 }
 
+// TestResyncUnderBackToBackTicks: a worker lost while ticks run back to
+// back, with no pause between them, rejoins within a few ticks once its
+// abandoned call drains: the operation that finds it reachable rebuilds
+// it before it runs. No sleep — the rejoin must depend on the operation
+// sequence, not on the scheduler leaving a gap.
+func TestResyncUnderBackToBackTicks(t *testing.T) {
+	coord, procs, single, queries := resyncScene(t)
+	release := wedge(procs[0])
+	coord.Tick(nudge(0, 1, 2))
+	single.Tick(nudge(0, 1, 2))
+	if coord.SyncedWorkers() != 1 {
+		t.Fatal("wedged worker still synced")
+	}
+	release()
+
+	const limit = 200
+	round := 1
+	for ; coord.SyncedWorkers() < 2; round++ {
+		if round > limit {
+			t.Fatalf("worker not re-synced after %d back-to-back ticks (%d re-syncs, %d failed)", limit,
+				metric(t, coord, "cpm_coord_resyncs_total"), metric(t, coord, "cpm_coord_resync_failures_total"))
+		}
+		coord.Tick(nudge(round, 7, 8))
+		single.Tick(nudge(round, 7, 8))
+	}
+	t.Logf("re-synced on back-to-back tick %d", round-1)
+	for i := 0; i < 3; i++ {
+		coord.Tick(nudge(round+i, 7, 8))
+		single.Tick(nudge(round+i, 7, 8))
+	}
+	for id := range queries {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after re-sync: cluster %v, monitor %v", id, got, want)
+		}
+	}
+}
+
+// TestDeadLinkCostsNoTicks: while a dead worker's link is down, the
+// operations that cannot rebuild it must not wait for its reconnect loop
+// — twenty back-to-back ticks finish in well under one ReconnectWait,
+// where a rebuild attempt on the dead link would cost a ReconnectWait
+// each. A worker restarted on the old address then rejoins inside a
+// back-to-back tick loop.
+func TestDeadLinkCostsNoTicks(t *testing.T) {
+	const reconnectWait = 200 * time.Millisecond // startCluster's
+	coord, procs, single, queries := resyncScene(t)
+	procs[0].kill()
+	coord.Tick(nudge(0, 1, 2)) // finds the worker gone
+	single.Tick(nudge(0, 1, 2))
+	if coord.SyncedWorkers() != 1 {
+		t.Fatal("killed worker still synced")
+	}
+	coord.WaitWorkerIdle(0) // a call the first tick abandoned has drained
+
+	start := time.Now()
+	for round := 1; round <= 20; round++ {
+		coord.Tick(nudge(round, 7, 8))
+		single.Tick(nudge(round, 7, 8))
+	}
+	d := time.Since(start)
+	if d > reconnectWait/2 {
+		t.Fatalf("20 ticks with a dead worker took %v, want well under ReconnectWait (%v)", d, reconnectWait)
+	}
+	t.Logf("20 ticks with a dead worker took %v", d)
+
+	procs[0] = startWorker(t, procs[0].addr)
+	deadline := time.Now().Add(15 * time.Second)
+	for round := 21; coord.SyncedWorkers() < 2; round++ {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted worker never rejoined")
+		}
+		coord.Tick(nudge(round, 7, 8))
+		single.Tick(nudge(round, 7, 8))
+	}
+	for id := range queries {
+		if got, want := coord.Result(id), single.Result(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after rejoin: cluster %v, monitor %v", id, got, want)
+		}
+	}
+}
+
 // TestResyncAfterInvalidQueryMove: a query move the engines refuse — here
 // a NaN point — must not reach the coordinator's definition mirror either.
 // A mirror that stored it would re-register the poisoned definition on

@@ -64,8 +64,8 @@ func TestSlowWorkerBoundedTick(t *testing.T) {
 		t.Fatal("wedged worker produced no subscriber gap")
 	}
 
-	// Releasing the wedge lets the abandoned call drain and the
-	// background re-sync repair the worker.
+	// Releasing the wedge lets the abandoned call drain and the next
+	// tick's re-sync repair the worker.
 	release()
 	deadline := time.Now().Add(10 * time.Second)
 	for coord.SyncedWorkers() < 2 {

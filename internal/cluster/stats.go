@@ -44,28 +44,11 @@ func (c *Coordinator) pollFleetStats() fleetStats {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	ch := make(chan []wire.Stat, len(c.workers))
-	for _, w := range c.workers {
-		go func(w *worker) {
-			st, err := w.cl.ServerStats()
-			if err != nil {
-				ch <- nil
-				return
-			}
-			ch <- st
-		}(w)
-	}
 	var out fleetStats
-	tm := time.NewTimer(timeout)
-	defer tm.Stop()
-	for range c.workers {
-		select {
-		case st := <-ch:
-			foldWorkerStats(&out, st)
-		case <-tm.C:
-			return out
-		}
-	}
+	gather(c.workers, timeout, func(w *worker) []wire.Stat {
+		st, _ := w.cl.ServerStats() // nil on failure: contributes nothing
+		return st
+	}, func(_ *worker, st []wire.Stat) { foldWorkerStats(&out, st) })
 	return out
 }
 

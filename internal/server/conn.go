@@ -570,14 +570,6 @@ func (c *conn) forward(subID uint32, sub *cpm.Subscription) {
 // ack queues a response ack; empty msg means success.
 func (c *conn) ack(reqID uint64, msg string) { c.send(outFrame{kind: outAck, reqID: reqID, errs: msg}) }
 
-func (c *conn) ackErr(reqID uint64, err error) {
-	if err != nil {
-		c.ack(reqID, err.Error())
-		return
-	}
-	c.ack(reqID, "")
-}
-
 // drainDiffs empties the monitor's sync-diffs buffer (caller holds monMu).
 // It drains on every mutating operation once the server is in sync mode —
 // whichever connection the operation came from — so the buffer stays
