@@ -176,9 +176,9 @@ type Options struct {
 	// PerUpdate disables batched update handling (ablation; Section 3.2
 	// semantics). Leave false for production use.
 	PerUpdate bool
-	// DropBookkeeping trades update-handling speed for memory: the
-	// per-query search heap and visit list are discarded after every
-	// search, and affected queries recompute from scratch (the paper's
+	// DropBookkeeping trades update-handling speed for memory: no
+	// per-query search heap is kept and no visit list beyond the influence
+	// region, and affected queries recompute from scratch (the paper's
 	// memory-pressure fallback).
 	DropBookkeeping bool
 	// Shards partitions the queries into N hash-partitioned worker

@@ -362,6 +362,7 @@ func runModel(o Options) (Table, error) {
 			if err := e.RegisterQuery(model.QueryID(i), q, k); err != nil {
 				return Table{}, err
 			}
+			settle(e) // builds, and counts, what the search left owing
 			visit, heap, _ := e.Bookkeeping(model.QueryID(i))
 			csh += float64(visit + heap)
 			e.RemoveQuery(model.QueryID(i))

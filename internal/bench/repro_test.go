@@ -21,7 +21,6 @@ var reproAllow = map[gateLoss]string{
 	{"fig6.1", "32^2", "cells", YPK}: "YPK-CNN 17.9, SEA-CNN 14.7 cells/query/tick",
 	// Sparse data and large k: the losses ROADMAP item 3 is about.
 	{"fig6.2a", "10K", "cpu", CPM}: "CPM 150 ms, YPK-CNN 145 ms; won 110 against 123",
-	{"fig6.6a", "10K", "cpu", CPM}: "CPM 108 ms, YPK-CNN 89 ms",
 	{"fig6.3a", "256", "cpu", CPM}: "CPM 3 518 ms, YPK-CNN 2 368 ms",
 }
 

@@ -288,8 +288,13 @@ func (c *Coordinator) logf(format string, args ...any) {
 // Bootstrap loads the initial object population into the mirror and every
 // worker. Call once, before registering queries, like cpm.Monitor's: a
 // non-finite position is dropped from the mirror and counted in
-// InvalidUpdates, as each worker drops it.
+// InvalidUpdates, as each worker drops it. On a coordinator that holds
+// objects it panics as a monitor does, before it touches the mirror or any
+// worker: every worker would refuse the call and fall out of sync.
 func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
+	if len(c.objs) > 0 {
+		panic("cluster: Bootstrap on a non-empty coordinator")
+	}
 	c.beginOp()
 	c.objs = maps.Clone(objs)
 	if c.objs == nil {

@@ -1,10 +1,14 @@
 package cluster_test
 
 import (
+	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"cpm"
+	"cpm/client"
 	"cpm/internal/cluster"
 	"cpm/internal/model"
 	"cpm/internal/server"
@@ -133,4 +137,75 @@ func TestWorkerKilledMidTick(t *testing.T) {
 	}
 	release()
 	<-killed
+}
+
+// TestSecondBootstrapRejected: a coordinator that holds a population
+// refuses a second Bootstrap as a monitor does. Through a front server the
+// client gets the error a monitor behind a server gives, and the
+// coordinator refuses before it touches its mirror or any worker: no worker
+// desyncs, and the next tick answers from the first population.
+func TestSecondBootstrapRejected(t *testing.T) {
+	coord, procs := startCluster(t, 2, 5*time.Second)
+	front := server.New(coord, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.Serve(ln)
+	t.Cleanup(func() { front.Close() })
+	dial := func(addr string) *client.Client {
+		t.Helper()
+		cl, err := client.Dial(addr, client.Options{SyncDiffs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	viaCoord, viaMonitor := dial(ln.Addr().String()), dial(startWorker(t, "127.0.0.1:0").addr)
+
+	wl := testWorkload(t)
+	first := wl.InitialObjects()
+	second := map[cpm.ObjectID]cpm.Point{0: {X: 0.5, Y: 0.5}, 1: {X: 0.25, Y: 0.75}}
+	var refusals []error
+	for _, cl := range []*client.Client{viaCoord, viaMonitor} {
+		if err := cl.Bootstrap(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.RegisterQuery(1, cpm.Point{X: 0.4, Y: 0.6}, 5); err != nil {
+			t.Fatal(err)
+		}
+		refusals = append(refusals, cl.Bootstrap(second))
+	}
+	if refusals[0] == nil || refusals[1] == nil || refusals[0].Error() != refusals[1].Error() {
+		t.Fatalf("second Bootstrap: coordinator %v, monitor %v; want the monitor's error from both", refusals[0], refusals[1])
+	}
+	if !strings.Contains(refusals[0].Error(), "bootstrap rejected: population already loaded") {
+		t.Fatalf("second Bootstrap: %v", refusals[0])
+	}
+
+	o := newOracle(first)
+	b := wl.Advance()
+	o.apply(b)
+	if err := viaCoord.Tick(b); err != nil {
+		t.Fatal(err)
+	}
+	if n := metric(t, coord, "cpm_coord_worker_desyncs_total"); n != 0 {
+		t.Fatalf("%d worker desyncs after a refused Bootstrap, want 0", n)
+	}
+	if n := coord.ObjectCount(); n != len(o.objs) {
+		t.Fatalf("the mirror holds %d objects, the first population after a tick %d", n, len(o.objs))
+	}
+	for i, p := range procs {
+		if n := p.mon.ObjectCount(); n != len(o.objs) {
+			t.Fatalf("worker %d holds %d objects, want %d", i, n, len(o.objs))
+		}
+	}
+	got, err := viaCoord.Result(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := o.topK(cpm.Point{X: 0.4, Y: 0.6}, 5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("result after the refused Bootstrap %v, oracle %v", got, want)
+	}
 }

@@ -42,10 +42,11 @@ type Options struct {
 	// outgoing NNs before any re-computation is triggered.
 	PerUpdate bool
 
-	// DropBookkeeping discards the search heap and visit list after every
-	// search, as the paper suggests under memory pressure (end of Section
-	// 3.3). Result maintenance then falls back to NN computation from
-	// scratch whenever re-computation would have run.
+	// DropBookkeeping keeps no search heap and no visit list beyond the
+	// influence prefix, as the paper suggests under memory pressure (end
+	// of Section 3.3): the install step builds the prefix alone. Result
+	// maintenance then falls back to NN computation from scratch whenever
+	// re-computation would have run.
 	DropBookkeeping bool
 }
 
@@ -72,14 +73,16 @@ type Engine struct {
 	//
 	// Each query is installed or pending. An installed query's entries in
 	// infl are exactly its visit[:influenceEnd]. A search from scratch
-	// (compute, evaluateRange, Reindex) builds that prefix without writing
-	// infl and leaves the query pending: queued on pending, once, with no
-	// entries. installPending writes the entries of every pending query the
-	// open cycle does not rebuild or remove, and the readers of infl run it
+	// (compute, evaluateRange) and Reindex leave the query pending: queued
+	// on pending, once, with no entries. A k-NN search from scratch finds
+	// best_NN only and leaves the query owing the rest of its book-keeping
+	// (query.owes). installPending builds what a pending query owes
+	// (reindexQuery) and writes the entries of every pending query the open
+	// cycle does not rebuild or remove, and the readers of infl run it
 	// first. The paper's moving query is a termination plus a fresh search
 	// (Section 3.3), and the cycle's ignore set skips it while it has an
-	// update in the batch, so a query that moves every cycle never writes
-	// entries that nobody reads.
+	// update in the batch, so a query that moves every cycle never builds
+	// book-keeping or writes entries that nobody reads.
 	infl    *grid.Influence
 	pending []*query
 
@@ -188,9 +191,13 @@ type query struct {
 	// is installed. pending says the query is not (see Engine.infl): the
 	// slot is on the engine's pending list. The flag outlives the query, so
 	// a parked slot that is still on the list stays there only once when it
-	// is re-armed.
+	// is re-armed. owes says a search from scratch left the query best_NN
+	// and the cells it scanned, and no influence prefix or leftover search
+	// state: installPending builds them. clearInfluence lowers it, so a slot
+	// removed while pending has nothing rebuilt.
 	influenceEnd int
 	pending      bool
+	owes         bool
 	// heap and fronts are the leftover search state of the last search:
 	// heap the cells en-heaped but not de-heaped, fronts the strip each
 	// direction reaches next (search.go) — the entries with key ≥
@@ -315,7 +322,8 @@ func (e *Engine) install(qu *query) {
 }
 
 // evaluate computes the query's result from scratch at its current
-// definition and leaves the query pending.
+// definition and leaves the query pending (a k-NN query owing its
+// book-keeping).
 func (e *Engine) evaluate(qu *query) {
 	e.clearInfluence(qu)
 	e.queue(qu)
@@ -471,7 +479,9 @@ func (e *Engine) LastPhases() model.PhaseNanos { return e.phases }
 // visit-list length, the leftover heap length, and the influence-region
 // prefix length. Their sum corresponds to the paper's C_SH + C_inf terms;
 // the analysis validation experiment compares them against the Section 4.1
-// estimates.
+// estimates. A query that a search from scratch left pending owes its
+// book-keeping until the install step (see Engine.infl): it reports the
+// cells the search scanned, no heap and no prefix.
 func (e *Engine) Bookkeeping(id model.QueryID) (visit, heap, influence int) {
 	qu := e.lookup(id, 0)
 	if qu == nil {
@@ -490,11 +500,13 @@ func (e *Engine) MemoryFootprint() int64 {
 
 // QueryMemoryUnits returns the engine's own share of the Section 4.1 memory
 // model, excluding the grid term: Σ influence prefixes (the entries an
-// installed query holds and a pending one will) plus, per query, 3 units
-// for id and coordinates, 2·k for the result and 3 per visit-list or heap
-// entry (+4 boundary boxes live in the heap itself); a range query counts
-// for its disk cover alone, a parked slot for nothing. A sharded monitor
-// sums this over its engines and adds the shared grid term once.
+// installed query holds) plus, per query, 3 units for id and coordinates,
+// 2·k for the result and 3 per visit-list or heap entry (+4 boundary boxes
+// live in the heap itself); a range query counts for its disk cover alone,
+// a parked slot for nothing. A query that owes its book-keeping (see
+// Engine.infl) holds no prefix and no heap, so it counts for its scanned
+// cells only. A sharded monitor sums this over its engines and adds the
+// shared grid term once.
 func (e *Engine) QueryMemoryUnits() int64 {
 	var units int64
 	for _, qu := range e.ids {
@@ -523,15 +535,24 @@ func (e *Engine) Watched() *grid.CellSet {
 
 // installPending writes the influence prefix of every pending query into
 // the index, except the queries the open cycle rebuilds or removes
-// (ignoreMark), which stay pending. It is the one place where a pending
-// query enters the index; BeginCycle, Watched, ScanApplied and Reindex run
-// it, so the index is complete wherever it is read.
+// (ignoreMark), which stay pending. A query that owes its book-keeping
+// gets it first, from the replay that Reindex runs (reindexQuery); the
+// cells the replay adds to the ones its search scanned count as cell
+// accesses, the empty scans the search passed by, so an installed query
+// costs the cells it cost before searches skipped them. It is the one place
+// where a pending query enters the index; BeginCycle, Watched, ScanApplied
+// and Reindex run it, so the index is complete wherever it is read.
 func (e *Engine) installPending() {
 	keep := e.pending[:0]
 	for _, qu := range e.pending {
 		if qu.ignoreMark == e.batchGen {
 			keep = append(keep, qu)
 			continue
+		}
+		if qu.owes {
+			scanned := len(qu.visit)
+			e.reindexQuery(qu)
+			e.stats.CellAccesses += int64(len(qu.visit) - scanned)
 		}
 		for _, ve := range qu.visit[:qu.influenceEnd] {
 			e.infl.AddUnchecked(ve.cell, qu.h)
@@ -568,11 +589,12 @@ func (e *Engine) setInfluenceEnd(qu *query, end int) {
 }
 
 // clearInfluence drops the query's influence prefix, from the index too if
-// the query is installed, and resets its book-keeping.
+// the query is installed, and resets its book-keeping: the query owes none.
 func (e *Engine) clearInfluence(qu *query) {
 	e.setInfluenceEnd(qu, 0)
 	qu.visit, qu.ordered = qu.visit[:0], 0
 	qu.resetSearch()
+	qu.owes = false
 }
 
 // partitionFor builds the conceptual partitioning around the query's

@@ -140,7 +140,11 @@ func stillBatch(t *testing.T, e *testEngine, w *world, label string) {
 // TestMovedQueriesStayPending: queries moved in every batch are rebuilt
 // before anything reads their lists, so they never write them: the index
 // stays empty and the pending list holds each query once, however often it
-// moved. One batch without a move then installs exactly the prefixes.
+// moved. A moved k-NN query never builds its book-keeping either: it owes
+// it, and holds no visit entry beyond the cells its search scanned, no
+// leftover search state and no prefix; a batch's cell accesses are the
+// cells its searches scanned. One batch without a move then installs
+// exactly the prefixes.
 func TestMovedQueriesStayPending(t *testing.T) {
 	for _, opts := range engineModes {
 		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) {
@@ -149,9 +153,29 @@ func TestMovedQueriesStayPending(t *testing.T) {
 				label := fmt.Sprintf("moving batch %d", batch)
 				b := w.randomBatch(60, opts.PerUpdate)
 				moveTenants(w, &b, live, allTenants(live)...)
+				before := e.Stats().CellAccesses
 				e.ProcessBatch(b)
 				if n := e.infl.Entries(); n != 0 {
 					t.Fatalf("%s: %d influence entries, want 0", label, n)
+				}
+				var visits int64
+				for id, qu := range e.ids {
+					visits += int64(len(qu.visit))
+					if qu.h&rangeBit != 0 {
+						continue
+					}
+					if !qu.owes || qu.influenceEnd != 0 || qu.leftover() != 0 {
+						t.Fatalf("%s: moved query %d owes %v, prefix %d, leftover %d; want owing, 0, 0",
+							label, id, qu.owes, qu.influenceEnd, qu.leftover())
+					}
+					for _, ve := range qu.visit {
+						if e.g.Len(ve.cell) == 0 {
+							t.Fatalf("%s: moved query %d holds the empty cell %d, which its search passed by", label, id, ve.cell)
+						}
+					}
+				}
+				if n := e.Stats().CellAccesses - before; n != visits {
+					t.Fatalf("%s: %d cell accesses, the searches' visit lists hold %d", label, n, visits)
 				}
 				if n := checkStates(t, e, label); n != len(live) || len(e.pending) != len(live) {
 					t.Fatalf("%s: %d queries pending, %d listed, want %d", label, n, len(e.pending), len(live))

@@ -15,7 +15,7 @@ package core
 //
 // In DropBookkeeping mode the stored state does not exist, so the paper's
 // fallback applies: compute from scratch, which leaves the query pending
-// like a moved one.
+// and owing its book-keeping like a moved one.
 func (e *Engine) recompute(qu *query) {
 	if e.opts.DropBookkeeping {
 		e.evaluate(qu)
@@ -44,7 +44,7 @@ func (e *Engine) recompute(qu *query) {
 		// heap (Figure 3.6 lines 7–8). Popped and joining parked cells
 		// append to the visit list, extending it for future replays.
 		part := e.partitionFor(qu.def)
-		e.traverse(qu, &part, true)
+		e.traverse(qu, &part, resume)
 		processed = len(qu.visit)
 	}
 

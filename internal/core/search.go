@@ -11,11 +11,13 @@ import (
 
 // compute is the NN Computation module (paper Figure 3.4), extended to
 // aggregate and constrained queries (Section 5). It computes the query's
-// result from scratch, rebuilding the visit list, the leftover search heap
-// and the influence prefix. It runs from evaluate, on a query whose
-// book-keeping is cleared and which is pending, so it writes no influence
-// entry: installPending does, if the query is still kept when the index is
-// next read.
+// result from scratch, best_NN and nothing else: it runs from evaluate, on
+// a query whose book-keeping is cleared and which is pending, and leaves it
+// owing its book-keeping (query.owes). The visit list holds only the cells
+// the search scanned, there is no influence prefix and no leftover search
+// state. installPending rebuilds all three (reindexQuery) if the query is
+// still kept when the index is next read; a query that moves again first
+// never builds them.
 //
 // The search visits cells in ascending key order — key being mindist(c,q)
 // for point queries and amindist(c,Q) for aggregate ones — which makes the
@@ -27,38 +29,46 @@ import (
 //
 // Only cells that hold objects go through the heap; the strips wait beside
 // it, one per direction (front). An empty cell cannot change best_dist, so
-// when it is scanned does not matter, only whether: the traversal parks it
-// and settles it once best_dist is final (unpark). On a sparse grid most
-// of the cells inside best_dist are empty, so the heap traffic follows the
+// the search passes it by before computing its key. On a sparse grid most
+// of the cells inside best_dist are empty, so the search's cost follows the
 // objects, not the area searched.
 func (e *Engine) compute(qu *query) {
 	e.stats.FullSearches++
 	qu.best.reset()
 
 	part := e.partitionFor(qu.def)
-	e.seedHeap(qu, &part, true)
-	e.traverse(qu, &part, true)
-	e.finishSearch(qu, len(qu.visit))
-
-	if e.opts.DropBookkeeping {
-		// Memory-pressure mode (end of Section 3.3): discard the search
-		// state, keeping only the influence prefix that update handling
-		// needs for notification and shrinking.
-		qu.visit = qu.visit[:qu.influenceEnd]
-		qu.ordered = min(qu.ordered, qu.influenceEnd)
-		qu.resetSearch()
-	}
+	e.seedHeap(qu, &part, fresh)
+	e.traverse(qu, &part, fresh)
+	qu.resetSearch() // lacks the empty cells; the install replay rebuilds it
+	qu.owes = true
 }
+
+// walk says what a traversal is for: a search from scratch (fresh), the
+// heap continuation of a re-computation (resume) or the replay that
+// rebuilds an exact result's book-keeping (replay).
+type walk uint8
+
+const (
+	// fresh scans the cells that hold objects and passes the empty ones
+	// by: it builds best_NN only (compute).
+	fresh walk = iota
+	// resume scans the cells that hold objects and parks the empty ones
+	// for unpark, which keeps them in the book-keeping (recompute).
+	resume
+	// replay scans nothing and parks every cell; its bound, the exact
+	// best_dist, is inclusive (reindexQuery).
+	replay
+)
 
 // seedHeap performs lines 3–5 of Figure 3.4: en-heap the center block's
 // cells (the single cell c_q, or every cell intersecting the MBR M for an
-// aggregate query) and the level-zero strip of each direction. scan is
-// traverse's: false parks every cell.
-func (e *Engine) seedHeap(qu *query, part *conc.Partition, scan bool) {
+// aggregate query) and the level-zero strip of each direction, as mode
+// sends cells (pushCell).
+func (e *Engine) seedHeap(qu *query, part *conc.Partition, mode walk) {
 	b := part.Block()
 	for row := b.RowLo; row <= b.RowHi; row++ {
 		for col := b.ColLo; col <= b.ColHi; col++ {
-			e.pushCell(qu, e.g.Index(col, row), e.g.CellRect(col, row), scan)
+			e.pushCell(qu, e.g.Index(col, row), e.g.CellRect(col, row), mode)
 		}
 	}
 	for _, dir := range conc.Dirs {
@@ -70,7 +80,7 @@ func (e *Engine) seedHeap(qu *query, part *conc.Partition, scan bool) {
 // rectangles along a strip share their extent across it, and each starts
 // along it where the last one ended, so one grid line per cell gives them
 // all — the same lines CellRect would compute.
-func (e *Engine) expand(qu *query, part *conc.Partition, s conc.Strip, scan bool) {
+func (e *Engine) expand(qu *query, part *conc.Partition, s conc.Strip, mode walk) {
 	fixed, lo, hi := part.CellSpan(s)
 	if lo > hi {
 		return
@@ -82,7 +92,7 @@ func (e *Engine) expand(qu *query, part *conc.Partition, s conc.Strip, scan bool
 		c, step, rect = g.Index(lo, fixed), 1, g.CellRect(lo, fixed)
 	}
 	for v := lo; ; v, c = v+1, c+step {
-		e.pushCell(qu, c, rect, scan)
+		e.pushCell(qu, c, rect, mode)
 		if v == hi {
 			return
 		}
@@ -94,16 +104,17 @@ func (e *Engine) expand(qu *query, part *conc.Partition, s conc.Strip, scan bool
 	}
 }
 
-// pushCell en-heaps cell c of extent rect unless the constraint prunes it —
-// or, if the cell holds no objects or the traversal scans none (scan
-// false), parks it with its key on the engine's parked run for unpark to
-// settle.
-func (e *Engine) pushCell(qu *query, c grid.CellIndex, rect geom.Rect, scan bool) {
-	if qu.def.prunesRect(rect) {
+// pushCell en-heaps cell c of extent rect unless the constraint prunes it.
+// A cell that holds no objects, and under replay every cell, is parked
+// with its key on the engine's parked run for unpark to settle instead —
+// except by a fresh search, which drops an empty cell before its key.
+func (e *Engine) pushCell(qu *query, c grid.CellIndex, rect geom.Rect, mode walk) {
+	park := mode == replay || e.g.Len(c) == 0
+	if park && mode == fresh || qu.def.prunesRect(rect) {
 		return
 	}
 	key := qu.def.minDist(rect)
-	if !scan || e.g.Len(c) == 0 {
+	if park {
 		e.parked = append(e.parked, visitEntry{cell: c, key: key})
 		return
 	}
@@ -194,17 +205,17 @@ func stripCanReach(dir conc.Dir, rect, constraint geom.Rect) bool {
 
 // traverse is the de-heaping loop shared by computation (Figure 3.4 lines
 // 7–17), the heap-continuation phase of re-computation (Figure 3.6 line 8)
-// and Reindex. It takes the least of the heap's top cell and the strip
-// fronts, stops — leaving heap and fronts intact for future
+// and the book-keeping replay. It takes the least of the heap's top cell
+// and the strip fronts, stops — leaving heap and fronts intact for future
 // re-computations — as soon as that entry cannot improve the result, then
 // settles the parked cells (unpark).
 //
-// With scan set it is the paper's search: de-heaped cells are scanned and
-// the bound best_dist tightens as it goes; it stops at a key ≥ best_dist.
-// With scan unset it is Reindex's replay on a new geometry: the result is
-// already exact, no object is read, every cell is parked and the bound,
-// the query's best_dist, is inclusive (see reindexQuery).
-func (e *Engine) traverse(qu *query, part *conc.Partition, scan bool) {
+// A search (fresh or resume) is the paper's: de-heaped cells are scanned
+// and the bound best_dist tightens as it goes; it stops at a key ≥
+// best_dist. A replay runs on an exact result: no object is read, every
+// cell is parked and the bound, the query's best_dist, is inclusive (see
+// reindexQuery).
+func (e *Engine) traverse(qu *query, part *conc.Partition, mode walk) {
 	from := len(qu.visit)
 	d := qu.nextFront() // changes only when a strip is expanded
 	for {
@@ -212,16 +223,16 @@ func (e *Engine) traverse(qu *query, part *conc.Partition, scan bool) {
 		top, ok := qu.heap.Min()
 		if d >= 0 && (!ok || qu.fronts[d].key < top.Key) {
 			f := qu.fronts[d]
-			if beyond(f.key, bound, scan) {
+			if beyond(f.key, bound, mode) {
 				break
 			}
 			s := conc.Strip{Dir: conc.Dir(d), Level: f.level}
-			e.expand(qu, part, s, scan)
+			e.expand(qu, part, s, mode)
 			e.setFront(qu, part, conc.Strip{Dir: s.Dir, Level: s.Level + 1})
 			d = qu.nextFront()
 			continue
 		}
-		if !ok || beyond(top.Key, bound, scan) {
+		if !ok || beyond(top.Key, bound, mode) {
 			break
 		}
 		qu.heap.Pop()
@@ -230,23 +241,23 @@ func (e *Engine) traverse(qu *query, part *conc.Partition, scan bool) {
 		e.scanCell(qu, c)
 		qu.visit = append(qu.visit, visitEntry{cell: c, key: top.Key})
 	}
-	e.unpark(qu, from, scan)
+	e.unpark(qu, from, mode)
 }
 
 // beyond reports whether key is past the traversal's bound: at or above
-// best_dist for a search, above it for a Reindex replay.
-func beyond(key, bound float64, scan bool) bool {
-	return key > bound || scan && key == bound
+// best_dist for a search, above it for a replay.
+func beyond(key, bound float64, mode walk) bool {
+	return key > bound || mode != replay && key == bound
 }
 
 // unpark settles the cells a traversal parked, now that best_dist is
 // final. A parked cell the traversal would have de-heaped — its key not
 // beyond the bound — joins the visit list, and with it the influence
 // prefix, so an object that later enters it triggers the query exactly as
-// before; for a search it also counts as the cell access its (empty) scan
-// would have been. Every other parked cell goes onto the leftover heap,
-// where a re-computation's continuation finds it as if it had been pushed
-// there.
+// before; for a re-computation it also counts as the cell access its
+// (empty) scan would have been. Every other parked cell goes onto the
+// leftover heap, where a re-computation's continuation finds it as if it
+// had been pushed there.
 // (A heap-only search also de-heaps an empty cell whose key equals the
 // final best_dist if it reaches the cell before best_dist falls to it;
 // such a cell stays on the leftover heap here. Only an object exactly at
@@ -256,11 +267,11 @@ func beyond(key, bound float64, scan bool) bool {
 // entry on, unordered; their keys all lie within best_dist, so the
 // influence prefix is still computable without order (finishSearch), and
 // orderVisit sorts the tail when a reader first needs it.
-func (e *Engine) unpark(qu *query, from int, scan bool) {
+func (e *Engine) unpark(qu *query, from int, mode walk) {
 	bound := qu.best.kthDist()
 	joined := len(qu.visit)
 	for _, pc := range e.parked {
-		if beyond(pc.key, bound, scan) {
+		if beyond(pc.key, bound, mode) {
 			qu.heap.Push(pc.key, cellPayload(pc.cell))
 			e.stats.HeapOps++
 			continue
@@ -269,7 +280,7 @@ func (e *Engine) unpark(qu *query, from int, scan bool) {
 	}
 	e.parked = e.parked[:0]
 	joined = len(qu.visit) - joined
-	if scan {
+	if mode == resume {
 		e.stats.CellAccesses += int64(joined)
 	}
 	switch {
@@ -303,11 +314,11 @@ func (e *Engine) scanCell(qu *query, c grid.CellIndex) {
 
 // finishSearch sets the influence prefix to the influence region: the
 // prefix of the visit list with key ≤ best_dist, capped at processedEnd,
-// the entries the search scanned. An installed query (re-computation) gains
-// and loses the difference to its previous prefix in the index; a pending
-// one (computation from scratch) writes nothing. An unordered tail is the
-// one the search just built, whose keys all lie within best_dist (unpark),
-// so it needs no sorting here.
+// the entries the search scanned, and writes the difference to the previous
+// prefix through to the index: a re-computation's query is installed (a
+// search from scratch sets no prefix). An unordered tail is the one the
+// search just built, whose keys all lie within best_dist (unpark), so it
+// needs no sorting here.
 func (e *Engine) finishSearch(qu *query, processedEnd int) {
 	newEnd := firstGreater(qu.visit[:qu.ordered], qu.best.kthDist())
 	if newEnd == qu.ordered {

@@ -171,6 +171,10 @@ func testSlotReuse(t *testing.T, opts Options) {
 		if err := q.register(ref, id); err != nil {
 			t.Fatal(err)
 		}
+		// Both read installed: a search from scratch owes its book-keeping
+		// until the install step builds it.
+		e.installPending()
+		ref.installPending()
 		gv, gh, gi := e.Bookkeeping(id)
 		wv, wh, wi := ref.Bookkeeping(id)
 		if gv != wv || gh != wh || gi != wi {

@@ -252,15 +252,16 @@ func oracle(e *testEngine, def Def) []model.Neighbor {
 }
 
 // checkInvariants verifies the structural invariants of a query's
-// book-keeping after any operation:
+// book-keeping after any operation, once the install step has built and
+// installed what the pending queries owe:
 //   - the visit list's ordered prefix is sorted by key, and its
 //     unordered tail holds keys no smaller and within best_dist, which
 //     sortVisit puts in order;
-//   - once the pending queries are installed, influence entries exist
-//     exactly for the influence prefix;
+//   - influence entries exist exactly for the influence prefix;
 //   - every result member's current cell carries the query's influence.
 func checkInvariants(t *testing.T, e *testEngine, id model.QueryID) {
 	t.Helper()
+	e.installPending()
 	qu := e.lookup(id, 0)
 	if qu == nil {
 		t.Fatalf("query %d not installed", id)

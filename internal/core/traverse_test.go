@@ -167,23 +167,23 @@ func (e *Engine) refReindex() {
 	}
 }
 
-// TestTraversalEquivalence: the parking traversal and the heap-only
+// TestTraversalEquivalence: the engine's traversals and the heap-only
 // reference, run side by side over one grid on sparse and
-// non-power-of-two geometries, agree after compute, re-computation,
-// shrinking and Reindex on the result, on the (cell, key) sets of the visit
-// list and of the influence prefix, on the (key, payload) multiset of the
-// leftover heap (the strip fronts as the strip entries they stand for), on
-// the influence index's size and on the cell accesses
-// and objects processed; the parking visit list, once ordered, ascends.
-// The two differ only on an empty cell whose key equals the final
-// best_dist (see unpark), which random coordinates do not produce.
+// non-power-of-two geometries, agree after compute and the install step
+// that builds its book-keeping, re-computation, shrinking and Reindex on
+// the result, on the (cell, key) sets of the visit list and of the
+// influence prefix, on the (key, payload) multiset of the leftover heap
+// (the strip fronts as the strip entries they stand for), on the influence
+// index's size and on the cell accesses and objects processed; the visit
+// list, once ordered, ascends. The two differ only on a cell whose key
+// equals the final best_dist (see unpark and reindexQuery), which random
+// coordinates do not produce.
 func TestTraversalEquivalence(t *testing.T) {
 	configs := []struct{ size, objects, resize int }{
 		{16, 20, 37}, {16, 300, 5}, {23, 2000, 64},
 		{100, 20, 16}, {100, 2000, 257}, {128, 500, 77},
 		{256, 1000, 100}, {512, 20, 200}, {512, 2000, 300},
 	}
-	ks := []int{1, 3, 16, 64, 256}
 	for ci, cf := range configs {
 		t.Run(fmt.Sprintf("%d²_%dobjs", cf.size, cf.objects), func(t *testing.T) {
 			w := newWorld(int64(100 + ci))
@@ -197,27 +197,7 @@ func TestTraversalEquivalence(t *testing.T) {
 			}
 			g.EndWrites()
 			e, r := NewSharedEngine(g, Options{}), NewSharedEngine(g, Options{})
-			var defs []Def
-			for i := range 8 {
-				k := ks[(ci+i)%len(ks)]
-				c := w.randPoint()
-				switch i % 4 {
-				case 0:
-					defs = append(defs, PointQuery(c, k))
-				case 1:
-					near := func() geom.Point {
-						return geom.Point{X: c.X + 0.2*w.rng.Float64() - 0.1, Y: c.Y + 0.2*w.rng.Float64() - 0.1}
-					}
-					defs = append(defs, AggQuery([]geom.Point{near(), near(), near()}, k, geom.AggSum))
-				case 2:
-					defs = append(defs, AggQuery([]geom.Point{c, w.randPoint()}, k, geom.AggMax))
-				case 3:
-					region := geom.Rect{Lo: geom.Point{X: c.X - 0.2, Y: c.Y - 0.1}, Hi: geom.Point{X: c.X + 0.1, Y: c.Y + 0.3}}
-					def := PointQuery(w.randPoint(), k)
-					def.Constraint = &region
-					defs = append(defs, def)
-				}
-			}
+			defs := mixedDefs(w, ci, w.randPoint)
 			// step runs one operation on both engines and compares the
 			// search counters it spent and the state it left.
 			step := func(label string, onE, onR func(id model.QueryID, qe, qr *query)) {
@@ -320,6 +300,194 @@ func TestTraversalEquivalence(t *testing.T) {
 				func(_ model.QueryID, _, qr *query) { r.refRecompute(qr) })
 		})
 	}
+}
+
+// mixedDefs returns eight queries of every kind — point, sum and max
+// aggregate, constrained — with k cycling from offset through 1 to 256,
+// centred on points drawn by at.
+func mixedDefs(w *world, offset int, at func() geom.Point) []Def {
+	ks := []int{1, 3, 16, 64, 256}
+	var defs []Def
+	for i := range 8 {
+		k := ks[(offset+i)%len(ks)]
+		c := at()
+		switch i % 4 {
+		case 0:
+			defs = append(defs, PointQuery(c, k))
+		case 1:
+			near := func() geom.Point {
+				return geom.Point{X: c.X + 0.2*w.rng.Float64() - 0.1, Y: c.Y + 0.2*w.rng.Float64() - 0.1}
+			}
+			defs = append(defs, AggQuery([]geom.Point{near(), near(), near()}, k, geom.AggSum))
+		case 2:
+			defs = append(defs, AggQuery([]geom.Point{c, at()}, k, geom.AggMax))
+		case 3:
+			region := geom.Rect{Lo: geom.Point{X: c.X - 0.2, Y: c.Y - 0.1}, Hi: geom.Point{X: c.X + 0.1, Y: c.Y + 0.3}}
+			def := PointQuery(at(), k)
+			def.Constraint = &region
+			defs = append(defs, def)
+		}
+	}
+	return defs
+}
+
+// eagerCompute is compute as it stood before a search from scratch left
+// its book-keeping to the install step: the search parks the empty cells
+// and settles them itself (unpark), so it leaves the visit list, the
+// influence prefix and the leftover search state, and owes nothing.
+func (e *Engine) eagerCompute(qu *query) {
+	e.clearInfluence(qu)
+	e.queue(qu)
+	e.stats.FullSearches++
+	qu.best.reset()
+	part := e.partitionFor(qu.def)
+	e.seedHeap(qu, &part, resume)
+	e.traverse(qu, &part, resume)
+	e.finishSearch(qu, len(qu.visit))
+}
+
+// TestInstallMatchesEagerSearch: a query searched from scratch and then
+// installed holds the book-keeping the eager search (eagerCompute) leaves,
+// and the two spend the same objects processed, on random worlds from 16²
+// to 512² and on a lattice world built for ties. Either counts one cell
+// access per visit entry.
+//
+// The tie rule: a cell whose key equals the final best_dist is in the
+// installed visit list and influence prefix, because the install step's
+// replay bound is inclusive (reindexQuery). The eager search keeps such a
+// cell there only if it scanned it, before best_dist fell to its key, and
+// on the leftover heap otherwise. So the two agree on every cell below
+// best_dist; at best_dist the installed lists hold the eager ones; and a
+// query with no visit entry, heap entry or strip front at best_dist agrees
+// on everything sameSearchState compares. On random coordinates a tie
+// needs an object exactly at a cell's mindist, which does not happen; the
+// lattice world puts objects and query points on grid corners, so it does.
+func TestInstallMatchesEagerSearch(t *testing.T) {
+	configs := []struct {
+		size, objects int
+		lattice       bool
+	}{
+		{16, 20, false}, {16, 300, false}, {64, 2000, false}, {128, 500, false},
+		{256, 1000, false}, {512, 50, false}, {512, 2000, false}, {16, 120, true},
+	}
+	for ci, cf := range configs {
+		t.Run(fmt.Sprintf("%d²_%dobjs_lattice=%v", cf.size, cf.objects, cf.lattice), func(t *testing.T) {
+			w := newWorld(int64(500 + ci))
+			g := grid.NewUnit(cf.size)
+			g.SetShared(true)
+			at := w.randPoint
+			if cf.lattice {
+				at = func() geom.Point { return g.Corner(1+w.rng.Intn(cf.size-1), 1+w.rng.Intn(cf.size-1)) }
+			}
+			g.BeginWrites()
+			for id := range model.ObjectID(cf.objects) {
+				if err := g.Insert(id, at()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g.EndWrites()
+			e, r := NewSharedEngine(g, Options{}), NewSharedEngine(g, Options{})
+			defs := mixedDefs(w, ci, at)
+			for i, def := range defs {
+				for _, x := range []*Engine{e, r} {
+					if err := x.Register(model.QueryID(i), def); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			se, sr := e.Stats(), r.Stats()
+			for i := range defs {
+				e.evaluate(e.ids[model.QueryID(i)])
+				r.eagerCompute(r.ids[model.QueryID(i)])
+			}
+			e.installPending()
+			r.installPending()
+			de, dr := e.Stats().Sub(se), r.Stats().Sub(sr)
+			if de.ObjectsProcessed != dr.ObjectsProcessed {
+				t.Fatalf("%d objects processed, eager %d", de.ObjectsProcessed, dr.ObjectsProcessed)
+			}
+			var visits, eagerVisits int64
+			tied := 0
+			for i := range defs {
+				label := fmt.Sprintf("q%d", i)
+				qe, qr := e.ids[model.QueryID(i)], r.ids[model.QueryID(i)]
+				visits += int64(len(qe.visit))
+				eagerVisits += int64(len(qr.visit))
+				if tieAtBestDist(t, label, e, qe, qr) {
+					tied++
+					continue
+				}
+				sameSearchState(t, label, e, qe, qr)
+			}
+			if de.CellAccesses != visits || dr.CellAccesses != eagerVisits {
+				t.Fatalf("%d cell accesses for %d visit entries, eager %d for %d",
+					de.CellAccesses, visits, dr.CellAccesses, eagerVisits)
+			}
+			if cf.lattice && tied == 0 {
+				t.Fatal("the lattice world made no tie at best_dist")
+			}
+		})
+	}
+}
+
+// tieAtBestDist checks the tie rule of TestInstallMatchesEagerSearch for
+// one query, installed (qe) and eager (qr), and reports whether either
+// holds a visit entry, heap entry or strip front at exactly best_dist.
+func tieAtBestDist(t *testing.T, label string, e *Engine, qe, qr *query) bool {
+	t.Helper()
+	if !reflect.DeepEqual(qe.best.snapshot(), qr.best.snapshot()) {
+		t.Fatalf("%s: result %v, eager %v", label, qe.best.snapshot(), qr.best.snapshot())
+	}
+	bd := qe.best.kthDist()
+	split := func(v []visitEntry) (below, at []visitEntry) {
+		v = slices.Clone(v)
+		slices.SortFunc(v, cmpVisit)
+		for _, ve := range v {
+			switch {
+			case ve.key < bd:
+				below = append(below, ve)
+			case ve.key == bd:
+				at = append(at, ve)
+			default:
+				t.Fatalf("%s: visit entry %+v beyond best_dist %v", label, ve, bd)
+			}
+		}
+		return below, at
+	}
+	eBelow, eAt := split(qe.visit)
+	rBelow, rAt := split(qr.visit)
+	if !slices.Equal(eBelow, rBelow) {
+		t.Fatalf("%s: %d visit entries below best_dist, eager %d", label, len(eBelow), len(rBelow))
+	}
+	for _, ve := range rAt {
+		if !slices.Contains(eAt, ve) {
+			t.Fatalf("%s: the eager visit entry %+v at best_dist is not installed", label, ve)
+		}
+	}
+	if qe.influenceEnd != len(qe.visit) {
+		t.Fatalf("%s: influence prefix of %d of %d visit entries, want all", label, qe.influenceEnd, len(qe.visit))
+	}
+	for _, ve := range qr.visit[:qr.influenceEnd] {
+		if !e.infl.Has(ve.cell, qe.h) {
+			t.Fatalf("%s: the eager influence cell %d is not installed", label, ve.cell)
+		}
+	}
+	if len(eAt) > 0 || len(rAt) > 0 {
+		return true
+	}
+	for _, qu := range []*query{qe, qr} {
+		for _, it := range qu.heap.Items() {
+			if it.Key == bd {
+				return true
+			}
+		}
+		for _, f := range qu.fronts {
+			if f.live && f.key == bd {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sameSearchState compares one query's book-keeping in the parking engine

@@ -12,8 +12,9 @@ import (
 // grid's owner (internal/shard's monitor), which reads Watched after the
 // first and then applies the tick's object stream U_P to the grid:
 //
-//	BeginCycle(U_q)          stamp the queries U_q rebuilds or removes,
-//	                         install the other pending queries
+//	BeginCycle(U_q)          stamp the queries U_q rebuilds or removes and
+//	                         drop their entries, install the other pending
+//	                         queries
 //	Watched()                the cells whose updates the log must hold
 //	grid.ApplyWatched(U_P)   the owner's write window, logging what matters
 //	ScanApplied(log)         Figure 3.8: influence scans, then resolution
@@ -29,9 +30,10 @@ import (
 // Time_ind). The Section 3.2 ablation (Options.PerUpdate) is the same calls
 // with a one-update log per ScanApplied.
 //
-// A search from scratch leaves its query pending (see Engine.infl), and the
-// install step skips the queries of the open cycle's ignore set, so a query
-// that moves every cycle never enters the index or widens Watched.
+// A search from scratch leaves its query pending and owing its book-keeping
+// (see Engine.infl), and the install step skips the queries of the open
+// cycle's ignore set, so a query that moves every cycle never builds its
+// book-keeping, enters the index or widens Watched.
 // Correctness does not depend on the call order: between cycles nothing is
 // ignored, so a Watched read before BeginCycle is a superset, and an owner
 // that logs every update (grid.ApplyBatch) may apply before BeginCycle,
@@ -46,11 +48,14 @@ import (
 // and the notification window, and stamps the queries that the query
 // updates in queries will rebuild or remove so the object-update scans skip
 // them (the per-cycle "ignore" set of Figure 3.9, kept as generation marks
-// instead of a map). A query whose only update rebuilds nothing — an
-// install, an unknown kind, an invalid move — keeps following the object
-// stream. It then installs every other pending query (installPending). The
-// sharded monitor calls this on every engine before it reads Watched and
-// applies the tick's writes.
+// instead of a map). A stamped query that is installed leaves the index
+// here — the removals its move or termination makes anyway, made before
+// Watched is read — and waits pending for ApplyQueryUpdates. A query whose
+// only update rebuilds nothing — an install, an unknown kind, an invalid
+// move — keeps following the object stream. It then installs every other
+// pending query (installPending). The sharded monitor runs this on every
+// engine, each on its shard's worker, before it reads Watched and applies
+// the tick's writes.
 func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.phases = model.PhaseNanos{}
 	e.changeGen++
@@ -60,6 +65,10 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 		qu, ok := e.ids[u.ID]
 		if ok && (u.Kind == model.QueryTerminate || u.Kind == model.QueryMove && ValidMove(qu.def.Points, u.NewPoints)) {
 			qu.ignoreMark = e.batchGen
+			if !qu.pending {
+				e.clearInfluence(qu)
+				e.queue(qu)
+			}
 		}
 	}
 	e.installPending()

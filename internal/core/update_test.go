@@ -93,6 +93,9 @@ func TestShortCircuitNoGridAccess(t *testing.T) {
 	if err := e.RegisterQuery(1, q, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The install step builds the registration's book-keeping and counts
+	// its cells: they are the search's, not the update handling's.
+	e.installPending()
 	before := e.Stats().CellAccesses
 	// Object 2 moves next to q: it becomes the NN via the incomer path.
 	e.ProcessBatch(model.Batch{Objects: []model.Update{
@@ -223,6 +226,7 @@ func TestUpdateFarAwayIgnored(t *testing.T) {
 	if err := e.RegisterQuery(1, q, 2); err != nil {
 		t.Fatal(err)
 	}
+	e.installPending() // the registration's cells, counted at install
 	accBefore := e.Stats().CellAccesses
 	scBefore := e.Stats().ShortCircuits
 	e.ProcessBatch(model.Batch{Objects: []model.Update{

@@ -154,6 +154,16 @@ type Monitor interface {
 // Stats aggregates the work counters the paper reports: cell accesses
 // (Figure 6.3b counts one access per complete scan of a cell's object list)
 // plus bookkeeping that the qualitative comparison of Section 4.2 discusses.
+//
+// CPM counts a cell access for every cell a search reads the object list
+// of, and for every empty cell a query's book-keeping takes in below
+// best_dist, the scan of nothing. A search from scratch reads only cells
+// that hold objects; the install step that later builds the query's
+// book-keeping counts the cells its replay adds (core.Engine's
+// installPending), so an installed query counts its whole influence
+// region, while a query moved again before any cycle reads it counts only
+// its object lists. Rebuilding after a grid resize (Reindex) counts
+// nothing.
 type Stats struct {
 	CellAccesses     int64 // complete scans of a cell's object list
 	ObjectsProcessed int64 // objects examined during searches

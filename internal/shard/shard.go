@@ -47,7 +47,7 @@ import (
 // the worker goroutines.
 //
 // The workers are persistent: the first multi-shard ProcessBatch starts one
-// goroutine per shard, and subsequent cycles feed them the tick's write log
+// goroutine per shard, and every cycle feeds them its two stages (feedItem)
 // over per-shard channels, so a steady-state cycle spawns no goroutines and
 // performs zero heap allocations (a per-cycle `go func` closure would
 // allocate once per shard per tick). Close stops the workers; a later
@@ -98,11 +98,24 @@ type Monitor struct {
 	rebalances int64
 }
 
-// feedItem is one cycle's work for one shard: the tick's write log (shared,
-// read-only) and the query updates routed to the shard.
+// feedItem is one stage of a cycle for one shard: the opening (begin:
+// BeginCycle, which installs the shard's pending queries) or the rest (the
+// tick's write log, shared and read-only, scanned and the query updates
+// applied). queries are the updates routed to the shard.
 type feedItem struct {
+	begin   bool
 	applied []grid.Applied
 	queries []model.QueryUpdate
+}
+
+// run does the stage on the shard's engine e.
+func (it feedItem) run(e *core.Engine) {
+	if it.begin {
+		e.BeginCycle(it.queries)
+		return
+	}
+	e.ScanApplied(it.applied)
+	e.ApplyQueryUpdates(it.queries)
 }
 
 // New creates a monitor of n hash-partitioned shards over one shared
@@ -221,9 +234,9 @@ func (m *Monitor) RemoveQuery(id model.QueryID) { m.owner(id).RemoveQuery(id) }
 
 // ProcessBatch runs one processing cycle — the NN Monitoring loop of the
 // paper's Figure 3.9 — restructured around the shared grid: open the cycle
-// (the coordinator thread calls BeginCycle on every engine, so the queries
-// the tick's query updates rebuild or remove stay out of every engine's
-// Watched set, and the other pending queries are installed), apply writes
+// (every shard runs BeginCycle in parallel, so the queries the tick's query
+// updates rebuild or remove stay out of every engine's Watched set, and the
+// other pending queries get their book-keeping and are installed), apply writes
 // (the coordinator applies the object stream to the grid exactly once,
 // logging each accepted update that touches a cell some shard watches),
 // then parallel monitoring (every shard replays the log against its own
@@ -243,9 +256,7 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 		s := m.shardOf(qu.ID)
 		m.perShard[s] = append(m.perShard[s], qu)
 	}
-	for i, e := range m.shards {
-		e.BeginCycle(m.perShard[i])
-	}
+	m.stage(true)
 	if m.perUpdate {
 		m.processPerUpdate(b)
 	} else {
@@ -254,20 +265,7 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 		m.applied, invalid = m.g.ApplyWatched(b.Objects, m.applied[:0], m.watched())
 		m.invalidObjects += invalid
 		m.applyNs = time.Since(t0).Nanoseconds()
-		if len(m.shards) == 1 {
-			e := m.shards[0]
-			e.ScanApplied(m.applied)
-			e.ApplyQueryUpdates(m.perShard[0])
-		} else {
-			if m.feed == nil {
-				m.start()
-			}
-			m.wg.Add(len(m.shards))
-			for i, ch := range m.feed {
-				ch <- feedItem{applied: m.applied, queries: m.perShard[i]}
-			}
-			m.wg.Wait()
-		}
+		m.stage(false)
 	}
 	// The routed copies of the query updates hold the caller's NewPoints;
 	// drop them so the batch is collectable while the monitor idles.
@@ -277,10 +275,28 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 	m.maybeRebalance()
 }
 
+// stage runs one stage of the cycle (feedItem) on every shard and returns
+// once all are done: on the calling goroutine with one shard, on the
+// persistent workers otherwise.
+func (m *Monitor) stage(begin bool) {
+	if len(m.shards) == 1 {
+		feedItem{begin: begin, applied: m.applied, queries: m.perShard[0]}.run(m.shards[0])
+		return
+	}
+	if m.feed == nil {
+		m.start()
+	}
+	m.wg.Add(len(m.shards))
+	for i, ch := range m.feed {
+		ch <- feedItem{begin: begin, applied: m.applied, queries: m.perShard[i]}
+	}
+	m.wg.Wait()
+}
+
 // watched returns the union of the engines' watched cells
-// (core.Engine.Watched). The engines are idle — the previous tick's fan-out
-// has joined — so the coordinator may install their pending queries and
-// read the sets.
+// (core.Engine.Watched). The engines are idle — the opening stage has
+// joined and installed their pending queries — so the coordinator may read
+// the sets.
 func (m *Monitor) watched() *grid.CellSet {
 	if len(m.shards) == 1 {
 		return m.shards[0].Watched()
@@ -327,8 +343,7 @@ func (m *Monitor) start() {
 		e := m.shards[i]
 		go func() {
 			for it := range ch {
-				e.ScanApplied(it.applied)
-				e.ApplyQueryUpdates(it.queries)
+				it.run(e)
 				m.wg.Done()
 			}
 		}()
