@@ -41,6 +41,11 @@
 // neighbour; and holding one keeps its whole chunk alive, so a consumer
 // that retains results indefinitely copies what it keeps — the contract
 // of the in-process cpm.ResultEvent.
+//
+// A request's call record is recycled once its response has been copied
+// out, so a warm round trip allocates nothing of its own. The recycling
+// covers the record only: the slices of a response keep the arena
+// ownership above.
 package client
 
 import (
@@ -160,10 +165,19 @@ func (o *Options) defaults() {
 	}
 }
 
-// call is one in-flight request.
+// call is one in-flight request: the record the read loop fills and
+// signals. Records are recycled through Client.free; done is 1-buffered
+// and sent on exactly once per use, by whoever takes the record off
+// pending.
 type call struct {
 	done chan struct{}
-	err  error
+	response
+}
+
+// response is what a round trip hands back, by value: the record it came
+// in is recycled before the caller reads it.
+type response struct {
+	err error
 	// Result response (ResultReq only).
 	live bool
 	res  []cpm.Neighbor
@@ -189,6 +203,7 @@ type Client struct {
 	nextReq uint64
 	nextSub uint32
 	pending map[uint64]*call
+	free    []*call // recycled call records
 	subs    map[uint32]*Subscription
 	// instance is the server identifier from the latest Welcome.
 	instance uint64
@@ -352,7 +367,7 @@ func (c *Client) Close() error {
 func (c *Client) failPendingLocked(err error) {
 	for id, cl := range c.pending {
 		cl.err = err
-		close(cl.done)
+		cl.done <- struct{}{}
 		delete(c.pending, id)
 	}
 }
@@ -498,27 +513,38 @@ func (c *Client) await() (net.Conn, error) {
 // request id) and waits for its response. Failures before the write
 // return ErrUnsent (the request never reached the wire); failures after
 // it return plain ErrDisconnected (outcome unknown).
-func (c *Client) roundTrip(build func(dst []byte, reqID uint64) []byte) (*call, error) {
+//
+// The call record comes off the client's free list and goes back on it
+// before roundTrip returns, with the response copied out by value. The
+// response's decoded slices are not part of the record: they keep their
+// arena ownership (package doc).
+func (c *Client) roundTrip(build func(dst []byte, reqID uint64) []byte) (response, error) {
 	nc, err := c.await()
 	if err != nil {
 		if errors.Is(err, ErrDisconnected) {
-			return nil, ErrUnsent
+			return response{}, ErrUnsent
 		}
-		return nil, err
+		return response{}, err
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return response{}, ErrClosed
 	}
 	if c.nc != nc {
 		// The connection turned over while we were acquiring the lock.
 		c.mu.Unlock()
-		return nil, ErrUnsent
+		return response{}, ErrUnsent
 	}
 	c.nextReq++
 	reqID := c.nextReq
-	cl := &call{done: make(chan struct{})}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
 	c.pending[reqID] = cl
 	c.wbuf = c.wbuf[:0]
 	// Pending trace context rides ahead of the request as its own frame
@@ -544,14 +570,19 @@ func (c *Client) roundTrip(build func(dst []byte, reqID uint64) []byte) (*call, 
 	_, werr := nc.Write(c.wbuf)
 	c.mu.Unlock()
 	if werr != nil {
+		// connLost signals cl along with every other pending call; the
+		// record is left to the collector rather than recycled with a
+		// signal in its channel.
 		c.connLost(nc, werr)
-		return nil, ErrDisconnected
+		return response{}, ErrDisconnected
 	}
 	<-cl.done
-	if cl.err != nil {
-		return nil, cl.err
-	}
-	return cl, nil
+	resp := cl.response
+	cl.response = response{}
+	c.mu.Lock()
+	c.free = append(c.free, cl)
+	c.mu.Unlock()
+	return resp, resp.err
 }
 
 // ack performs a round trip whose response is a bare ack.
@@ -611,7 +642,7 @@ func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error
 		if msg != "" {
 			cl.err = errors.New(msg)
 		}
-		close(cl.done)
+		cl.done <- struct{}{}
 
 	case wire.FrameResult:
 		reqID, _, live, res, err := wire.DecodeResult(payload)
@@ -624,7 +655,7 @@ func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error
 		}
 		cl.live = live
 		cl.res = res
-		close(cl.done)
+		cl.done <- struct{}{}
 
 	case wire.FrameStats:
 		reqID, stats, err := wire.DecodeStats(payload)
@@ -636,7 +667,7 @@ func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error
 			return nil
 		}
 		cl.stats = stats
-		close(cl.done)
+		cl.done <- struct{}{}
 
 	case wire.FrameDiffs:
 		reqID, diffs, phases, err := a.DecodeDiffsPhases(payload)
@@ -649,7 +680,7 @@ func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error
 		}
 		cl.diffs = diffs
 		cl.phases = phases
-		close(cl.done)
+		cl.done <- struct{}{}
 
 	case wire.FrameTraces:
 		reqID, doc, err := wire.DecodeTraces(payload)
@@ -661,7 +692,7 @@ func (c *Client) dispatch(a *wire.Arena, t wire.FrameType, payload []byte) error
 			return nil
 		}
 		cl.traces = append([]byte(nil), doc...) // doc aliases the read buffer
-		close(cl.done)
+		cl.done <- struct{}{}
 
 	case wire.FrameEvent:
 		ev, err := a.DecodeEvent(payload)
@@ -794,11 +825,8 @@ type QueryDef = wire.Register
 // result diffs (requires Options.SyncDiffs; on a plain connection the
 // server acks and the diffs come back nil).
 func (c *Client) diffsCall(build func(dst []byte, reqID uint64) []byte) ([]cpm.ResultDiff, error) {
-	cl, err := c.roundTrip(build)
-	if err != nil {
-		return nil, err
-	}
-	return cl.diffs, nil
+	resp, err := c.roundTrip(build)
+	return resp.diffs, err
 }
 
 // SetTrace stamps the next request this client sends with distributed-
@@ -822,13 +850,10 @@ func (c *Client) SetTrace(traceID, spanID uint64) {
 // tick-phase decomposition (requires Options.Trace as well; zero phases
 // against a server without the tracing extension).
 func (c *Client) TickDiffsPhases(b cpm.Batch) ([]cpm.ResultDiff, cpm.PhaseNanos, error) {
-	cl, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
+	resp, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendTick(dst, reqID, b)
 	})
-	if err != nil {
-		return nil, cpm.PhaseNanos{}, err
-	}
-	return cl.diffs, cl.phases, nil
+	return resp.diffs, resp.phases, err
 }
 
 // ServerTraces polls the server's trace flight recorder and returns its
@@ -836,13 +861,10 @@ func (c *Client) TickDiffsPhases(b cpm.Batch) ([]cpm.ResultDiff, cpm.PhaseNanos,
 // tracing.ParseTraces). Requires Options.Trace; a server without the
 // extension rejects the request.
 func (c *Client) ServerTraces() ([]byte, error) {
-	cl, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
+	resp, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendTracesReq(dst, reqID, 0)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cl.traces, nil
+	return resp.traces, err
 }
 
 // RegisterDefDiffs installs a query from its generic wire definition and
@@ -882,13 +904,10 @@ func (c *Client) Reset() error {
 // Result polls a query's full current result, ordered by (distance, id).
 // Unknown ids yield nil, like cpm.Monitor.Result.
 func (c *Client) Result(id cpm.QueryID) ([]cpm.Neighbor, error) {
-	cl, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
+	resp, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendResultReq(dst, reqID, id)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cl.res, nil
+	return resp.res, err
 }
 
 // Stat is one named metric reading returned by ServerStats.
@@ -899,13 +918,10 @@ type Stat = wire.Stat
 // (name, value) pairs in registration order. See docs/METRICS.md for the
 // meaning of each name.
 func (c *Client) ServerStats() ([]Stat, error) {
-	cl, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
+	resp, err := c.roundTrip(func(dst []byte, reqID uint64) []byte {
 		return wire.AppendStatsReq(dst, reqID)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cl.stats, nil
+	return resp.stats, err
 }
 
 // Redial drops the current connection, letting the automatic reconnect

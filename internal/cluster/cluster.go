@@ -158,9 +158,18 @@ type Coordinator struct {
 
 	// opSpan is the hosting server's span for the operation in flight
 	// (SetOpSpan; nil when the op is untraced). Written only by the
-	// single-threaded coordinator loop; fan-out goroutines receive it by
-	// value through their closures.
+	// single-threaded coordinator loop; fan-out goroutines receive its
+	// context by value with their requests.
 	opSpan *tracing.Span
+
+	// Fan-out state the coordinator loop reuses from one operation to the
+	// next: the operations' and rebuilds' fans, the synced-worker list
+	// and the merged diffs. Nothing here is read by a worker's goroutine
+	// except what a request carries.
+	ops      *fan[opArgs, fanResult]
+	rebuilds *fan[[]resyncSnap, resyncResult]
+	targets  []*worker
+	merged   []model.ResultDiff
 
 	// Cached fleet-stats aggregation (stats.go). Guarded by its own
 	// mutex: reads arrive on the hosting server's scrape path, which the
@@ -168,6 +177,7 @@ type Coordinator struct {
 	statsMu    sync.Mutex
 	statsAt    time.Time
 	statsCache fleetStats
+	polls      *fan[struct{}, []wire.Stat]
 }
 
 // New dials every worker, wipes any state it may hold (Reset) and returns
@@ -178,13 +188,7 @@ func New(opts Options) (*Coordinator, error) {
 		return nil, errors.New("cluster: no workers")
 	}
 	opts.defaults()
-	c := &Coordinator{
-		opts:    opts,
-		met:     newCoordMetrics(len(opts.Workers)),
-		objs:    make(map[model.ObjectID]geom.Point),
-		defs:    make(map[model.QueryID]wire.Register),
-		results: make(map[model.QueryID][]model.Neighbor),
-	}
+	c := newCoordinator(opts, len(opts.Workers))
 	for i, addr := range opts.Workers {
 		w := &worker{
 			idx:         i,
@@ -236,6 +240,21 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
+// newCoordinator returns a coordinator for n workers with an empty mirror
+// and no worker connections yet.
+func newCoordinator(opts Options, n int) *Coordinator {
+	return &Coordinator{
+		opts:     opts,
+		met:      newCoordMetrics(n),
+		objs:     make(map[model.ObjectID]geom.Point),
+		defs:     make(map[model.QueryID]wire.Register),
+		results:  make(map[model.QueryID][]model.Neighbor),
+		ops:      newFan(n, runOp),
+		rebuilds: newFan(n, rebuild),
+		polls:    newFan(n, pollStats),
+	}
+}
+
 // owner returns the index of the worker a query lives on — the same
 // multiplicative hash internal/shard partitions with, so a workload's
 // balance characteristics carry over between in-process shards and
@@ -262,8 +281,10 @@ func (c *Coordinator) SyncedWorkers() int {
 // docs/CLUSTER.md). The upstream server's registry is separate.
 func (c *Coordinator) Metrics() *metrics.Registry { return c.met.reg }
 
-// Close shuts streaming down and closes every worker connection. Worker
-// state is left in place (the processes are owned by the operator).
+// Close shuts streaming down, closes every worker connection and waits
+// for the fan-out goroutines, whose calls fail once their connections
+// close. Worker state is left in place (the processes are owned by the
+// operator).
 func (c *Coordinator) Close() {
 	c.closed = true
 	if c.hub != nil {
@@ -275,6 +296,11 @@ func (c *Coordinator) Close() {
 			w.cl.Close()
 		}
 	}
+	c.ops.close()
+	c.rebuilds.close()
+	c.statsMu.Lock()
+	c.polls.close()
+	c.statsMu.Unlock()
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -306,10 +332,8 @@ func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 			c.invalid++
 		}
 	}
-	ctx := c.opSpan.Context()
-	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, error) {
-		stampTrace(ctx, w)
-		return nil, w.cl.Bootstrap(objs)
+	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+		return noPhases(nil, w.cl.Bootstrap(objs))
 	})
 	c.finishDiffs(nil)
 }
@@ -321,45 +345,31 @@ func (c *Coordinator) Tick(b model.Batch) {
 	start := time.Now()
 	c.beginOp()
 	c.applyBatchToMirror(b)
-	per := c.partition(b)
-	sp := c.opSpan
-	ctx := sp.Context()
-	// Per-worker phase reports land here from the fan-out goroutines; the
-	// mutex (not plain indexed writes) keeps the read below safe against a
-	// timed-out straggler still finishing its call. The spans themselves
-	// are laid after the fan-out, on this thread, while sp is still live —
+	targets := c.synced()
+	c.partition(b, targets)
+	diffs, _ := c.fanOut(targets, true, tickWorker)
+	// The phase spans are laid here, on the loop, while sp is still live:
 	// a straggler completing after sp.Finish would otherwise touch a
 	// recycled span.
-	var phMu sync.Mutex
-	phases := make([]model.PhaseNanos, len(c.workers))
-	starts := make([]time.Time, len(c.workers))
-	diffs, _ := c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, error) {
-		stampTrace(ctx, w)
-		t0 := time.Now()
-		d, ph, err := w.cl.TickDiffsPhases(per[w.idx])
-		if err == nil {
-			phMu.Lock()
-			phases[w.idx] = ph
-			starts[w.idx] = t0
-			phMu.Unlock()
-		}
-		return d, err
-	})
+	sp := c.opSpan
 	var agg model.PhaseNanos
-	phMu.Lock()
-	for i, ph := range phases {
-		agg.MaxOf(ph)
-		if !starts[i].IsZero() {
-			workerPhaseSpans(sp, i, starts[i], ph)
+	for _, w := range targets {
+		agg.MaxOf(w.phases)
+		if !w.phasesAt.IsZero() {
+			workerPhaseSpans(sp, w.idx, w.phasesAt, w.phases)
 		}
 	}
-	phMu.Unlock()
 	c.lastPhases = agg
 	msp := sp.Child("merge")
 	c.finishDiffs(diffs)
 	msp.Finish()
 	c.cycles++
 	c.lastCycleNs = time.Since(start).Nanoseconds()
+}
+
+// tickWorker is a Tick's call on one worker: its share of the batch.
+func tickWorker(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return w.cl.TickDiffsPhases(w.batch)
 }
 
 // RegisterQuery installs a conventional k-NN query on its owner worker.
@@ -400,13 +410,11 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 		return fmt.Errorf("cluster: query %d: %w", def.ID, err)
 	}
 	w := c.workers[c.owner(def.ID)]
-	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
 	if w.synced {
 		var appErr error
-		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, error) {
-			stampTrace(ctx, w)
-			return w.cl.RegisterDefDiffs(def)
+		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+			return noPhases(w.cl.RegisterDefDiffs(def))
 		})
 		if appErr != nil {
 			return appErr
@@ -453,13 +461,11 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 		return fmt.Errorf("cluster: invalid move of query %d (%d points) to %v", id, len(def.Points), to)
 	}
 	w := c.workers[c.owner(id)]
-	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
 	if w.synced {
 		var appErr error
-		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, error) {
-			stampTrace(ctx, w)
-			return w.cl.MoveQueryDiffs(id, to...)
+		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+			return noPhases(w.cl.MoveQueryDiffs(id, to...))
 		})
 		if appErr != nil {
 			return appErr
@@ -481,12 +487,10 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 		return
 	}
 	w := c.workers[c.owner(id)]
-	ctx := c.opSpan.Context()
 	var diffs []model.ResultDiff
 	if w.synced {
-		diffs, _ = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, error) {
-			stampTrace(ctx, w)
-			return w.cl.RemoveQueryDiffs(id)
+		diffs, _ = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+			return noPhases(w.cl.RemoveQueryDiffs(id))
 		})
 	}
 	if len(diffs) == 0 {
@@ -501,10 +505,8 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 // every installed query, matching cpm.Monitor.Reset.
 func (c *Coordinator) Reset() {
 	c.beginOp()
-	ctx := c.opSpan.Context()
-	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, error) {
-		stampTrace(ctx, w)
-		return nil, w.cl.Reset()
+	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+		return noPhases(nil, w.cl.Reset())
 	})
 	removes := make([]model.ResultDiff, 0, len(c.defs))
 	for _, id := range sortedIDs(c.defs) {
@@ -687,19 +689,20 @@ func (c *Coordinator) applyBatchToMirror(b model.Batch) {
 	}
 }
 
-// partition splits a tick batch into per-worker batches: all object
-// updates to everyone, each query update to its owner — internal/shard's
-// routing, over the wire.
-func (c *Coordinator) partition(b model.Batch) []model.Batch {
-	per := make([]model.Batch, len(c.workers))
-	for i := range per {
-		per[i].Objects = b.Objects
+// partition splits a tick batch into the batches of the synced targets:
+// all object updates to each, each query update to its owner —
+// internal/shard's routing, over the wire. An out-of-sync worker's batch
+// is left alone: a call abandoned at the deadline may still read it.
+func (c *Coordinator) partition(b model.Batch, targets []*worker) {
+	for _, w := range targets {
+		w.batch.Objects = b.Objects
+		w.batch.Queries = w.batch.Queries[:0]
 	}
 	for _, qu := range b.Queries {
-		o := c.owner(qu.ID)
-		per[o].Queries = append(per[o].Queries, qu)
+		if w := c.workers[c.owner(qu.ID)]; w.synced {
+			w.batch.Queries = append(w.batch.Queries, qu)
+		}
 	}
-	return per
 }
 
 // finishDiffs folds one operation's merged diffs into the results mirror,

@@ -30,7 +30,7 @@ type workerProc struct {
 
 // startWorker serves a fresh monitor on addr ("127.0.0.1:0" for a new
 // port, an explicit address to restart a killed worker on its old one).
-func startWorker(t *testing.T, addr string) *workerProc {
+func startWorker(t testing.TB, addr string) *workerProc {
 	t.Helper()
 	mon := cpm.NewMonitor(cpm.Options{GridSize: 16})
 	srv := server.New(mon, server.Options{})
@@ -53,7 +53,7 @@ func (p *workerProc) kill() {
 
 // startCluster brings up n workers and a coordinator over them, with
 // timeouts short enough that failure paths run in test time.
-func startCluster(t *testing.T, n int, opTimeout time.Duration) (*cluster.Coordinator, []*workerProc) {
+func startCluster(t testing.TB, n int, opTimeout time.Duration) (*cluster.Coordinator, []*workerProc) {
 	t.Helper()
 	procs := make([]*workerProc, n)
 	addrs := make([]string, n)

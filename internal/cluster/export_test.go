@@ -17,3 +17,11 @@ func (c *Coordinator) WaitWorkerIdle(i int) {
 	c.workers[i].mu.Lock()
 	c.workers[i].mu.Unlock()
 }
+
+// HoldWorker takes worker i's link mutex, so the next call to it stalls
+// before it reads anything its operation handed it, until release runs.
+// Test-only.
+func (c *Coordinator) HoldWorker(i int) (release func()) {
+	c.workers[i].mu.Lock()
+	return c.workers[i].mu.Unlock
+}

@@ -14,6 +14,7 @@ import (
 	"cpm/internal/geom"
 	"cpm/internal/metrics"
 	"cpm/internal/model"
+	"cpm/internal/tracing"
 	"cpm/internal/wire"
 )
 
@@ -82,6 +83,17 @@ type worker struct {
 	health   Health
 	cleanOps int
 
+	// batch is the worker's share of the tick in flight (partition). The
+	// loop rewrites it only while the worker is synced: a call abandoned
+	// at the deadline may still be about to encode it, and an abandoned
+	// worker is out of sync until a rebuild has taken its mutex.
+	batch model.Batch
+	// phases and phasesAt are the tick-phase report of the worker's
+	// answer to the last fan-out and when that call started; phasesAt
+	// is zero if it did not answer (coordinator loop only).
+	phases   model.PhaseNanos
+	phasesAt time.Time
+
 	rtt        *metrics.Histogram
 	reconnects *metrics.Counter
 	healthG    *metrics.Gauge
@@ -92,15 +104,16 @@ var (
 	errInstanceChanged = errors.New("server instance changed (worker restart)")
 )
 
-// synced returns the workers currently holding exact state.
+// synced returns the workers currently holding exact state, in a buffer
+// the coordinator reuses: it is valid until the next call.
 func (c *Coordinator) synced() []*worker {
-	out := make([]*worker, 0, len(c.workers))
+	c.targets = c.targets[:0]
 	for _, w := range c.workers {
 		if w.synced {
-			out = append(out, w)
+			c.targets = append(c.targets, w)
 		}
 	}
-	return out
+	return c.targets
 }
 
 // beginOp is the prologue of every mutating operation: demote workers
@@ -116,51 +129,191 @@ func (c *Coordinator) beginOp() {
 	c.resync()
 }
 
-// gather runs call against every target concurrently and hands each
-// answer to take on the calling goroutine, until every target has
-// answered or timeout (none when not positive) runs out. It returns the
-// targets still unanswered then; their calls are abandoned, not stopped.
-func gather[T any](targets []*worker, timeout time.Duration, call func(*worker) T, take func(*worker, T)) (late []*worker) {
-	type answer struct {
-		w *worker
-		v T
+// fan is the reusable state of one fan-out path: one long-lived goroutine
+// per worker that runs call for each request it receives, the answer
+// channel they share, the sequence number of the gather in flight and its
+// timer. A fan belongs to one goroutine at a time — the coordinator loop
+// for operations and rebuilds, the scrape path (under statsMu) for fleet
+// stats — so gathers on it never overlap.
+type fan[A, T any] struct {
+	call    func(*worker, A) T
+	seq     uint64
+	inbox   []chan request[A] // per worker; nil until its first request
+	owed    []bool            // per worker: a request of this gather is unanswered
+	answers chan answer[T]
+	timer   *time.Timer
+	closed  bool
+	running sync.WaitGroup // the per-worker goroutines
+}
+
+type request[A any] struct {
+	seq uint64
+	arg A
+}
+
+type answer[T any] struct {
+	seq uint64
+	w   *worker
+	v   T
+}
+
+// newFan returns the fan-out state for n workers, each call running
+// call. A worker holds at most two requests (one running, one queued
+// behind it), so the answer channel never blocks a worker's goroutine.
+func newFan[A, T any](n int, call func(*worker, A) T) *fan[A, T] {
+	return &fan[A, T]{
+		call:    call,
+		inbox:   make([]chan request[A], n),
+		owed:    make([]bool, n),
+		answers: make(chan answer[T], 2*n),
 	}
-	ch := make(chan answer, len(targets))
-	for _, w := range targets {
-		go func(w *worker) { ch <- answer{w, call(w)} }(w)
+}
+
+// serve is worker w's goroutine on f: it answers requests in order until
+// the fan closes.
+func (f *fan[A, T]) serve(w *worker, in <-chan request[A]) {
+	defer f.running.Done()
+	for r := range in {
+		f.answers <- answer[T]{r.seq, w, f.call(w, r.arg)}
 	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		tm := time.NewTimer(timeout)
-		defer tm.Stop()
-		deadline = tm.C
+}
+
+// close stops the fan's goroutines and returns once their calls in
+// flight have returned and they have exited. Later gathers send nothing
+// and report every target late.
+func (f *fan[A, T]) close() {
+	if f.closed {
+		return
 	}
-	answered := make(map[*worker]bool, len(targets))
-	for len(answered) < len(targets) {
-		select {
-		case a := <-ch:
-			answered[a.w] = true
-			take(a.w, a.v)
-		case <-deadline:
-			for _, w := range targets {
-				if !answered[w] {
-					late = append(late, w)
-				}
-			}
-			return late
+	f.closed = true
+	for _, in := range f.inbox {
+		if in != nil {
+			close(in)
 		}
 	}
-	return nil
+	f.running.Wait()
+}
+
+// gather runs f's call with arg against every target concurrently and
+// hands each answer to take on the calling goroutine, until every target
+// has answered or timeout (none when not positive) runs out. It returns
+// the targets still unanswered then; their calls are abandoned, not
+// stopped, and their answers, tagged with an older sequence number, are
+// dropped when they arrive. A target whose goroutine is still held by
+// two earlier abandoned calls gets no request and is late at once.
+func gather[A, T any](f *fan[A, T], targets []*worker, timeout time.Duration, arg A, take func(*worker, T)) (late []*worker) {
+	for len(f.answers) > 0 {
+		<-f.answers // answers of abandoned calls
+	}
+	f.seq++
+	waiting := 0
+	for _, w := range targets {
+		f.owed[w.idx] = true
+		if f.closed {
+			continue
+		}
+		in := f.inbox[w.idx]
+		if in == nil {
+			in = make(chan request[A], 1)
+			f.inbox[w.idx] = in
+			f.running.Add(1)
+			go f.serve(w, in)
+		}
+		select {
+		case in <- request[A]{f.seq, arg}:
+			waiting++
+		default:
+		}
+	}
+	var deadline <-chan time.Time
+	if timeout > 0 && waiting > 0 {
+		if f.timer == nil {
+			f.timer = time.NewTimer(timeout)
+		} else {
+			f.timer.Reset(timeout) // go 1.23 timers: no stale value survives a Reset
+		}
+		defer f.timer.Stop()
+		deadline = f.timer.C
+	}
+wait:
+	for waiting > 0 {
+		select {
+		case a := <-f.answers:
+			if a.seq != f.seq {
+				continue
+			}
+			f.owed[a.w.idx] = false
+			waiting--
+			take(a.w, a.v)
+		case <-deadline:
+			break wait
+		}
+	}
+	for _, w := range targets {
+		if f.owed[w.idx] {
+			late = append(late, w)
+		}
+	}
+	return late
+}
+
+// opFunc is one operation's call on one worker: the round trip's result
+// diffs, the tick-phase report of a Tick, and its error.
+type opFunc func(*worker) ([]model.ResultDiff, model.PhaseNanos, error)
+
+// noPhases adapts a round trip that reports no tick phases to opFunc.
+func noPhases(d []model.ResultDiff, err error) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return d, model.PhaseNanos{}, err
+}
+
+// opArgs is what one fan-out sends every target: the call, the trace
+// context to stamp ahead of it and the deadline of its ErrUnsent retries.
+type opArgs struct {
+	f     opFunc
+	ctx   tracing.Context
+	until time.Time // zero: no deadline (OpTimeout disabled)
+}
+
+// fanResult is one worker's answer to an operation.
+type fanResult struct {
+	diffs   []model.ResultDiff
+	phases  model.PhaseNanos
+	err     error
+	at      time.Time // when the worker's call started (post worker mutex)
+	rtt     time.Duration
+	retries int
+}
+
+// runOp is the operations fan's call: one operation on one worker,
+// behind the worker's mutex, with ErrUnsent retries until the deadline.
+// Each attempt is stamped with the trace context anew.
+func runOp(w *worker, a opArgs) fanResult {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r := fanResult{at: time.Now()}
+	for {
+		stampTrace(a.ctx, w)
+		r.diffs, r.phases, r.err = a.f(w)
+		if !errors.Is(r.err, client.ErrUnsent) || !retryWait(a.until, r.retries) {
+			break
+		}
+		r.retries++
+	}
+	r.rtt = time.Since(r.at)
+	return r
 }
 
 // fanOut runs f concurrently against the given workers, bounded by
 // Options.OpTimeout, and returns the merged diffs in ascending query id
-// order — the single-monitor stream order. A worker that fails with a
-// transport error or misses the deadline is desynced (its abandoned call,
-// if any, drains behind its per-worker mutex). An application error — the
-// server processed the request and rejected it — leaves the worker synced
-// and is returned; with desyncOnAppErr (fleet-wide operations, where a
-// rejection means the worker's state is in question) it desyncs instead.
+// order — the single-monitor stream order — in a buffer the coordinator
+// reuses: they are valid until the next fan-out. Each target that
+// answered keeps its tick-phase report in phases/phasesAt. A worker that
+// fails with a transport error or misses the deadline is desynced (its
+// abandoned call, if any, drains behind its per-worker mutex). An
+// application error — the server processed the request and rejected it —
+// leaves the worker synced and is returned; with desyncOnAppErr
+// (fleet-wide operations, where a rejection means the worker's state is
+// in question) it desyncs instead.
 //
 // A successful answer counts only if the worker's server instance is still
 // the one its state was built on: a handshake with a new instance always
@@ -174,36 +327,21 @@ func gather[T any](targets []*worker, timeout time.Duration, call func(*worker) 
 // re-sync. Retries are counted (cpm_coord_op_retries_total) and
 // demote the worker to Degraded; healthyStreak clean operations promote
 // it back.
-func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*worker) ([]model.ResultDiff, error)) ([]model.ResultDiff, error) {
+func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f opFunc) ([]model.ResultDiff, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
-	var until time.Time // zero: no deadline (OpTimeout disabled)
+	args := opArgs{f: f, ctx: c.opSpan.Context()}
 	if c.opts.OpTimeout > 0 {
-		until = start.Add(c.opts.OpTimeout)
+		args.until = start.Add(c.opts.OpTimeout)
 	}
-	type fanResult struct {
-		diffs   []model.ResultDiff
-		err     error
-		at      time.Time // when the worker's call started (post worker mutex)
-		rtt     time.Duration
-		retries int
+	for _, w := range targets {
+		w.phases, w.phasesAt = model.PhaseNanos{}, time.Time{}
 	}
-	var merged []model.ResultDiff
+	merged := c.merged[:0]
 	var appErr error
-	late := gather(targets, c.opts.OpTimeout, func(w *worker) fanResult {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		t0 := time.Now()
-		var retries int
-		diffs, err := f(w)
-		for errors.Is(err, client.ErrUnsent) && retryWait(until, retries) {
-			retries++
-			diffs, err = f(w)
-		}
-		return fanResult{diffs: diffs, err: err, at: t0, rtt: time.Since(t0), retries: retries}
-	}, func(w *worker, r fanResult) {
+	late := gather(c.ops, targets, c.opts.OpTimeout, args, func(w *worker, r fanResult) {
 		w.rtt.Observe(r.rtt)
 		// take runs on the coordinator loop, so reading c.opSpan here is
 		// race-free; the span covers the whole round trip
@@ -222,6 +360,7 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 		case r.err == nil:
 			c.noteOutcome(w, r.retries)
 			merged = append(merged, r.diffs...)
+			w.phases, w.phasesAt = r.phases, r.at
 		case isTransportErr(r.err) || desyncOnAppErr:
 			c.desync(w, r.err)
 		default:
@@ -237,6 +376,7 @@ func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f func(*wor
 	}
 	c.met.fanout.ObserveSince(start)
 	model.SortByQuery(merged)
+	c.merged = merged
 	return merged, appErr
 }
 
@@ -385,18 +525,23 @@ func (c *Coordinator) resync() {
 	if len(targets) == 0 {
 		return
 	}
+	// Every target gets its request: a rebuild goroutine that could still
+	// be busy has released the mutex TryLock just took.
 	start := time.Now()
-	snaps := c.snapshotFor(targets)
 	done := func(w *worker, r resyncResult) {
 		c.opSpan.ChildAt(w.resyncSpan, start, time.Since(start))
 		c.acceptResync(w, r)
 	}
-	for _, w := range gather(targets, c.opts.OpTimeout, func(w *worker) resyncResult {
-		defer w.mu.Unlock()
-		return runResync(w, snaps[w.idx])
-	}, done) {
+	for _, w := range gather(c.rebuilds, targets, c.opts.OpTimeout, c.snapshotFor(targets), done) {
 		done(w, resyncResult{err: errOpTimeout})
 	}
+}
+
+// rebuild is the rebuilds fan's call: it releases the worker mutex resync
+// took for it.
+func rebuild(w *worker, snaps []resyncSnap) resyncResult {
+	defer w.mu.Unlock()
+	return runResync(w, snaps[w.idx])
 }
 
 // snapshotFor copies what the rebuilds of targets read, indexed by worker:

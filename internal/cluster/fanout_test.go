@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cpm/internal/model"
-	"cpm/internal/wire"
 )
 
 // TestFanOutRejectsAnswerFromRestartedWorker is the minimised reproducer of
@@ -16,11 +15,8 @@ import (
 // left the mirror's results for the worker's queries one tick behind with
 // every worker reported in sync.
 func TestFanOutRejectsAnswerFromRestartedWorker(t *testing.T) {
-	c := &Coordinator{
-		opts: Options{OpTimeout: time.Second},
-		met:  newCoordMetrics(1),
-		defs: map[model.QueryID]wire.Register{},
-	}
+	c := newCoordinator(Options{OpTimeout: time.Second}, 1)
+	defer c.Close()
 	w := &worker{
 		synced:   true,
 		instance: 1,
@@ -31,9 +27,9 @@ func TestFanOutRejectsAnswerFromRestartedWorker(t *testing.T) {
 	c.workers = []*worker{w}
 
 	c.beginOp()
-	diffs, err := c.fanOut(c.workers, true, func(w *worker) ([]model.ResultDiff, error) {
+	diffs, err := c.fanOut(c.workers, true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
 		w.seen.Store(2) // the handshake with the restarted server
-		return []model.ResultDiff{{Query: 7, Kind: model.DiffUpdate}}, nil
+		return []model.ResultDiff{{Query: 7, Kind: model.DiffUpdate}}, model.PhaseNanos{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,11 +45,15 @@ func (c *Coordinator) pollFleetStats() fleetStats {
 		timeout = 2 * time.Second
 	}
 	var out fleetStats
-	gather(c.workers, timeout, func(w *worker) []wire.Stat {
-		st, _ := w.cl.ServerStats() // nil on failure: contributes nothing
-		return st
-	}, func(_ *worker, st []wire.Stat) { foldWorkerStats(&out, st) })
+	gather(c.polls, c.workers, timeout, struct{}{}, func(_ *worker, st []wire.Stat) { foldWorkerStats(&out, st) })
 	return out
+}
+
+// pollStats is the stats fan's call: one worker's Stats frame, nil on
+// failure (it contributes nothing).
+func pollStats(w *worker, _ struct{}) []wire.Stat {
+	st, _ := w.cl.ServerStats()
+	return st
 }
 
 // foldWorkerStats accumulates one worker's stats snapshot into out.

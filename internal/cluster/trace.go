@@ -24,14 +24,14 @@ func (c *Coordinator) LastPhases() model.PhaseNanos { return c.lastPhases }
 
 // stampTrace forwards an operation's trace context to one worker
 // immediately before a wire call, so the worker's server span joins the
-// coordinator's trace. It runs inside the fan-out closure — an ErrUnsent
-// retry re-runs the closure and therefore re-stamps — and degrades
-// silently against workers that did not negotiate the trace extension.
+// coordinator's trace. runOp calls it before every attempt — an
+// ErrUnsent retry therefore re-stamps — and it degrades silently against
+// workers that did not negotiate the trace extension.
 //
 // It takes the context by value, captured on the coordinator loop while
-// the op span is live: a timed-out straggler's closure can still be
-// running after the span has finished and been recycled, so the closure
-// must never touch the *Span itself.
+// the op span is live and sent with the request: a timed-out straggler
+// can still be running after the span has finished and been recycled,
+// so a worker's goroutine must never touch the *Span itself.
 func stampTrace(ctx tracing.Context, w *worker) {
 	if ctx.TraceID != 0 {
 		w.cl.SetTrace(ctx.TraceID, ctx.SpanID)
