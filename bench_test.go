@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one per table/figure
-// (DESIGN.md §6 maps ids to the paper). Each benchmark iteration runs a
+// (`cpmbench -list` maps ids to the paper's figures). Each benchmark iteration runs a
 // complete scaled-down simulation — workload generation excluded from the
 // timed section via the harness, which times only ProcessBatch.
 //

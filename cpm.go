@@ -31,8 +31,9 @@
 // CPM's efficiency comes from processing only the updates that fall inside
 // some query's influence region and from visiting, on any search, the
 // provably minimal set of grid cells, ordered by a conceptual partitioning
-// of the space around the query. See DESIGN.md for the architecture and
-// EXPERIMENTS.md for the reproduction of the paper's evaluation.
+// of the space around the query. See docs/ARCHITECTURE.md for the
+// architecture and the README's "Reproducing the paper" section for the
+// evaluation.
 package cpm
 
 import (
@@ -173,13 +174,12 @@ type Options struct {
 	// invariant mindist-based search pruning needs); distances are
 	// computed from the clamped position. Query points are never clamped.
 	Workspace Rect
-	// PerUpdate disables batched update handling (ablation; Section 3.2
-	// semantics). Leave false for production use.
-	PerUpdate bool
 	// DropBookkeeping trades update-handling speed for memory: no
 	// per-query search heap is kept and no visit list beyond the influence
 	// region, and affected queries recompute from scratch (the paper's
-	// memory-pressure fallback).
+	// memory-pressure fallback). On the paper's default workload it saves
+	// 37 % of the monitor's memory units at 10K objects and 15 % at 100K
+	// (36 % and 14 % at k=256), for up to 19 % more CPU time.
 	DropBookkeeping bool
 	// Shards partitions the queries into N hash-partitioned worker
 	// shards. Every Tick applies the object stream once to one shared
@@ -187,28 +187,26 @@ type Options struct {
 	// resulting write log; with N > 1 the shards run on one goroutine each
 	// and their results are merged, parallelizing the per-query work across
 	// cores. Results, change notifications and work counters are exactly
-	// those of one shard, and memory stays O(objects) — the grid is shared,
-	// not replicated. 0 and 1 both mean one shard, which runs on the calling
-	// goroutine. More shards pay from a few hundred queries up on a
-	// multi-core machine; see internal/shard's BenchmarkTick.
+	// those of one shard. The grid and its objects are shared, not
+	// replicated; what each shard adds is its queries' book-keeping and its
+	// influence index, whose directory holds a slice header per grid cell
+	// (about 24 MiB per shard at GridSize 1024). 0 and 1 both mean one
+	// shard, which runs on the calling goroutine. More shards pay from a
+	// few hundred queries up on a multi-core machine; see internal/shard's
+	// BenchmarkTick.
 	Shards int
 
 	// AutoRebalance resizes the grid online as the object density drifts,
-	// instead of freezing the cell side δ at construction: at every
-	// RebalanceCheckEvery-th Tick the monitor reads the mean occupancy of
-	// non-empty cells and, when it has drifted past a hysteresis band
-	// around TargetObjectsPerCell, rebuilds the grid at the size that
-	// restores the target — reinstalling all query book-keeping without
-	// recomputing a single result (results are δ-independent). The shared
-	// grid is rebuilt once between ticks and every shard reindexes its own
-	// queries (in parallel with Shards > 1), so the merged streams stay
-	// exact. See the README's "Online grid rebalancing" design note.
+	// instead of freezing the cell side δ at construction: at every 16th
+	// Tick the monitor reads the mean occupancy of non-empty cells and,
+	// when it has left the band [4, 16] around a target of 8 objects per
+	// cell, rebuilds the grid at the size that restores the target —
+	// reinstalling all query book-keeping without recomputing a single
+	// result (results are δ-independent). The shared grid is rebuilt once
+	// between ticks and every shard reindexes its own queries (in parallel
+	// with Shards > 1), so the merged streams stay exact. See the README's
+	// "Online grid rebalancing" design note.
 	AutoRebalance bool
-	// TargetObjectsPerCell is the occupancy the rebalancing policy steers
-	// toward. Default 8.
-	TargetObjectsPerCell float64
-	// RebalanceCheckEvery is the policy cadence in Ticks. Default 16.
-	RebalanceCheckEvery int
 }
 
 func (o *Options) defaults() {
@@ -258,15 +256,8 @@ type Monitor struct {
 // shards over one shared grid and its auto-rebalancing policy. opts must
 // already have defaults applied.
 func newShards(opts Options) *shard.Monitor {
-	s := shard.New(opts.Shards, opts.GridSize, opts.Workspace, core.Options{
-		PerUpdate:       opts.PerUpdate,
-		DropBookkeeping: opts.DropBookkeeping,
-	})
-	s.SetAutoRebalance(shard.AutoRebalance{
-		Enabled:              opts.AutoRebalance,
-		TargetObjectsPerCell: opts.TargetObjectsPerCell,
-		CheckEvery:           opts.RebalanceCheckEvery,
-	})
+	s := shard.New(opts.Shards, opts.GridSize, opts.Workspace, core.Options{DropBookkeeping: opts.DropBookkeeping})
+	s.SetAutoRebalance(shard.AutoRebalance{Enabled: opts.AutoRebalance})
 	return s
 }
 

@@ -56,9 +56,10 @@ func TestMonitorRebalanceSurface(t *testing.T) {
 }
 
 // TestMonitorAutoRebalanceOption checks the Options plumbing: with
-// AutoRebalance on, a density shift triggers a resize through plain Ticks.
+// AutoRebalance on, a density shift triggers a resize through plain Ticks,
+// at the policy's default cadence of 16.
 func TestMonitorAutoRebalanceOption(t *testing.T) {
-	m := NewMonitor(Options{GridSize: 8, AutoRebalance: true, RebalanceCheckEvery: 1})
+	m := NewMonitor(Options{GridSize: 8, AutoRebalance: true})
 	defer m.Close()
 	objs := make(map[ObjectID]Point, 600)
 	for i := 0; i < 600; i++ {
@@ -70,6 +71,12 @@ func TestMonitorAutoRebalanceOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Result(1)
+	for range 15 {
+		m.Tick(Batch{})
+	}
+	if m.Rebalances() != 0 {
+		t.Fatalf("%d resizes before the 16th Tick", m.Rebalances())
+	}
 	m.Tick(Batch{})
 	if m.Rebalances() == 0 || m.GridSize() <= 8 {
 		t.Fatalf("auto-rebalance did not trigger: %d resizes, grid %d", m.Rebalances(), m.GridSize())

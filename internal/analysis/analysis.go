@@ -4,7 +4,7 @@
 // object counts of a query's influence region, the visit-list/search-heap
 // size, the total memory of CPM, and the per-cycle running time. The
 // benchmark harness compares these predictions against measurements on
-// uniform data (experiment A4.1 of DESIGN.md).
+// uniform data (internal/bench's "model" experiment).
 package analysis
 
 import (

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cpm/internal/baseline"
+	"cpm/internal/bench"
 	"cpm/internal/bruteforce"
 	"cpm/internal/core"
 	"cpm/internal/generator"
@@ -227,8 +228,9 @@ func TestAllMethodsRejectNonFiniteUpdates(t *testing.T) {
 	}
 }
 
-// TestCPMVariantsAgree runs the engine options (per-update ablation,
-// dropped book-keeping) against the default engine on the same stream.
+// TestCPMVariantsAgree runs the ablations (the harness's per-update
+// wrapper, dropped book-keeping) against the default engine on the same
+// stream.
 func TestCPMVariantsAgree(t *testing.T) {
 	net, err := network.Generate(network.GenOptions{Width: 10, Height: 10, Seed: 3})
 	if err != nil {
@@ -243,9 +245,9 @@ func TestCPMVariantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := w.InitialObjects()
-	engines := []*shard.Monitor{
+	engines := []model.Monitor{
 		shard.NewUnit(1, 16, core.Options{}),
-		shard.NewUnit(1, 16, core.Options{PerUpdate: true}),
+		bench.CPMPerUpdate.New(16),
 		shard.NewUnit(1, 16, core.Options{DropBookkeeping: true}),
 	}
 	for _, e := range engines {

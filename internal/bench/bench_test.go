@@ -1,10 +1,16 @@
 package bench
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"cpm/internal/bruteforce"
 	"cpm/internal/generator"
+	"cpm/internal/geom"
+	"cpm/internal/grid"
+	"cpm/internal/model"
 	"cpm/internal/network"
 )
 
@@ -207,6 +213,102 @@ func TestFmtFloat(t *testing.T) {
 	for v, want := range cases {
 		if got := fmtFloat(v); got != want {
 			t.Errorf("fmtFloat(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestPerUpdateWrapperMatchesCPM: over a random stream of object moves,
+// inserts and deletes, query moves, removals and registrations, the
+// CPM-perupd wrapper ends every tick with CPM's results, and both with the
+// brute-force oracle's.
+func TestPerUpdateWrapperMatchesCPM(t *testing.T) {
+	const gridSize, k = 16, 5
+	rng := rand.New(rand.NewSource(11))
+	point := func() geom.Point { return geom.Point{X: rng.Float64(), Y: rng.Float64()} }
+	oracle := grid.NewUnit(gridSize)
+	pos := map[model.ObjectID]geom.Point{}
+	var live []model.ObjectID
+	for id := range model.ObjectID(400) {
+		pos[id] = point()
+		live = append(live, id)
+	}
+	monitors := []model.Monitor{CPM.New(gridSize), CPMPerUpdate.New(gridSize)}
+	for _, m := range monitors {
+		defer m.(interface{ Close() }).Close()
+		m.Bootstrap(pos)
+	}
+	for _, id := range live {
+		if err := oracle.Insert(id, pos[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := map[model.QueryID]geom.Point{}
+	register := func(id model.QueryID) {
+		queries[id] = point()
+		for _, m := range monitors {
+			if err := m.RegisterQuery(id, queries[id], k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nextQuery := model.QueryID(0)
+	for ; nextQuery < 30; nextQuery++ {
+		register(nextQuery)
+	}
+	nextObj := model.ObjectID(len(live))
+	for tick := range 25 {
+		var b model.Batch
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		for i, id := range live[:60] {
+			switch {
+			case i < 40:
+				to := point()
+				b.Objects = append(b.Objects, model.MoveUpdate(id, pos[id], to))
+				pos[id] = to
+			case i < 50:
+				b.Objects = append(b.Objects, model.DeleteUpdate(id, pos[id]))
+				delete(pos, id)
+			default:
+				pos[nextObj] = point()
+				b.Objects = append(b.Objects, model.InsertUpdate(nextObj, pos[nextObj]))
+				nextObj++
+			}
+		}
+		live = live[:0]
+		for id := range pos {
+			live = append(live, id)
+		}
+		slices.Sort(live)
+		for id := range nextQuery {
+			if _, ok := queries[id]; !ok {
+				continue
+			}
+			switch r := rng.Float64(); {
+			case r < 0.25:
+				queries[id] = point()
+				b.Queries = append(b.Queries, model.QueryUpdate{ID: id, Kind: model.QueryMove, NewPoints: []geom.Point{queries[id]}})
+			case r < 0.3:
+				delete(queries, id)
+				b.Queries = append(b.Queries, model.QueryUpdate{ID: id, Kind: model.QueryTerminate})
+			}
+		}
+		if _, invalid := oracle.ApplyBatch(b.Objects, nil); invalid != 0 {
+			t.Fatalf("tick %d: the oracle dropped %d updates", tick, invalid)
+		}
+		for _, m := range monitors {
+			m.ProcessBatch(b)
+		}
+		for id, q := range queries {
+			want := bruteforce.TopK(oracle, q, k)
+			for i, m := range monitors {
+				if got := m.Result(id); !slices.Equal(got, want) {
+					t.Fatalf("tick %d q%d: %s has %v, brute force %v", tick, id, []Method{CPM, CPMPerUpdate}[i], got, want)
+				}
+			}
+		}
+		for range 2 {
+			register(nextQuery)
+			nextQuery++
 		}
 	}
 }

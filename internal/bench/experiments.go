@@ -63,8 +63,8 @@ type Experiment struct {
 	Run   func(o Options) (Table, error)
 }
 
-// All returns every experiment, in the paper's order. The IDs match
-// DESIGN.md §6.
+// All returns every experiment, in the paper's order; `cpmbench -list`
+// prints their ids and titles.
 func All() []Experiment {
 	return []Experiment{
 		fig61.experiment(),

@@ -30,7 +30,8 @@ const (
 	YPK
 	SEA
 	// CPMPerUpdate is ablation X2: Section 3.2 per-update handling
-	// instead of batched cycles.
+	// instead of batched cycles, driven from outside the monitor
+	// (perUpdate).
 	CPMPerUpdate
 	// CPMDropBookkeeping is ablation X1: the memory-pressure fallback
 	// that recomputes from scratch instead of replaying the visit list.
@@ -80,7 +81,7 @@ func (m Method) NewMonitor(gridSize, shards int) model.Monitor {
 	case SEA:
 		return baseline.NewUnitSEA(gridSize)
 	case CPMPerUpdate:
-		return shard.NewUnit(1, gridSize, core.Options{PerUpdate: true})
+		return perUpdate{shard.NewUnit(1, gridSize, core.Options{})}
 	case CPMDropBookkeeping:
 		return shard.NewUnit(1, gridSize, core.Options{DropBookkeeping: true})
 	case CPMSharded:
@@ -88,6 +89,23 @@ func (m Method) NewMonitor(gridSize, shards int) model.Monitor {
 	default:
 		panic(fmt.Sprintf("bench: unknown method %d", m))
 	}
+}
+
+// perUpdate is Section 3.2's per-update handling over the plain one-shard
+// monitor: every object update of a tick runs as a cycle of its own, and a
+// last cycle applies the tick's query updates. No object update of a tick
+// can cancel another's effect before a re-computation, which is what the
+// batched cycle saves; and queries that move this tick still handle the
+// tick's object updates first. Results at the end of a tick are the
+// monitor's, which is exact.
+type perUpdate struct{ *shard.Monitor }
+
+// ProcessBatch runs the tick's cycles.
+func (m perUpdate) ProcessBatch(b model.Batch) {
+	for i := range b.Objects {
+		m.Monitor.ProcessBatch(model.Batch{Objects: b.Objects[i : i+1]})
+	}
+	m.Monitor.ProcessBatch(model.Batch{Queries: b.Queries})
 }
 
 // ResolveShards applies the "0 means all usable cores" default.

@@ -9,6 +9,7 @@ import (
 
 	"cpm/client"
 	"cpm/internal/cluster"
+	"cpm/internal/geom"
 	"cpm/internal/model"
 	"cpm/internal/server"
 	"cpm/workload"
@@ -162,5 +163,41 @@ func BenchmarkServedTick(b *testing.B) {
 	b.StopTimer()
 	if s.gaps.Load() != 0 {
 		b.Fatalf("the subscriber saw %d gaps; the scenario must deliver every event", s.gaps.Load())
+	}
+}
+
+// TestRegisterRemoveAllocs counts what a warm registration and removal of
+// one query allocate across the coordinator and its two loopback workers.
+// Every coordinator operation is a static call reading its inputs from the
+// fan-out's request, so neither operation allocates a closure; what is
+// left is the registration's own copies and the workers' hand-offs: 6
+// allocations a pair, where the two closures made it 8.
+func TestRegisterRemoveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	const budget = 6
+	coord, _ := startCluster(t, 2, 5*time.Second)
+	wl := testWorkload(t)
+	coord.Bootstrap(wl.InitialObjects())
+	for i, q := range wl.InitialQueries() {
+		if err := coord.RegisterQuery(model.QueryID(i), q, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const id = 1000
+	pair := func() {
+		if err := coord.RegisterQuery(id, geom.Point{X: 0.5, Y: 0.5}, 4); err != nil {
+			t.Fatal(err)
+		}
+		coord.RemoveQuery(id)
+	}
+	for range 50 {
+		pair()
+	}
+	avg := testing.AllocsPerRun(200, pair)
+	t.Logf("%.2f allocs per register+remove pair", avg)
+	if avg > budget {
+		t.Errorf("a register+remove pair allocates %.2f times, want at most %d", avg, budget)
 	}
 }

@@ -332,10 +332,13 @@ func (c *Coordinator) Bootstrap(objs map[model.ObjectID]geom.Point) {
 			c.invalid++
 		}
 	}
-	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
-		return noPhases(nil, w.cl.Bootstrap(objs))
-	})
+	c.fanOut(c.synced(), true, opArgs{f: bootstrapWorker, objs: objs})
 	c.finishDiffs(nil)
+}
+
+// bootstrapWorker is a Bootstrap's call on one worker.
+func bootstrapWorker(w *worker, a opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return noPhases(nil, w.cl.Bootstrap(a.objs))
 }
 
 // Tick runs one processing cycle: the object updates fan out to every
@@ -347,7 +350,7 @@ func (c *Coordinator) Tick(b model.Batch) {
 	c.applyBatchToMirror(b)
 	targets := c.synced()
 	c.partition(b, targets)
-	diffs, _ := c.fanOut(targets, true, tickWorker)
+	diffs, _ := c.fanOut(targets, true, opArgs{f: tickWorker})
 	// The phase spans are laid here, on the loop, while sp is still live:
 	// a straggler completing after sp.Finish would otherwise touch a
 	// recycled span.
@@ -368,7 +371,7 @@ func (c *Coordinator) Tick(b model.Batch) {
 }
 
 // tickWorker is a Tick's call on one worker: its share of the batch.
-func tickWorker(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+func tickWorker(w *worker, _ opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
 	return w.cl.TickDiffsPhases(w.batch)
 }
 
@@ -413,9 +416,7 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 	var diffs []model.ResultDiff
 	if w.synced {
 		var appErr error
-		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
-			return noPhases(w.cl.RegisterDefDiffs(def))
-		})
+		diffs, appErr = c.fanOut([]*worker{w}, false, opArgs{f: registerWorker, def: def})
 		if appErr != nil {
 			return appErr
 		}
@@ -425,6 +426,11 @@ func (c *Coordinator) registerDef(def wire.Register) error {
 	c.defs[def.ID] = cloneDef(def)
 	c.finishDiffs(diffs)
 	return nil
+}
+
+// registerWorker is a registration's call on its owner worker.
+func registerWorker(w *worker, a opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return noPhases(w.cl.RegisterDefDiffs(a.def))
 }
 
 // validateDef applies the rule a worker applies to a registration: the
@@ -464,9 +470,7 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 	var diffs []model.ResultDiff
 	if w.synced {
 		var appErr error
-		diffs, appErr = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
-			return noPhases(w.cl.MoveQueryDiffs(id, to...))
-		})
+		diffs, appErr = c.fanOut([]*worker{w}, false, opArgs{f: moveWorker, id: id, to: to})
 		if appErr != nil {
 			return appErr
 		}
@@ -476,6 +480,11 @@ func (c *Coordinator) MoveQuery(id model.QueryID, to ...geom.Point) error {
 	copy(def.Points, to) // in place: the mirror owns its buffers
 	c.finishDiffs(diffs)
 	return nil
+}
+
+// moveWorker is a query move's call on its owner worker.
+func moveWorker(w *worker, a opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return noPhases(w.cl.MoveQueryDiffs(a.id, a.to...))
 }
 
 // RemoveQuery uninstalls a query. Unknown ids are a no-op, like the
@@ -489,9 +498,7 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 	w := c.workers[c.owner(id)]
 	var diffs []model.ResultDiff
 	if w.synced {
-		diffs, _ = c.fanOut([]*worker{w}, false, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
-			return noPhases(w.cl.RemoveQueryDiffs(id))
-		})
+		diffs, _ = c.fanOut([]*worker{w}, false, opArgs{f: removeWorker, id: id})
 	}
 	if len(diffs) == 0 {
 		diffs = []model.ResultDiff{{Query: id, Kind: model.DiffRemove, Exited: resultIDs(c.results[id])}}
@@ -500,14 +507,17 @@ func (c *Coordinator) RemoveQuery(id model.QueryID) {
 	c.finishDiffs(diffs)
 }
 
+// removeWorker is a removal's call on its owner worker.
+func removeWorker(w *worker, a opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return noPhases(w.cl.RemoveQueryDiffs(a.id))
+}
+
 // Reset wipes the whole cluster back to empty: every worker is reset,
 // the mirror cleared, and subscribers receive the terminal DiffRemove of
 // every installed query, matching cpm.Monitor.Reset.
 func (c *Coordinator) Reset() {
 	c.beginOp()
-	c.fanOut(c.synced(), true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
-		return noPhases(nil, w.cl.Reset())
-	})
+	c.fanOut(c.synced(), true, opArgs{f: resetWorker})
 	removes := make([]model.ResultDiff, 0, len(c.defs))
 	for _, id := range sortedIDs(c.defs) {
 		removes = append(removes, model.ResultDiff{Query: id, Kind: model.DiffRemove, Exited: resultIDs(c.results[id])})
@@ -516,6 +526,11 @@ func (c *Coordinator) Reset() {
 	c.defs = make(map[model.QueryID]wire.Register)
 	c.results = make(map[model.QueryID][]model.Neighbor)
 	c.finishDiffs(removes)
+}
+
+// resetWorker is a Reset's call on one worker.
+func resetWorker(w *worker, _ opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
+	return noPhases(nil, w.cl.Reset())
 }
 
 // ---- Backend: reads, served from the mirror ------------------------------

@@ -257,19 +257,30 @@ wait:
 	return late
 }
 
-// opFunc is one operation's call on one worker: the round trip's result
-// diffs, the tick-phase report of a Tick, and its error.
-type opFunc func(*worker) ([]model.ResultDiff, model.PhaseNanos, error)
+// opFunc is one operation's call on one worker, reading the operation's
+// inputs from its opArgs: the round trip's result diffs, the tick-phase
+// report of a Tick, and its error. Every call is a static function, so a
+// fan-out allocates no closure.
+type opFunc func(*worker, opArgs) ([]model.ResultDiff, model.PhaseNanos, error)
 
 // noPhases adapts a round trip that reports no tick phases to opFunc.
 func noPhases(d []model.ResultDiff, err error) ([]model.ResultDiff, model.PhaseNanos, error) {
 	return d, model.PhaseNanos{}, err
 }
 
-// opArgs is what one fan-out sends every target: the call, the trace
-// context to stamp ahead of it and the deadline of its ErrUnsent retries.
+// opArgs is what one fan-out sends every target: the call and its inputs,
+// the trace context to stamp ahead of it and the deadline of its ErrUnsent
+// retries. An abandoned call may still read the inputs, so nothing may
+// rewrite what they point to: def, to and objs are the caller's — the
+// mirror keeps its own copies — and a Tick's input is the worker's batch
+// (worker.batch), which partition rewrites only while the worker is
+// synced.
 type opArgs struct {
 	f     opFunc
+	def   wire.Register                 // registerWorker
+	id    model.QueryID                 // moveWorker, removeWorker
+	to    []geom.Point                  // moveWorker
+	objs  map[model.ObjectID]geom.Point // bootstrapWorker
 	ctx   tracing.Context
 	until time.Time // zero: no deadline (OpTimeout disabled)
 }
@@ -293,7 +304,7 @@ func runOp(w *worker, a opArgs) fanResult {
 	r := fanResult{at: time.Now()}
 	for {
 		stampTrace(a.ctx, w)
-		r.diffs, r.phases, r.err = a.f(w)
+		r.diffs, r.phases, r.err = a.f(w, a)
 		if !errors.Is(r.err, client.ErrUnsent) || !retryWait(a.until, r.retries) {
 			break
 		}
@@ -303,7 +314,7 @@ func runOp(w *worker, a opArgs) fanResult {
 	return r
 }
 
-// fanOut runs f concurrently against the given workers, bounded by
+// fanOut runs args.f concurrently against the given workers, bounded by
 // Options.OpTimeout, and returns the merged diffs in ascending query id
 // order — the single-monitor stream order — in a buffer the coordinator
 // reuses: they are valid until the next fan-out. Each target that
@@ -327,12 +338,12 @@ func runOp(w *worker, a opArgs) fanResult {
 // re-sync. Retries are counted (cpm_coord_op_retries_total) and
 // demote the worker to Degraded; healthyStreak clean operations promote
 // it back.
-func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, f opFunc) ([]model.ResultDiff, error) {
+func (c *Coordinator) fanOut(targets []*worker, desyncOnAppErr bool, args opArgs) ([]model.ResultDiff, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
-	args := opArgs{f: f, ctx: c.opSpan.Context()}
+	args.ctx = c.opSpan.Context()
 	if c.opts.OpTimeout > 0 {
 		args.until = start.Add(c.opts.OpTimeout)
 	}

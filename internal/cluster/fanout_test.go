@@ -27,10 +27,10 @@ func TestFanOutRejectsAnswerFromRestartedWorker(t *testing.T) {
 	c.workers = []*worker{w}
 
 	c.beginOp()
-	diffs, err := c.fanOut(c.workers, true, func(w *worker) ([]model.ResultDiff, model.PhaseNanos, error) {
+	diffs, err := c.fanOut(c.workers, true, opArgs{f: func(w *worker, _ opArgs) ([]model.ResultDiff, model.PhaseNanos, error) {
 		w.seen.Store(2) // the handshake with the restarted server
 		return []model.ResultDiff{{Query: 7, Kind: model.DiffUpdate}}, model.PhaseNanos{}, nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ import (
 // after every mutating operation; the paired ordering contract with the
 // sharded monitor (internal/shard) is that a take is stable-ordered by
 // query id, so one-shard and sharded streams are byte-for-byte equal.
-// Repeated changes to one query within a single buffer window — PerUpdate
-// resolving the same query several times per batch, or several mutating
-// calls between takes — compose into one event diffed against the first
-// change's base, so a take carries at most one live diff per query and
-// its ids match ChangedQueries when taken once per cycle.
+// Repeated changes to one query within a single buffer window — several
+// cycles or other mutating calls between takes — compose into one event
+// diffed against the first change's base, so a take carries at most one
+// live diff per query and its ids match ChangedQueries when taken once per
+// cycle.
 //
 // Ownership: every slice an event carries is carved from the engine's
 // internal/arena slabs, so the events of one take (and of its neighbours)

@@ -168,13 +168,12 @@ func TestDiffIdsMatchChangedQueries(t *testing.T) {
 	}
 }
 
-// TestDiffPerUpdateComposesOneEventPerQuery pins the pairing invariant for
-// the PerUpdate ablation: resolveDirty runs once per update there, so one
-// query can change several times within a batch — the diffs must compose
-// into a single event (diffed against the start-of-batch state) so that
-// TakeDiffs ids still equal ChangedQueries.
+// TestDiffPerUpdateComposesOneEventPerQuery pins the composition of a take
+// window: run one cycle per update, a query changes in each of two cycles
+// between takes, and the diffs must compose into a single event, diffed
+// against the state at the window's start.
 func TestDiffPerUpdateComposesOneEventPerQuery(t *testing.T) {
-	e := newTestEngine(16, Options{PerUpdate: true})
+	e := newTestEngine(16, Options{})
 	e.EnableDiffs(true)
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.10, Y: 0.10},
@@ -187,16 +186,20 @@ func TestDiffPerUpdateComposesOneEventPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.TakeDiffs()
-	// Two updates, each changing query 1's result on its own: 4 drives in
-	// (displacing 5), then 3 drives in (displacing 2).
-	e.ProcessBatch(model.Batch{Objects: []model.Update{
+	// Two cycles, each changing query 1's result: 4 drives in (displacing
+	// 5), then 3 drives in (displacing 2).
+	for _, u := range []model.Update{
 		model.MoveUpdate(4, geom.Point{X: 0.90, Y: 0.90}, geom.Point{X: 0.50, Y: 0.51}),
 		model.MoveUpdate(3, geom.Point{X: 0.60, Y: 0.58}, geom.Point{X: 0.50, Y: 0.50}),
-	}})
-	changed := e.ChangedQueries()
+	} {
+		e.ProcessBatch(model.Batch{Objects: []model.Update{u}})
+		if changed := e.ChangedQueries(); len(changed) != 1 || changed[0] != 1 {
+			t.Fatalf("the cycle of object %d changed %v, want query 1", u.ID, changed)
+		}
+	}
 	diffs := e.TakeDiffs()
-	if len(diffs) != len(changed) || len(diffs) != 1 {
-		t.Fatalf("diffs %v vs changed %v: want exactly one composed event", diffs, changed)
+	if len(diffs) != 1 || diffs[0].Query != 1 {
+		t.Fatalf("diffs %v: want exactly one composed event for query 1", diffs)
 	}
 	d := diffs[0]
 	// The composed delta is against the start-of-batch result {2, 5}.

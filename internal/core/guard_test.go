@@ -142,6 +142,18 @@ func TestGuardTripsOnNamedPendingSlot(t *testing.T) {
 	})
 }
 
+// TestGuardTripsOnScanOfPendingQuery: ScanApplied installs nothing, so a
+// query registered after the cycle's BeginCycle would miss the scan.
+func TestGuardTripsOnScanOfPendingQuery(t *testing.T) {
+	e := guardedEngine(t)
+	e.ProcessBatch(model.Batch{})
+	e.BeginCycle(nil)
+	if err := e.RegisterQuery(3, geom.Point{X: 0.7, Y: 0.3}, 2); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "a scan while a kept query is pending", func() { e.ScanApplied(nil) })
+}
+
 func TestGuardQuietOnInstalls(t *testing.T) {
 	e := guardedEngine(t)
 	pts := []geom.Point{{X: 0.3, Y: 0.7}}

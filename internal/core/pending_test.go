@@ -13,10 +13,8 @@ import (
 // prefix when the index is next read — unless the open cycle rebuilds or
 // removes it.
 
-// engineModes are the option sets every test here runs under. With both
-// options a re-computation leaves its query pending between two one-update
-// scans, which only ScanApplied's own install step puts back in the index.
-var engineModes = []Options{{}, {PerUpdate: true}, {DropBookkeeping: true}, {PerUpdate: true, DropBookkeeping: true}}
+// engineModes are the modes every test here runs under.
+var engineModes = []engineMode{{}, {perUpdate: true}, {opts: Options{DropBookkeeping: true}}, {opts: Options{DropBookkeeping: true}, perUpdate: true}}
 
 // pendingTenants is one query of every kind the engine keeps.
 func pendingTenants(w *world) map[model.QueryID]slotTenant {
@@ -126,7 +124,7 @@ func checkStates(t *testing.T, e *testEngine, label string) int {
 // exactly the prefixes.
 func stillBatch(t *testing.T, e *testEngine, w *world, label string) {
 	t.Helper()
-	b := w.randomBatch(60, e.opts.PerUpdate)
+	b := w.randomBatch(60, false)
 	e.BeginCycle(nil)
 	if n := checkStates(t, e, label); n != 0 || len(e.pending) != 0 {
 		t.Fatalf("%s: %d queries pending and %d slots listed after BeginCycle", label, n, len(e.pending))
@@ -144,14 +142,18 @@ func stillBatch(t *testing.T, e *testEngine, w *world, label string) {
 // it, and holds no visit entry beyond the cells its search scanned, no
 // leftover search state and no prefix; a batch's cell accesses are the
 // cells its searches scanned. One batch without a move then installs
-// exactly the prefixes.
+// exactly the prefixes. Per-update cycles are left out: their object
+// updates run in cycles of their own, which install the moved queries.
 func TestMovedQueriesStayPending(t *testing.T) {
-	for _, opts := range engineModes {
-		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) {
-			w, e, live := pendingWorld(t, 31, opts)
+	for _, mode := range engineModes {
+		if mode.perUpdate {
+			continue
+		}
+		t.Run(mode.String(), func(t *testing.T) {
+			w, e, live := pendingWorld(t, 31, mode.opts)
 			for batch := range 8 {
 				label := fmt.Sprintf("moving batch %d", batch)
-				b := w.randomBatch(60, opts.PerUpdate)
+				b := w.randomBatch(60, false)
 				moveTenants(w, &b, live, allTenants(live)...)
 				before := e.Stats().CellAccesses
 				e.ProcessBatch(b)
@@ -195,14 +197,14 @@ func TestMovedQueriesStayPending(t *testing.T) {
 // is listed once; terminated by a batch that ignores it, it stays listed
 // and installs nothing; the next still batch drains the list.
 func TestPendingSlotReArmed(t *testing.T) {
-	for _, opts := range engineModes {
-		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) {
-			w, e, live := pendingWorld(t, 37, opts)
+	for _, mode := range engineModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, e, live := pendingWorld(t, 37, mode.opts)
 			stillBatch(t, e, w, "installed")
 
-			b := w.randomBatch(40, opts.PerUpdate)
+			b := w.randomBatch(40, mode.perUpdate)
 			moveTenants(w, &b, live, 0, 3)
-			e.ProcessBatch(b)
+			mode.process(e, b)
 			if !e.ids[0].pending || !e.ids[3].pending {
 				t.Fatal("moved queries 0 and 3 are not pending")
 			}
@@ -226,11 +228,11 @@ func TestPendingSlotReArmed(t *testing.T) {
 			// Query 3 is pending and terminated by a batch whose cycle
 			// ignores it: its parked slot stays listed with nothing to
 			// install, and a k-NN query under a new id re-arms it.
-			b = w.randomBatch(40, opts.PerUpdate)
+			b = w.randomBatch(40, mode.perUpdate)
 			b.Queries = append(b.Queries, model.QueryUpdate{ID: 3, Kind: model.QueryTerminate})
 			delete(live, 3)
 			moveTenants(w, &b, live, 10)
-			e.ProcessBatch(b)
+			mode.process(e, b)
 			checkStates(t, e, "terminated")
 			checkOracle(t, e, "terminated", live)
 			live[11] = slotTenant{def: PointQuery(w.randPoint(), 6)}
@@ -254,12 +256,12 @@ func TestPendingSlotReArmed(t *testing.T) {
 // geometry and installs it, pending queries included, each once; moves and
 // still batches then run on as before.
 func TestReindexWhilePending(t *testing.T) {
-	for _, opts := range engineModes {
-		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) {
-			w, e, live := pendingWorld(t, 41, opts)
-			b := w.randomBatch(40, opts.PerUpdate)
+	for _, mode := range engineModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, e, live := pendingWorld(t, 41, mode.opts)
+			b := w.randomBatch(40, mode.perUpdate)
 			moveTenants(w, &b, live, 1, 3)
-			e.ProcessBatch(b)
+			mode.process(e, b)
 			if n := checkStates(t, e, "moved"); n < 2 {
 				t.Fatalf("moved: %d queries pending, want at least 2", n)
 			}
@@ -270,9 +272,9 @@ func TestReindexWhilePending(t *testing.T) {
 			for id, q := range live {
 				q.check(t, e, "reindexed", id)
 			}
-			b = w.randomBatch(40, opts.PerUpdate)
+			b = w.randomBatch(40, mode.perUpdate)
 			moveTenants(w, &b, live, 0, 4)
-			e.ProcessBatch(b)
+			mode.process(e, b)
 			checkStates(t, e, "moved after reindex")
 			checkOracle(t, e, "moved after reindex", live)
 			stillBatch(t, e, w, "still after reindex")
@@ -306,17 +308,19 @@ func TestCallOrders(t *testing.T) {
 		},
 	}
 	for name, open := range orders {
-		for _, opts := range engineModes {
-			t.Run(fmt.Sprintf("%s/%+v", name, opts), func(t *testing.T) {
-				w, e, live := pendingWorld(t, 43, opts)
+		for _, mode := range engineModes {
+			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
+				w, e, live := pendingWorld(t, 43, mode.opts)
 				for batch := range 12 {
 					b := w.randomBatch(60, false)
 					if batch%4 != 3 {
 						moveTenants(w, &b, live, model.QueryID(batch%5), 3)
 					}
-					open(e, b)
-					e.ScanApplied(e.log)
-					e.ApplyQueryUpdates(b.Queries)
+					for _, c := range mode.cycles(b) {
+						open(e, c)
+						e.ScanApplied(e.log)
+						e.ApplyQueryUpdates(c.Queries)
+					}
 					label := fmt.Sprintf("batch %d", batch)
 					checkStates(t, e, label)
 					checkOracle(t, e, label, live)

@@ -10,8 +10,8 @@ package core
 // replay exhausts the list does the search fall through to the leftover
 // heap (Figure 3.6 lines 7–8), which resumes exactly where the original
 // search stopped. Compared to computation from scratch this saves both the
-// mindist evaluations and the heap traffic — the benefit quantified by the
-// ablation benchmark X1 (DESIGN.md).
+// mindist evaluations and the heap traffic — the benefit quantified by
+// internal/bench's ablation.recompute table.
 //
 // In DropBookkeeping mode the stored state does not exist, so the paper's
 // fallback applies: compute from scratch, which leaves the query pending

@@ -12,8 +12,8 @@ import (
 //
 // The paper's analysis assumes a red-black tree (log k probes); with the
 // experiment range k ≤ 256 a sorted slice with binary-search insertion has
-// the same asymptotics and far better constants, so that is what we use
-// (documented substitution, DESIGN.md §5). The same structure implements
+// the same asymptotics and far better constants, so that is what we use.
+// The same structure implements
 // the in_list of the batched update handler (Figure 3.8), which is "a
 // sorted list of size k" with eviction.
 type resultList struct {

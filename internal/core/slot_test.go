@@ -45,12 +45,13 @@ func (q slotTenant) check(t *testing.T, e *testEngine, label string, id model.Qu
 // the one at the take. The diff stream is replayed throughout: what a
 // subscriber reconstructs is what the engine holds.
 func TestSlotReuse(t *testing.T) {
-	for _, opts := range []Options{{}, {PerUpdate: true}, {DropBookkeeping: true}} {
-		t.Run(fmt.Sprintf("%+v", opts), func(t *testing.T) { testSlotReuse(t, opts) })
+	for _, mode := range []engineMode{{}, {perUpdate: true}, {opts: Options{DropBookkeeping: true}}} {
+		t.Run(mode.String(), func(t *testing.T) { testSlotReuse(t, mode) })
 	}
 }
 
-func testSlotReuse(t *testing.T, opts Options) {
+func testSlotReuse(t *testing.T, mode engineMode) {
+	opts := mode.opts
 	w := newWorld(23)
 	objs := w.populate(600)
 	e := newTestEngine(16, opts)
@@ -121,8 +122,8 @@ func testSlotReuse(t *testing.T, opts Options) {
 	}
 	tick := func(stage string) {
 		t.Helper()
-		b := w.randomBatch(60, opts.PerUpdate)
-		e.ProcessBatch(b)
+		b := w.randomBatch(60, mode.perUpdate)
+		mode.process(e, b)
 		ref.ProcessBatch(model.Batch{Objects: b.Objects})
 		take()
 		verify(stage)
@@ -209,7 +210,7 @@ func testSlotReuse(t *testing.T, opts Options) {
 		t.Fatal(err)
 	}
 	live[5] = q
-	e.ProcessBatch(w.randomBatch(60, opts.PerUpdate))
+	mode.process(e, w.randomBatch(60, mode.perUpdate))
 	var mine []model.ResultDiff
 	for _, d := range take() {
 		if d.Query == 5 {

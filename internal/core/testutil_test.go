@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -43,8 +44,7 @@ func (e *testEngine) Bootstrap(objs map[model.ObjectID]geom.Point) {
 }
 
 // ProcessBatch runs one cycle: the object stream applied to the grid and
-// logged, the log scanned — one update at a time under PerUpdate — and the
-// query stream applied.
+// logged, the log scanned, and the query stream applied.
 func (e *testEngine) ProcessBatch(b model.Batch) {
 	e.BeginCycle(b.Queries)
 	e.finishCycle(b)
@@ -52,16 +52,42 @@ func (e *testEngine) ProcessBatch(b model.Batch) {
 
 // finishCycle is ProcessBatch after BeginCycle.
 func (e *testEngine) finishCycle(b model.Batch) {
-	if e.opts.PerUpdate {
-		for i := range b.Objects {
-			e.apply(b.Objects[i:i+1], nil)
-			e.ScanApplied(e.log)
-		}
-	} else {
-		e.apply(b.Objects, e.Watched())
-		e.ScanApplied(e.log)
-	}
+	e.apply(b.Objects, e.Watched())
+	e.ScanApplied(e.log)
 	e.ApplyQueryUpdates(b.Queries)
+}
+
+// engineMode is an engine option set and the way a test batch runs: as
+// one cycle, or with perUpdate as a cycle per update.
+type engineMode struct {
+	opts      Options
+	perUpdate bool
+}
+
+// String names a mode as its subtests are named.
+func (m engineMode) String() string {
+	return fmt.Sprintf("{PerUpdate:%v DropBookkeeping:%v}", m.perUpdate, m.opts.DropBookkeeping)
+}
+
+// cycles splits b into the cycles the mode runs it as. Per-update, that is
+// Section 3.2's handling the way internal/bench's CPM-perupd wrapper runs
+// it: a cycle for every object update, then one for the query updates.
+func (m engineMode) cycles(b model.Batch) []model.Batch {
+	if !m.perUpdate {
+		return []model.Batch{b}
+	}
+	cycles := make([]model.Batch, 0, len(b.Objects)+1)
+	for i := range b.Objects {
+		cycles = append(cycles, model.Batch{Objects: b.Objects[i : i+1]})
+	}
+	return append(cycles, model.Batch{Queries: b.Queries})
+}
+
+// process runs b on e.
+func (m engineMode) process(e *testEngine, b model.Batch) {
+	for _, c := range m.cycles(b) {
+		e.ProcessBatch(c)
+	}
 }
 
 func (e *testEngine) apply(updates []model.Update, watch *grid.CellSet) {

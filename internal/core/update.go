@@ -27,18 +27,21 @@ import (
 // what interleaved scanning did. The log need hold only the updates touching
 // a Watched cell: any other one would meet empty influence lists, so it
 // costs its index maintenance and nothing else (the paper's
-// Time_ind). The Section 3.2 ablation (Options.PerUpdate) is the same calls
-// with a one-update log per ScanApplied.
+// Time_ind). Section 3.2's per-update handling is a cycle per update: the
+// harness's CPM-perupd wrapper (internal/bench) feeds the monitor one
+// single-update batch at a time.
 //
 // A search from scratch leaves its query pending and owing its book-keeping
 // (see Engine.infl), and the install step skips the queries of the open
 // cycle's ignore set, so a query that moves every cycle never builds its
 // book-keeping, enters the index or widens Watched.
-// Correctness does not depend on the call order: between cycles nothing is
-// ignored, so a Watched read before BeginCycle is a superset, and an owner
-// that logs every update (grid.ApplyBatch) may apply before BeginCycle,
-// since ScanApplied installs whatever is still pending before it scans.
-// Only BeginCycle before Watched keeps the moved queries out of the filter.
+// BeginCycle installs every pending query the cycle keeps, so ScanApplied
+// follows it with no registration in between and scans a complete index.
+// Otherwise correctness does not depend on the call order: between cycles
+// nothing is ignored, so a Watched read before BeginCycle is a superset,
+// and an owner that logs every update (grid.ApplyBatch) may apply before
+// BeginCycle. Only BeginCycle before Watched keeps the moved queries out of
+// the filter.
 //
 // A steady-state cycle (moves only, warmed buffers) performs zero heap
 // allocations: the per-cycle sets are reused slices, and all influence and
@@ -74,17 +77,17 @@ func (e *Engine) BeginCycle(queries []model.QueryUpdate) {
 	e.installPending()
 }
 
-// ScanApplied routes one write log — the grid mutations of a tick (or of a
-// single update in per-update mode), already applied by the grid's owner —
-// through the engine's influence index (Figure 3.8 scans) and resolves
-// every touched query, after installing what is still pending
-// (installPending). The grid must be at a stable epoch: the scans read
-// only the log and per-query state, and resolution reads the grid. Phase
-// times accumulate so per-update rounds compose.
+// ScanApplied routes one write log — the grid mutations of a tick, already
+// applied by the grid's owner — through the engine's influence index
+// (Figure 3.8 scans) and resolves every touched query. It follows the
+// cycle's BeginCycle, which installed every query the cycle keeps (the
+// cpmassert build checks this). The grid must be at a stable epoch: the
+// scans read only the log and per-query state, and resolution reads the
+// grid.
 func (e *Engine) ScanApplied(log []grid.Applied) {
+	e.assertKeptInstalled()
 	e.cycle++
 	t0 := time.Now()
-	e.installPending()
 	e.scan(log)
 	t1 := time.Now()
 	e.resolveDirty()

@@ -10,11 +10,11 @@ import (
 )
 
 // runMonitoring drives an engine over random update batches, checking every
-// installed query against the oracle after every cycle.
-func runMonitoring(t *testing.T, seed int64, opts Options, cycles, batchSize int, allowRepeats bool) {
+// installed query against the oracle after every batch.
+func runMonitoring(t *testing.T, seed int64, mode engineMode, cycles, batchSize int, allowRepeats bool) {
 	t.Helper()
 	w := newWorld(seed)
-	e := newTestEngine(8+int(seed%3)*8, opts)
+	e := newTestEngine(8+int(seed%3)*8, mode.opts)
 	e.Bootstrap(w.populate(150))
 
 	defs := map[model.QueryID]Def{}
@@ -41,7 +41,7 @@ func runMonitoring(t *testing.T, seed int64, opts Options, cycles, batchSize int
 
 	for cycle := 0; cycle < cycles; cycle++ {
 		b := w.randomBatch(batchSize, allowRepeats)
-		e.ProcessBatch(b)
+		mode.process(e, b)
 		for id, def := range defs {
 			label := fmt.Sprintf("seed %d cycle %d query %d", seed, cycle, id)
 			checkResult(t, label, e.Result(id), oracle(e, def))
@@ -55,7 +55,7 @@ func runMonitoring(t *testing.T, seed int64, opts Options, cycles, batchSize int
 
 func TestMonitoringMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		runMonitoring(t, seed, Options{}, 25, 40, false)
+		runMonitoring(t, seed, engineMode{}, 25, 40, false)
 	}
 }
 
@@ -63,19 +63,23 @@ func TestMonitoringWithRepeatedUpdates(t *testing.T) {
 	// Several updates for the same object within one batch stress the
 	// in_list/out_count bookkeeping (stale-incomer removal).
 	for seed := int64(20); seed < 26; seed++ {
-		runMonitoring(t, seed, Options{}, 20, 60, true)
+		runMonitoring(t, seed, engineMode{}, 20, 60, true)
 	}
 }
 
+// TestMonitoringPerUpdateAblation runs every update of a batch as a cycle
+// of its own, with repeated updates of one object, under both engine
+// options.
 func TestMonitoringPerUpdateAblation(t *testing.T) {
 	for seed := int64(40); seed < 44; seed++ {
-		runMonitoring(t, seed, Options{PerUpdate: true}, 12, 25, false)
+		runMonitoring(t, seed, engineMode{perUpdate: true}, 12, 25, true)
+		runMonitoring(t, seed, engineMode{opts: Options{DropBookkeeping: true}, perUpdate: true}, 12, 25, true)
 	}
 }
 
 func TestMonitoringDropBookkeeping(t *testing.T) {
 	for seed := int64(60); seed < 64; seed++ {
-		runMonitoring(t, seed, Options{DropBookkeeping: true}, 15, 40, false)
+		runMonitoring(t, seed, engineMode{opts: Options{DropBookkeeping: true}}, 15, 40, false)
 	}
 }
 
@@ -166,10 +170,10 @@ func TestOutgoingCancelledByIncomer(t *testing.T) {
 }
 
 // TestPerUpdateRecomputesWhereBatchWouldNot: the same Figure 3.7 scenario
-// under the PerUpdate ablation must trigger a re-computation, demonstrating
+// run as one cycle per update must trigger a re-computation, demonstrating
 // what batching saves.
 func TestPerUpdateRecomputesWhereBatchWouldNot(t *testing.T) {
-	e := newTestEngine(8, Options{PerUpdate: true})
+	e := newTestEngine(8, Options{})
 	e.Bootstrap(map[model.ObjectID]geom.Point{
 		1: {X: 0.52, Y: 0.5},
 		2: {X: 0.9, Y: 0.9},
@@ -179,7 +183,7 @@ func TestPerUpdateRecomputesWhereBatchWouldNot(t *testing.T) {
 	if err := e.RegisterQuery(1, q, 1); err != nil {
 		t.Fatal(err)
 	}
-	e.ProcessBatch(model.Batch{Objects: []model.Update{
+	engineMode{perUpdate: true}.process(e, model.Batch{Objects: []model.Update{
 		model.MoveUpdate(1, geom.Point{X: 0.52, Y: 0.5}, geom.Point{X: 0.95, Y: 0.05}),
 		model.MoveUpdate(2, geom.Point{X: 0.9, Y: 0.9}, geom.Point{X: 0.51, Y: 0.5}),
 	}})

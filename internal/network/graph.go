@@ -2,7 +2,7 @@
 // generator. The paper's evaluation (Section 6) uses the spatiotemporal
 // generator of Brinkhoff [B02] on the road map of Oldenburg; that map is
 // not redistributable, so this package synthesizes a comparable city
-// network (DESIGN.md §5 documents the substitution): a jittered lattice of
+// network: a jittered lattice of
 // intersections connected by a random spanning tree plus a tunable fraction
 // of extra streets, yielding an irregular but connected planar-ish graph in
 // the unit square. Shortest paths, walked through an all-pairs next-hop

@@ -12,8 +12,11 @@
 // monitoring loop is embarrassingly parallel in the query dimension. The
 // grid, by contrast, is a pure shared index: it carries no per-query state
 // (influence lists live in per-engine grid.Influence indexes), so all
-// shards read ONE grid and memory stays O(objects) instead of O(shards ×
-// objects). The coordinator applies each tick's object updates exactly once
+// shards read ONE grid and the objects are stored once, not once per shard.
+// What grows with the shard count is each engine's influence index: its
+// cell directory holds a slice header for every grid cell, so the
+// directories cost O(shards × cells) — about 24 MiB per engine at 1024².
+// The coordinator applies each tick's object updates exactly once
 // (grid.ApplyWatched, inside an epoch-guarded write window), logging only
 // the updates that touch some shard's influence region, then every shard
 // replays the write log against its own influence lists at a stable epoch —
@@ -73,10 +76,6 @@ type Monitor struct {
 	// applyNs is the serial grid-application time of the last tick,
 	// reported as part of the relocation phase.
 	applyNs int64
-	// perUpdate mirrors core.Options.PerUpdate: the ablation's one-at-a-time
-	// semantics need the coordinator to interleave grid writes with the
-	// engines' scan/resolve rounds, so the monitor drives it.
-	perUpdate bool
 
 	// feed carries one work item per cycle to each persistent worker; nil
 	// until the first multi-shard ProcessBatch. wg counts outstanding
@@ -131,10 +130,9 @@ func New(n, gridSize int, workspace geom.Rect, opts core.Options) *Monitor {
 	// grid may only be mutated inside a write window.
 	g.SetShared(true)
 	m := &Monitor{
-		g:         g,
-		shards:    make([]*core.Engine, n),
-		perShard:  make([][]model.QueryUpdate, n),
-		perUpdate: opts.PerUpdate,
+		g:        g,
+		shards:   make([]*core.Engine, n),
+		perShard: make([][]model.QueryUpdate, n),
 	}
 	for i := range m.shards {
 		m.shards[i] = core.NewSharedEngine(g, opts)
@@ -257,16 +255,12 @@ func (m *Monitor) ProcessBatch(b model.Batch) {
 		m.perShard[s] = append(m.perShard[s], qu)
 	}
 	m.stage(true)
-	if m.perUpdate {
-		m.processPerUpdate(b)
-	} else {
-		t0 := time.Now()
-		var invalid int64
-		m.applied, invalid = m.g.ApplyWatched(b.Objects, m.applied[:0], m.watched())
-		m.invalidObjects += invalid
-		m.applyNs = time.Since(t0).Nanoseconds()
-		m.stage(false)
-	}
+	t0 := time.Now()
+	var invalid int64
+	m.applied, invalid = m.g.ApplyWatched(b.Objects, m.applied[:0], m.watched())
+	m.invalidObjects += invalid
+	m.applyNs = time.Since(t0).Nanoseconds()
+	m.stage(false)
 	// The routed copies of the query updates hold the caller's NewPoints;
 	// drop them so the batch is collectable while the monitor idles.
 	for i := range m.perShard {
@@ -306,28 +300,6 @@ func (m *Monitor) watched() *grid.CellSet {
 		m.watch.Or(e.Watched())
 	}
 	return &m.watch
-}
-
-// processPerUpdate drives the Section 3.2 ablation over the shared grid:
-// each object update is applied to the grid on its own and immediately
-// classified and resolved by every engine before the next one is applied.
-// The interleaving forces sequential engine rounds — the ablation measures
-// algorithmic cost, not parallel speedup — and its log stays unfiltered.
-func (m *Monitor) processPerUpdate(b model.Batch) {
-	m.applyNs = 0
-	for i := range b.Objects {
-		t0 := time.Now()
-		var invalid int64
-		m.applied, invalid = m.g.ApplyBatch(b.Objects[i:i+1], m.applied[:0])
-		m.invalidObjects += invalid
-		m.applyNs += time.Since(t0).Nanoseconds()
-		for _, e := range m.shards {
-			e.ScanApplied(m.applied)
-		}
-	}
-	for i, e := range m.shards {
-		e.ApplyQueryUpdates(m.perShard[i])
-	}
 }
 
 // start launches one persistent worker goroutine per shard. The channel
